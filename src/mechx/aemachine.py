@@ -166,21 +166,51 @@ def step(machine: Machine, config: MachineConfig) -> Union[MachineConfig, _Halte
         raise UndeclaredSymbolInTape(
             f"cell {config.head} holds undeclared symbol {read!r}"
         )
-    rule = machine.transitions.get((config.state, read))
-    if rule is None:
-        return HALTED
-    next_state, written, move = rule
     cells = dict(config.cells)
-    if written == machine.blank:
-        cells.pop(config.head, None)
-    else:
-        cells[config.head] = written
-    return MachineConfig(
-        cells=cells,
-        head=max(1, config.head + move),
-        state=next_state,
-        step_count=config.step_count + 1,
+    outcome, head, state, steps, _ = _advance(
+        machine, cells, config.head, config.state, 1, False
     )
+    if outcome is Outcome.HALTED:
+        return HALTED
+    return MachineConfig(
+        cells=cells, head=head, state=state, step_count=config.step_count + steps
+    )
+
+
+def _advance(
+    machine: Machine,
+    cells: dict[int, str],
+    head: int,
+    state: str,
+    max_steps: int,
+    trace: bool,
+) -> tuple[Outcome, int, str, int, list[TraceStep]]:
+    """The transition loop behind step() and run(): takes up to
+    ``max_steps`` transitions, updating ``cells`` in place, and returns
+    (outcome, head, state, steps taken, trace)."""
+    # Hot loop mutates local copies; immutable values are built at the end.
+    table = machine.transitions
+    blank = machine.blank
+    steps = 0
+    log: list[TraceStep] = []
+    outcome = Outcome.BUDGET_EXHAUSTED
+    while steps < max_steps:
+        read = cells.get(head, blank)
+        rule = table.get((state, read))
+        if rule is None:
+            outcome = Outcome.HALTED
+            break
+        next_state, written, move = rule
+        if trace:
+            log.append(TraceStep(state, head, read, written, move))
+        if written == blank:
+            cells.pop(head, None)
+        else:
+            cells[head] = written
+        head = max(1, head + move)
+        state = next_state
+        steps += 1
+    return outcome, head, state, steps, log
 
 
 def run(
@@ -202,31 +232,9 @@ def run(
         if sym != machine.blank:
             cells[idx] = sym
 
-    # Hot loop mutates local copies; immutable values are built at the end.
-    table = machine.transitions
-    blank = machine.blank
-    head = 1
-    state = machine.initial_state
-    steps = 0
-    log: list[TraceStep] = []
-    outcome = Outcome.BUDGET_EXHAUSTED
-    while steps < max_steps:
-        read = cells.get(head, blank)
-        rule = table.get((state, read))
-        if rule is None:
-            outcome = Outcome.HALTED
-            break
-        next_state, written, move = rule
-        if trace:
-            log.append(TraceStep(state, head, read, written, move))
-        if written == blank:
-            cells.pop(head, None)
-        else:
-            cells[head] = written
-        head = max(1, head + move)
-        state = next_state
-        steps += 1
-
+    outcome, head, state, steps, log = _advance(
+        machine, cells, 1, machine.initial_state, max_steps, trace
+    )
     final = MachineConfig(cells=cells, head=head, state=state, step_count=steps)
     return RunResult(
         outcome=outcome, final=final, trace=tuple(log) if trace else None
@@ -355,7 +363,8 @@ def parse_machine(text: str) -> MachineFile:
         tape 1 1
 
     "#" comments and blank lines are ignored.  The first name after
-    "symbols blank" is the blank symbol.
+    "symbols blank" is the blank symbol; serialize_machine writes the
+    blank first, so a round trip keeps it.
     """
     flavor: Optional[str] = None
     states: Optional[tuple[str, ...]] = None
@@ -461,16 +470,18 @@ def parse_machine(text: str) -> MachineFile:
 
 
 def serialize_machine(machine: Machine, tape: Optional[Mapping[int, str]] = None) -> str:
-    """Canonical ".aem" text: declarations, rules in declaration order of
-    (state, symbol), then tape cells in index order."""
+    """Canonical ".aem" text: declarations with the blank as the first
+    symbol, rules in that declaration order of (state, symbol), then tape
+    cells in index order."""
+    symbols = (machine.blank,) + tuple(s for s in machine.symbols if s != machine.blank)
     lines = [
         f"flavor {machine.flavor}",
         "states " + " ".join(machine.states),
-        "symbols blank " + " ".join(machine.symbols),
+        "symbols blank " + " ".join(symbols),
         f"init {machine.initial_state}",
     ]
     order = {name: i for i, name in enumerate(machine.states)}
-    sorder = {name: i for i, name in enumerate(machine.symbols)}
+    sorder = {name: i for i, name in enumerate(symbols)}
     for (q, s), (q2, w, move) in sorted(
         machine.transitions.items(), key=lambda kv: (order[kv[0][0]], sorder[kv[0][1]])
     ):

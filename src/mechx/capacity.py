@@ -15,7 +15,7 @@ from decimal import Decimal, localcontext
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .model import DofGroup, Platform, mechanical_groups, resolve_levels
+from .model import Platform, resolve_levels
 
 
 def _log10_2() -> float:
@@ -128,7 +128,9 @@ class BigCount:
         if self.exact is not None:
             return leading_digits(self.exact, k)
         frac = self.log10 - math.floor(self.log10)
-        return str(round(10 ** (frac + k - 1)))[:k]
+        # Rounding up to 10**k would carry into the exponent that
+        # digit_count reports; truncate as the exact path does instead.
+        return str(min(round(10 ** (frac + k - 1)), 10**k - 1))
 
     def sci(self, sig: int = 2) -> str:
         """Compact scientific notation like '4.1e+71'."""
@@ -146,7 +148,28 @@ class BigCount:
         return BigCount(log10=self.log10 + other.log10, exact=None)
 
 
-ONE = BigCount(log10=0.0, exact=1)
+def _count(
+    platform: Platform, mode: CountMode, strict: bool
+) -> tuple[BigCount, BigCount]:
+    """Counts over all groups and over the mechanical groups, in one pass
+    that resolves each group once."""
+    mode = CountMode(mode)
+    exact = mode is not CountMode.LOG_SPACE
+    log10_all = log10_mech = 0.0
+    exact_all = exact_mech = 1
+    for g in platform.groups:
+        levels = resolve_levels(g, strict=strict)
+        log10_term = g.multiplicity * math.log10(levels)
+        exact_term = levels ** g.multiplicity if exact else 1
+        log10_all += log10_term
+        exact_all *= exact_term
+        if g.is_mechanical:
+            log10_mech += log10_term
+            exact_mech *= exact_term
+    if exact:
+        # Exact value wins: recompute the log from it to kill float drift.
+        return BigCount.from_exact(exact_all), BigCount.from_exact(exact_mech)
+    return BigCount(log10=log10_all), BigCount(log10=log10_mech)
 
 
 def count_configurations(
@@ -162,19 +185,8 @@ def count_configurations(
     LOG_SPACE mode no big int is ever formed; in EXACT and BOTH modes
     the exact product is kept alongside the log.
     """
-    mode = CountMode(mode)
-    groups = mechanical_groups(platform) if mechanical_only else list(platform.groups)
-    log10_total = 0.0
-    exact_total: Optional[int] = 1 if mode is not CountMode.LOG_SPACE else None
-    for g in groups:
-        levels = resolve_levels(g, strict=strict)
-        log10_total += g.multiplicity * math.log10(levels)
-        if exact_total is not None:
-            exact_total *= levels ** g.multiplicity
-    if exact_total is not None:
-        # Exact value wins: recompute the log from it to kill float drift.
-        return BigCount(log10=ilog10(exact_total), exact=exact_total)
-    return BigCount(log10=log10_total, exact=None)
+    count_all, count_mechanical = _count(platform, mode, strict)
+    return count_mechanical if mechanical_only else count_all
 
 
 def kinematic_expressivity(
@@ -243,12 +255,11 @@ def analyze(
     strict: bool = True,
 ) -> CapacityReport:
     """Count configurations both ways and summarize the processor, if any."""
+    count_all, count_mechanical = _count(platform, mode, strict)
     return CapacityReport(
         name=platform.name,
-        count_all=count_configurations(platform, mode=mode, strict=strict),
-        count_mechanical=count_configurations(
-            platform, mechanical_only=True, mode=mode, strict=strict
-        ),
+        count_all=count_all,
+        count_mechanical=count_mechanical,
         computational=(
             computational_capacity(platform.processor)
             if platform.processor is not None

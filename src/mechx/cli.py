@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import aemachine, figures, specfile
 from .capacity import CountMode, analyze, compare
-from .model import NonIntegralSpan, Platform
+from .model import Platform
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,18 +41,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc}") from exc
+
+
 def _load_platform(ref: str) -> Platform:
     if ref.startswith("@"):
         try:
             return specfile.dataset_lookup(ref[1:]).platform
         except KeyError as exc:
             raise specfile.SpecFileError(0, str(exc)) from exc
-    try:
-        with open(ref, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise specfile.SpecFileError(0, f"cannot read {ref!r}: {exc}") from exc
-    return specfile.parse_platform(text).platform
+    return specfile.parse_platform(_read_text(ref)).platform
 
 
 def _dof_total(platform: Platform) -> int:
@@ -184,17 +187,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.file!r}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        doc = specfile.parse_platform(text)
-    except specfile.SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    doc = specfile.parse_platform(_read_text(args.file))
     diags = specfile.validate(doc)
     for d in diags:
         print(str(d))
@@ -206,14 +199,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_aem_run(args) -> int:
-    try:
-        mf = aemachine.load_machine(args.file)
-    except OSError as exc:
-        print(f"error: cannot read {args.file!r}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except aemachine.MachineFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    mf = aemachine.parse_machine(_read_text(args.file))
     result = aemachine.run(
         mf.machine, mf.tape, max_steps=args.max_steps, trace=args.trace
     )
@@ -296,22 +282,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonIntegralSpan as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except specfile.SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except specfile.DatasetCorrupt as exc:
         print(f"error: bundled dataset corrupt: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except aemachine.MachineFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except ValueError as exc:
+        # Covers NonIntegralSpan, SpecFileError, MachineFormatError and
+        # unreadable files.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

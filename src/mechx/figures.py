@@ -20,19 +20,11 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .capacity import count_configurations
 from .model import Platform
-from .specfile import Diagnostic, Severity, is_computable
-
-FIGURE_IDS = (
-    "fig1_transistors",
-    "fig2_mech_configs",
-    "fig3_bits_vs_bits",
-    "fig4_celegans",
-    "fig5_animals",
-)
+from .specfile import Diagnostic, Severity, _fmt_num, is_computable
 
 
 class UnknownFigureId(ValueError):
@@ -107,37 +99,89 @@ def _skip(diagnostics: Optional[list], name: str, why: str):
         )
 
 
-def _mech_bits(p: Platform) -> float:
-    return count_configurations(p, mechanical_only=True).log2
+class _Source(NamedTuple):
+    """One coordinate of a figure: ``value`` is defined only for platforms
+    that pass ``has``; the others are skipped with reason ``missing``."""
+
+    missing: str
+    has: Callable[[Platform], bool]
+    value: Callable[[Platform], float]
+    is_log10: bool = False
 
 
-def _mech_log10(p: Platform) -> float:
-    return count_configurations(p, mechanical_only=True).log10
+_YEAR = _Source("no year", lambda p: p.year is not None, lambda p: float(p.year))
+_TRANSISTORS = _Source(
+    "no processor",
+    lambda p: p.processor is not None,
+    lambda p: float(p.processor.transistors),
+)
+_NEURONS = _Source(
+    "no neuron count",
+    lambda p: p.name in NEURON_COUNTS,
+    lambda p: float(NEURON_COUNTS[p.name]),
+)
+_MECH_LOG10 = _Source(
+    "capacity is not computable",
+    is_computable,
+    lambda p: count_configurations(p, mechanical_only=True).log10,
+    is_log10=True,
+)
+_MECH_BITS = _Source(
+    "capacity is not computable",
+    is_computable,
+    lambda p: count_configurations(p, mechanical_only=True).log2,
+)
 
 
-def _natural_points(
-    platforms: Iterable[Platform],
-    names: tuple[str, ...],
-    diagnostics: Optional[list],
-) -> list[TrendPoint]:
-    points = []
-    by_name = {p.name: p for p in platforms}
-    for name in names:
-        p = by_name.get(name)
-        if p is None:
-            continue
-        if not is_computable(p):
-            _skip(diagnostics, p.name, "capacity is not computable")
-            continue
-        points.append(
-            TrendPoint(
-                label=p.name,
-                x=float(NEURON_COUNTS[name]),
-                y=_mech_bits(p),
-                series=_NATURAL_SERIES[name],
-            )
-        )
-    return points
+class _Figure(NamedTuple):
+    """Artificial platforms are plotted at (x, y), the natural models in
+    ``roster`` at (neuron count, y).  A ``square`` figure gets a square
+    plot area."""
+
+    axis_spec: AxisSpec
+    x: _Source
+    y: _Source
+    roster: tuple[str, ...] = ()
+    square: bool = False
+
+
+_WORMS = ("C. elegans (anatomy)", "C. elegans (agar behavior)")
+_NEURONS_VS_BITS = AxisSpec(
+    "year (artificial) or neurons (natural)",
+    "mechanical capacity (bits)",
+    x_log=True,
+    y_log=True,
+)
+
+_FIGURES = {
+    "fig1_transistors": _Figure(
+        AxisSpec("year", "transistors", x_log=False, y_log=True), _YEAR, _TRANSISTORS
+    ),
+    "fig2_mech_configs": _Figure(
+        AxisSpec("year", "log10 mechanical configurations", x_log=False, y_log=False),
+        _YEAR,
+        _MECH_LOG10,
+    ),
+    "fig3_bits_vs_bits": _Figure(
+        AxisSpec(
+            "computational capacity (bits)",
+            "mechanical capacity (bits)",
+            x_log=True,
+            y_log=True,
+        ),
+        _TRANSISTORS,
+        _MECH_BITS,
+        square=True,
+    ),
+    "fig4_celegans": _Figure(_NEURONS_VS_BITS, _YEAR, _MECH_BITS, roster=_WORMS),
+    "fig5_animals": _Figure(
+        _NEURONS_VS_BITS,
+        _YEAR,
+        _MECH_BITS,
+        roster=_WORMS + ("Drosophila", "Cat", "Human (mocap)", "Human (breath)"),
+    ),
+}
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def trend_table(
@@ -150,84 +194,38 @@ def trend_table(
     collect a note for each skip."""
     if figure_id not in FIGURE_IDS:
         raise UnknownFigureId(f"unknown figure id {figure_id!r}")
+    fig = _FIGURES[figure_id]
     platforms = list(dataset)
-    artificial = [p for p in platforms if p.kind == "artificial"]
     points: list[TrendPoint] = []
 
-    if figure_id == "fig1_transistors":
-        for p in artificial:
-            if p.year is None:
-                _skip(diagnostics, p.name, "no year")
-            elif p.processor is None:
-                _skip(diagnostics, p.name, "no processor")
-            else:
-                points.append(
-                    TrendPoint(
-                        label=p.name,
-                        x=float(p.year),
-                        y=float(p.processor.transistors),
-                        series=SERIES_ARTIFICIAL,
-                    )
-                )
-    elif figure_id == "fig2_mech_configs":
-        for p in artificial:
-            if p.year is None:
-                _skip(diagnostics, p.name, "no year")
-            elif not is_computable(p):
-                _skip(diagnostics, p.name, "capacity is not computable")
-            else:
-                points.append(
-                    TrendPoint(
-                        label=p.name,
-                        x=float(p.year),
-                        y=_mech_log10(p),
-                        series=SERIES_ARTIFICIAL,
-                        y_is_log10=True,
-                    )
-                )
-    elif figure_id == "fig3_bits_vs_bits":
-        for p in artificial:
-            if p.processor is None:
-                _skip(diagnostics, p.name, "no processor")
-            elif not is_computable(p):
-                _skip(diagnostics, p.name, "capacity is not computable")
-            else:
-                points.append(
-                    TrendPoint(
-                        label=p.name,
-                        x=float(p.processor.transistors),
-                        y=_mech_bits(p),
-                        series=SERIES_ARTIFICIAL,
-                    )
-                )
-    else:  # fig4_celegans, fig5_animals
-        for p in artificial:
-            if p.year is None:
-                _skip(diagnostics, p.name, "no year")
-            elif not is_computable(p):
-                _skip(diagnostics, p.name, "capacity is not computable")
-            else:
-                points.append(
-                    TrendPoint(
-                        label=p.name,
-                        x=float(p.year),
-                        y=_mech_bits(p),
-                        series=SERIES_ARTIFICIAL,
-                    )
-                )
-        roster = ("C. elegans (anatomy)", "C. elegans (agar behavior)")
-        if figure_id == "fig5_animals":
-            roster += ("Drosophila", "Cat", "Human (mocap)", "Human (breath)")
-        points.extend(_natural_points(platforms, roster, diagnostics))
+    def add(p: Platform, x: _Source, series: str):
+        for source in (x, fig.y):
+            if not source.has(p):
+                _skip(diagnostics, p.name, source.missing)
+                return
+        points.append(
+            TrendPoint(
+                label=p.name,
+                x=x.value(p),
+                y=fig.y.value(p),
+                series=series,
+                y_is_log10=fig.y.is_log10,
+            )
+        )
+
+    for p in platforms:
+        if p.kind == "artificial":
+            add(p, fig.x, SERIES_ARTIFICIAL)
+    if fig.roster:
+        by_name = {p.name: p for p in platforms}
+        for name in fig.roster:
+            if name in by_name:
+                add(by_name[name], _NEURONS, _NATURAL_SERIES[name])
         # Naturals that could never be plotted (no computable groups) get
         # a note even when the roster does not mention them.
         for p in platforms:
-            if (
-                p.kind == "natural"
-                and p.name not in roster
-                and not is_computable(p)
-            ):
-                _skip(diagnostics, p.name, "capacity is not computable")
+            if p.kind == "natural" and p.name not in fig.roster and not fig.y.has(p):
+                _skip(diagnostics, p.name, fig.y.missing)
     return points
 
 
@@ -235,13 +233,7 @@ def sort_points(points: Iterable[TrendPoint]) -> list[TrendPoint]:
     return sorted(points, key=lambda p: (p.series, p.x, p.label))
 
 
-def _fmt_num(x: float) -> str:
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
-
-
-def emit_csv(points: Iterable[TrendPoint], axis_spec: Optional[AxisSpec] = None) -> str:
+def emit_csv(points: Iterable[TrendPoint]) -> str:
     """Deterministic CSV: header "label,series,x,y", rows sorted by
     (series, x, label), shortest round-trip numbers."""
     buf = io.StringIO()
@@ -472,32 +464,6 @@ def emit_svg_scatter(
     return "\n".join(out) + "\n"
 
 
-_AXIS_SPECS = {
-    "fig1_transistors": AxisSpec("year", "transistors", x_log=False, y_log=True),
-    "fig2_mech_configs": AxisSpec(
-        "year", "log10 mechanical configurations", x_log=False, y_log=False
-    ),
-    "fig3_bits_vs_bits": AxisSpec(
-        "computational capacity (bits)",
-        "mechanical capacity (bits)",
-        x_log=True,
-        y_log=True,
-    ),
-    "fig4_celegans": AxisSpec(
-        "year (artificial) or neurons (natural)",
-        "mechanical capacity (bits)",
-        x_log=True,
-        y_log=True,
-    ),
-    "fig5_animals": AxisSpec(
-        "year (artificial) or neurons (natural)",
-        "mechanical capacity (bits)",
-        x_log=True,
-        y_log=True,
-    ),
-}
-
-
 def build_figure(
     dataset: Iterable[Platform],
     figure_id: str,
@@ -510,16 +476,14 @@ def build_figure(
     fig3 is rendered with a square plot area; its height argument is
     overridden so plot width equals plot height.
     """
-    if figure_id not in FIGURE_IDS:
-        raise UnknownFigureId(f"unknown figure id {figure_id!r}")
-    axis_spec = _AXIS_SPECS[figure_id]
     points = tuple(sort_points(trend_table(dataset, figure_id, diagnostics)))
-    if figure_id == "fig3_bits_vs_bits":
+    fig = _FIGURES[figure_id]
+    if fig.square:
         height = width - (_MARGIN_LEFT + _MARGIN_RIGHT) + (_MARGIN_TOP + _MARGIN_BOTTOM)
     return FigureBundle(
         figure_id=figure_id,
         points=points,
-        csv=emit_csv(points, axis_spec),
-        svg=emit_svg_scatter(points, axis_spec, width=width, height=height),
-        axis_spec=axis_spec,
+        csv=emit_csv(points),
+        svg=emit_svg_scatter(points, fig.axis_spec, width=width, height=height),
+        axis_spec=fig.axis_spec,
     )

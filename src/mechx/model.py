@@ -8,7 +8,8 @@ discrete level count is derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional, Union
 
 # Relative tolerance for deciding that span/resolution is an integer.
@@ -73,6 +74,13 @@ class Continuous:
                 f"span {self.maximum - self.minimum!r} is smaller than "
                 f"resolution {self.resolution!r}"
             )
+        if not math.isfinite(self.ratio):
+            raise ValueError(f"span/resolution = {self.ratio!r} is not finite")
+
+    @property
+    def ratio(self) -> float:
+        """span / resolution: the level count before rounding."""
+        return (self.maximum - self.minimum) / self.resolution
 
 
 LevelsSpec = Union[DiscreteStates, Continuous]
@@ -171,7 +179,7 @@ def resolve_levels(group: DofGroup, *, strict: bool = True) -> int:
     spec = group.levels_spec
     if isinstance(spec, DiscreteStates):
         return spec.count
-    ratio = (spec.maximum - spec.minimum) / spec.resolution
+    ratio = spec.ratio
     nearest = round(ratio)
     if strict and abs(ratio - nearest) > INTEGRALITY_REL_TOL * nearest:
         raise NonIntegralSpan(group.label, ratio, nearest)
@@ -180,12 +188,11 @@ def resolve_levels(group: DofGroup, *, strict: bool = True) -> int:
 
 def span_is_integral(group: DofGroup) -> bool:
     """True when the group is discrete or its span divides evenly."""
-    spec = group.levels_spec
-    if isinstance(spec, DiscreteStates):
-        return True
-    ratio = (spec.maximum - spec.minimum) / spec.resolution
-    nearest = round(ratio)
-    return abs(ratio - nearest) <= INTEGRALITY_REL_TOL * nearest
+    try:
+        resolve_levels(group)
+    except NonIntegralSpan:
+        return False
+    return True
 
 
 def mechanical_groups(platform: Platform) -> list[DofGroup]:

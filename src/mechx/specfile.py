@@ -22,16 +22,16 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Optional
 
 from .model import (
     Continuous,
     DiscreteStates,
     DofGroup,
+    NonIntegralSpan,
     Platform,
     ProcessorSpec,
     resolve_levels,
-    span_is_integral,
 )
 
 
@@ -389,10 +389,6 @@ def serialize_platform(platform: Platform) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_document(doc: PlatformDocument) -> str:
-    return serialize_platform(doc.platform)
-
-
 # Marker note prefix for bundled stubs whose capacity cannot be computed
 # from the available description (no ranges given).
 NON_COMPUTABLE_PREFIX = "non-computable"
@@ -413,15 +409,14 @@ def validate(doc: PlatformDocument) -> list[Diagnostic]:
     lm = doc.source_line_map
 
     for g in p.groups:
-        line = lm.get(f"group:{g.label}", 0)
-        if not span_is_integral(g):
-            spec = g.levels_spec
-            ratio = (spec.maximum - spec.minimum) / spec.resolution
+        try:
+            resolve_levels(g)
+        except NonIntegralSpan as exc:
             out.append(
                 Diagnostic(
                     Severity.WARNING,
-                    line,
-                    f"group {g.label!r}: span/resolution = {ratio!r} is not "
+                    lm.get(f"group:{g.label}", 0),
+                    f"group {g.label!r}: span/resolution = {exc.ratio!r} is not "
                     f"integral; strict analysis will reject this document",
                 )
             )

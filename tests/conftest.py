@@ -25,8 +25,8 @@ group "led" count 1 states 2 tag "non-mechanical"
 
 
 def random_machine(rng: random.Random) -> Machine:
-    """A small computation machine: up to 6 states, up to 4 symbols,
-    transition table about 80 percent full."""
+    """A small computation machine: up to 6 states, up to 4 symbols with
+    the blank at any index, transition table about 80 percent full."""
     n_states = rng.randint(1, 6)
     n_symbols = rng.randint(2, 4)
     states = tuple(f"q{i}" for i in range(n_states))
@@ -44,7 +44,7 @@ def random_machine(rng: random.Random) -> Machine:
         flavor=COMPUTATION,
         states=states,
         symbols=symbols,
-        blank=symbols[0],
+        blank=rng.choice(symbols),
         transitions=transitions,
         initial_state=states[0],
     )

@@ -22,8 +22,14 @@ from mechx.capacity import (
 )
 from mechx.model import DiscreteStates, DofGroup, Platform, ProcessorSpec
 
-# Oracle comparisons below render ints with thousands of digits.
-sys.set_int_max_str_digits(50000)
+@pytest.fixture(autouse=True, scope="module")
+def _int_str_digits():
+    # Oracle comparisons below render ints with thousands of digits; the
+    # limit is restored so later test modules see the interpreter default.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(50000)
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 def platform_of(groups, **kw):
@@ -84,6 +90,15 @@ class TestBigCount:
         c = BigCount(log10=71.61641735082794, exact=None)
         assert c.digit_count == 72
         assert c.sci(2) == "4.1e+71"
+
+    def test_log_space_leading_digits_never_carry(self):
+        # 9.975e+1234 rounds to "100" at two digits; the exponent comes
+        # from digit_count, so the mantissa must truncate as exact does.
+        c = BigCount(log10=1234 + math.log10(9.975))
+        assert c.digit_count == 1235
+        assert c.leading(2) == "99"
+        assert c.sci(2) == "9.9e+1234"
+        assert c.sci(2) == BigCount.from_exact(9975 * 10**1231).sci(2)
 
     def test_mul_exact(self):
         a, b = BigCount.from_exact(36), BigCount.from_exact(100)

@@ -229,6 +229,17 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", str(tmp_path / "gone.mechx"))
         assert code == 2
 
+    def test_non_finite_span_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.mechx"
+        path.write_text(
+            'platform "a"\ngroup "g" count 1 range 0 1e400 resolution 1\n',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: span/resolution = inf is not finite\n"
+
 
 class TestAemRun:
     @pytest.fixture()

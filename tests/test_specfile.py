@@ -146,6 +146,12 @@ BAD_DOCS = [
      ParseError, 2),
     ('platform "a"\ngroup "g" count 1 range 0 1 resolution -0.5\n',
      ParseError, 2),
+    ('platform "a"\ngroup "g" count 1 range 0 1e400 resolution 1\n',
+     ParseError, 2),
+    ('platform "a"\ngroup "g" count 1 range 0 1e308 resolution 1e-308\n',
+     ParseError, 2),
+    ('platform "a"\ngroup "g" count 1 range -1e308 1e308 resolution 1\n',
+     ParseError, 2),
     ('platform "a"\ngroup "g" count 0 states 2\n', ParseError, 2),
     ('platform "a"\ngroup "g" count 1 states 0\n', ParseError, 2),
     ('platform "a"\ngroup "g" count 1\n', ParseError, 2),
