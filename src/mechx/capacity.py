@@ -149,27 +149,46 @@ class BigCount:
 
 
 def _count(
-    platform: Platform, mode: CountMode, strict: bool
-) -> tuple[BigCount, BigCount]:
+    platform: Platform,
+    mode: CountMode,
+    strict: bool,
+    *,
+    all_groups: bool,
+    mechanical: bool,
+) -> tuple[Optional[BigCount], Optional[BigCount]]:
     """Counts over all groups and over the mechanical groups, in one pass
-    that resolves each group once."""
+    that resolves each group once.
+
+    A count not asked for is None and builds no product.  Without
+    ``all_groups``, non-mechanical groups are skipped unresolved.
+    """
     mode = CountMode(mode)
     exact = mode is not CountMode.LOG_SPACE
     log10_all = log10_mech = 0.0
     exact_all = exact_mech = 1
     for g in platform.groups:
+        if not (all_groups or g.is_mechanical):
+            continue
         levels = resolve_levels(g, strict=strict)
         log10_term = g.multiplicity * math.log10(levels)
         exact_term = levels ** g.multiplicity if exact else 1
-        log10_all += log10_term
-        exact_all *= exact_term
-        if g.is_mechanical:
+        if all_groups:
+            log10_all += log10_term
+            exact_all *= exact_term
+        if mechanical and g.is_mechanical:
             log10_mech += log10_term
             exact_mech *= exact_term
-    if exact:
+
+    def total(log10_total: float, exact_total: int) -> BigCount:
         # Exact value wins: recompute the log from it to kill float drift.
-        return BigCount.from_exact(exact_all), BigCount.from_exact(exact_mech)
-    return BigCount(log10=log10_all), BigCount(log10=log10_mech)
+        if exact:
+            return BigCount.from_exact(exact_total)
+        return BigCount(log10=log10_total)
+
+    return (
+        total(log10_all, exact_all) if all_groups else None,
+        total(log10_mech, exact_mech) if mechanical else None,
+    )
 
 
 def count_configurations(
@@ -185,7 +204,13 @@ def count_configurations(
     LOG_SPACE mode no big int is ever formed; in EXACT and BOTH modes
     the exact product is kept alongside the log.
     """
-    count_all, count_mechanical = _count(platform, mode, strict)
+    count_all, count_mechanical = _count(
+        platform,
+        mode,
+        strict,
+        all_groups=not mechanical_only,
+        mechanical=mechanical_only,
+    )
     return count_mechanical if mechanical_only else count_all
 
 
@@ -255,7 +280,9 @@ def analyze(
     strict: bool = True,
 ) -> CapacityReport:
     """Count configurations both ways and summarize the processor, if any."""
-    count_all, count_mechanical = _count(platform, mode, strict)
+    count_all, count_mechanical = _count(
+        platform, mode, strict, all_groups=True, mechanical=True
+    )
     return CapacityReport(
         name=platform.name,
         count_all=count_all,

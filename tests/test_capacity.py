@@ -20,7 +20,14 @@ from mechx.capacity import (
     leading_digits,
     ndigits,
 )
-from mechx.model import DiscreteStates, DofGroup, Platform, ProcessorSpec
+from mechx.model import (
+    Continuous,
+    DiscreteStates,
+    DofGroup,
+    NonIntegralSpan,
+    Platform,
+    ProcessorSpec,
+)
 
 @pytest.fixture(autouse=True, scope="module")
 def _int_str_digits():
@@ -133,6 +140,20 @@ class TestCounting:
         )
         assert count_configurations(p).exact == 3600**2 * 2
         assert count_configurations(p, mechanical_only=True).exact == 3600**2
+
+    def test_mechanical_only_never_resolves_tagged(self):
+        # A non-integral range on a non-mechanical group only matters to
+        # the all-groups count.
+        led = DofGroup(
+            "led", 1, Continuous(0, 1, 0.3), tags=frozenset(["non-mechanical"])
+        )
+        p = platform_of([led, DofGroup("servo", 1, DiscreteStates(2))])
+        assert count_configurations(p, mechanical_only=True).exact == 2
+        assert kinematic_expressivity(p, mechanical_only=True) == pytest.approx(1.0)
+        with pytest.raises(NonIntegralSpan):
+            count_configurations(p)
+        with pytest.raises(NonIntegralSpan):
+            analyze(p)
 
     def test_log_space_mode_has_no_exact(self):
         p = platform_of([DofGroup("a", 3, DiscreteStates(7))])
