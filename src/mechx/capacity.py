@@ -11,27 +11,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .model import Platform, resolve_levels
+from .model import Platform, mechanical_groups, resolve_levels
 
+# log10(2) to 80 significant digits.  digits_of_pow2 needs ~50 correct
+# digits before its floor is trustworthy for exponents up to ~1e11, and
+# LOG10_2 gets its rounding from this value rather than from libm.
+_DECIMAL_LOG10_2 = Decimal(2).log10(Context(prec=80))
 
-def _log10_2() -> float:
-    # float(log10(2)) is fine, but derive it from >=50 significant digits
-    # so the rounding is explicit rather than inherited from libm.
-    with localcontext() as ctx:
-        ctx.prec = 80
-        return float(Decimal(2).log10())
-
-
-LOG10_2 = _log10_2()
+LOG10_2 = float(_DECIMAL_LOG10_2)
 LOG2_10 = 1.0 / LOG10_2
 
 
 class CountMode(str, Enum):
-    """How much arithmetic to perform when counting configurations."""
+    """How much arithmetic to perform when counting configurations.
+
+    EXACT and BOTH keep the exact product and take log10 (and so K) from
+    it with ``ilog10``; they count identically and differ only in what
+    the command line prints.  LOG_SPACE forms no big int: log10 is the
+    sum of ``M * log10(R)`` over the groups, added in group order.
+    """
 
     EXACT = "exact"
     LOG_SPACE = "log_space"
@@ -64,9 +66,13 @@ def ndigits(n: int) -> int:
     # Estimate from the bit length, then correct; the estimate is off by
     # at most one for any size.
     d = max(1, int(n.bit_length() * LOG10_2))
-    while 10 ** d <= n:
+    power = 10**d
+    while power <= n:
+        power *= 10
         d += 1
-    while d > 1 and 10 ** (d - 1) > n:
+    power //= 10  # now 10 ** (d - 1)
+    while d > 1 and power > n:
+        power //= 10
         d -= 1
     return d
 
@@ -75,18 +81,20 @@ def digits_of_pow2(exponent: int) -> int:
     """Decimal digit count of 2**exponent without forming the power."""
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
-    # floor(e*log10 2) needs ~50 correct digits of log10(2) before the
-    # floor is trustworthy for e up to ~1e11.
     with localcontext() as ctx:
         ctx.prec = 80
-        return int(Decimal(exponent) * Decimal(2).log10()) + 1
+        return int(Decimal(exponent) * _DECIMAL_LOG10_2) + 1
 
 
 def leading_digits(n: int, k: int = 3) -> str:
     """First ``k`` decimal digits of a positive int, as a string."""
     if n <= 0:
         raise ValueError("leading_digits requires a positive integer")
-    d = ndigits(n)
+    return _leading(n, ndigits(n), k)
+
+
+def _leading(n: int, d: int, k: int) -> str:
+    # First k digits of n, which has d digits.
     if d <= k:
         return str(n)
     return str(n // 10 ** (d - k))
@@ -98,7 +106,8 @@ class BigCount:
 
     ``exact`` is None when the count was computed in log space only.
     ``log10`` is always present.  Formatting helpers never go through
-    base-10 rendering of the exact value.
+    base-10 rendering of the exact value; the digit count is derived at
+    most once and shared by ``leading`` and ``sci``.
     """
 
     log10: float
@@ -119,14 +128,20 @@ class BigCount:
 
     @property
     def digit_count(self) -> int:
-        if self.exact is not None:
-            return ndigits(self.exact)
-        return int(math.floor(self.log10)) + 1
+        # Cached outside the dataclass fields, so equality is unaffected.
+        d = self.__dict__.get("_digit_count")
+        if d is None:
+            if self.exact is not None:
+                d = ndigits(self.exact)
+            else:
+                d = int(math.floor(self.log10)) + 1
+            object.__setattr__(self, "_digit_count", d)
+        return d
 
     def leading(self, k: int = 3) -> str:
         """First ``k`` significant decimal digits."""
         if self.exact is not None:
-            return leading_digits(self.exact, k)
+            return _leading(self.exact, self.digit_count, k)
         frac = self.log10 - math.floor(self.log10)
         # Rounding up to 10**k would carry into the exponent that
         # digit_count reports; truncate as the exact path does instead.
@@ -148,47 +163,26 @@ class BigCount:
         return BigCount(log10=self.log10 + other.log10, exact=None)
 
 
-def _count(
-    platform: Platform,
-    mode: CountMode,
-    strict: bool,
-    *,
-    all_groups: bool,
-    mechanical: bool,
-) -> tuple[Optional[BigCount], Optional[BigCount]]:
-    """Counts over all groups and over the mechanical groups, in one pass
-    that resolves each group once.
+def _factors(groups, exact: bool, strict: bool) -> list:
+    """Each group resolved once into its factor: ``R ** M`` when ``exact``,
+    ``M * log10(R)`` in log space."""
+    levels = [resolve_levels(g, strict=strict) for g in groups]
+    if exact:
+        return [r**g.multiplicity for g, r in zip(groups, levels)]
+    return [g.multiplicity * math.log10(r) for g, r in zip(groups, levels)]
 
-    A count not asked for is None and builds no product.  Without
-    ``all_groups``, non-mechanical groups are skipped unresolved.
-    """
-    mode = CountMode(mode)
-    exact = mode is not CountMode.LOG_SPACE
-    log10_all = log10_mech = 0.0
-    exact_all = exact_mech = 1
-    for g in platform.groups:
-        if not (all_groups or g.is_mechanical):
-            continue
-        levels = resolve_levels(g, strict=strict)
-        log10_term = g.multiplicity * math.log10(levels)
-        exact_term = levels ** g.multiplicity if exact else 1
-        if all_groups:
-            log10_all += log10_term
-            exact_all *= exact_term
-        if mechanical and g.is_mechanical:
-            log10_mech += log10_term
-            exact_mech *= exact_term
 
-    def total(log10_total: float, exact_total: int) -> BigCount:
-        # Exact value wins: recompute the log from it to kill float drift.
-        if exact:
-            return BigCount.from_exact(exact_total)
-        return BigCount(log10=log10_total)
-
-    return (
-        total(log10_all, exact_all) if all_groups else None,
-        total(log10_mech, exact_mech) if mechanical else None,
-    )
+def _fold(factors: list, exact: bool) -> BigCount:
+    """The count of a list of group factors, folded in group order."""
+    if exact:
+        # Exact value wins: the log comes from it, free of float drift.
+        return BigCount.from_exact(math.prod(factors))
+    # A plain left-to-right loop: sum() compensates float rounding from
+    # Python 3.12 on, which would change the bits between versions.
+    log10 = 0.0
+    for term in factors:
+        log10 += term
+    return BigCount(log10=log10)
 
 
 def count_configurations(
@@ -200,18 +194,13 @@ def count_configurations(
 ) -> BigCount:
     """Product over groups of levels ** multiplicity as a BigCount.
 
-    ``mechanical_only`` drops groups tagged non-mechanical first.  In
-    LOG_SPACE mode no big int is ever formed; in EXACT and BOTH modes
-    the exact product is kept alongside the log.
+    ``mechanical_only`` drops groups tagged non-mechanical first, without
+    resolving them.  In LOG_SPACE mode no big int is ever formed; in
+    EXACT and BOTH modes the exact product is kept alongside the log.
     """
-    count_all, count_mechanical = _count(
-        platform,
-        mode,
-        strict,
-        all_groups=not mechanical_only,
-        mechanical=mechanical_only,
-    )
-    return count_mechanical if mechanical_only else count_all
+    exact = CountMode(mode) is not CountMode.LOG_SPACE
+    groups = mechanical_groups(platform) if mechanical_only else platform.groups
+    return _fold(_factors(groups, exact, strict), exact)
 
 
 def kinematic_expressivity(
@@ -279,14 +268,18 @@ def analyze(
     mode: CountMode = CountMode.BOTH,
     strict: bool = True,
 ) -> CapacityReport:
-    """Count configurations both ways and summarize the processor, if any."""
-    count_all, count_mechanical = _count(
-        platform, mode, strict, all_groups=True, mechanical=True
-    )
+    """Count configurations both ways and summarize the processor, if any.
+
+    Each group is resolved once; the mechanical count folds the
+    mechanical groups' factors in their own order.
+    """
+    exact = CountMode(mode) is not CountMode.LOG_SPACE
+    factors = _factors(platform.groups, exact, strict)
+    mechanical = [f for g, f in zip(platform.groups, factors) if g.is_mechanical]
     return CapacityReport(
         name=platform.name,
-        count_all=count_all,
-        count_mechanical=count_mechanical,
+        count_all=_fold(factors, exact),
+        count_mechanical=_fold(mechanical, exact),
         computational=(
             computational_capacity(platform.processor)
             if platform.processor is not None

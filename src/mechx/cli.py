@@ -71,62 +71,49 @@ def cmd_compute(args) -> int:
     else:
         mode = CountMode.BOTH
     report = analyze(platform, mode=mode)
-
-    if args.json:
-        payload = {
-            "platform": report.name,
-            "kind": platform.kind,
-            "mode": mode.value,
-            "k_bits_mechanical": report.bits_mechanical,
-            "k_bits_mechanical_rounded": report.bits_mechanical_rounded,
-            "log10_c_mechanical": report.count_mechanical.log10,
-            "c_digits_mechanical": report.count_mechanical.digit_count,
-        }
-        if not args.mechanical_only:
-            payload.update(
-                {
-                    "k_bits_all": report.bits_all,
-                    "k_bits_all_rounded": report.bits_all_rounded,
-                    "log10_c_all": report.count_all.log10,
-                    "c_digits_all": report.count_all.digit_count,
-                }
-            )
-        if mode is CountMode.EXACT:
-            # Exact decimal strings can run to thousands of digits; lift
-            # the interpreter's conversion cap before rendering them.
-            digits = report.count_all.digit_count + 10
-            if hasattr(sys, "set_int_max_str_digits"):
-                sys.set_int_max_str_digits(max(10000, digits))
-            payload["c_exact_mechanical"] = str(report.count_mechanical.exact)
-            if not args.mechanical_only:
-                payload["c_exact_all"] = str(report.count_all.exact)
-        if report.computational is not None:
-            payload["transistors"] = platform.processor.transistors
-            payload["computational_bits"] = report.computational.bits
-            payload["computational_config_digits"] = report.computational.config_digits
-        print(json.dumps(payload, sort_keys=True))
-        return EXIT_OK
-
-    print(f"platform: {report.name}")
-    print(f"kind: {platform.kind}")
-    print(f"degrees of freedom: {_dof_total(platform)} ({len(platform.groups)} groups)")
+    counts = [("mechanical", report.count_mechanical)]
     if not args.mechanical_only:
-        c = report.count_all
-        print(f"C(all) = {c.sci()} ({c.digit_count} digits)")
-        print(f"K(all) = {report.bits_all_rounded} bits (rounded)")
-        print(f"K(all) = {report.bits_all!r} bits")
-    c = report.count_mechanical
-    print(f"C(mechanical) = {c.sci()} ({c.digit_count} digits)")
-    print(f"K(mechanical) = {report.bits_mechanical_rounded} bits (rounded)")
-    print(f"K(mechanical) = {report.bits_mechanical!r} bits")
+        counts.insert(0, ("all", report.count_all))
+    exact_json = args.json and mode is CountMode.EXACT
+    if exact_json and hasattr(sys, "set_int_max_str_digits"):
+        # Exact decimal strings can run to thousands of digits; lift the
+        # interpreter's conversion cap before rendering them.
+        digits = max(c.digit_count for _, c in counts) + 10
+        sys.set_int_max_str_digits(max(10000, digits))
+
+    payload = {"platform": report.name, "kind": platform.kind, "mode": mode.value}
+    lines = [
+        f"platform: {report.name}",
+        f"kind: {platform.kind}",
+        f"degrees of freedom: {_dof_total(platform)} ({len(platform.groups)} groups)",
+    ]
+    for label, c in counts:
+        bits = c.log2
+        if args.json:
+            payload[f"k_bits_{label}"] = bits
+            payload[f"k_bits_{label}_rounded"] = round(bits)
+            payload[f"log10_c_{label}"] = c.log10
+            payload[f"c_digits_{label}"] = c.digit_count
+            if exact_json:
+                payload[f"c_exact_{label}"] = str(c.exact)
+        else:
+            lines += [
+                f"C({label}) = {c.sci()} ({c.digit_count} digits)",
+                f"K({label}) = {round(bits)} bits (rounded)",
+                f"K({label}) = {bits!r} bits",
+            ]
     if report.computational is not None:
-        p = platform.processor
+        p, cap = platform.processor, report.computational
+        payload["transistors"] = p.transistors
+        payload["computational_bits"] = cap.bits
+        payload["computational_config_digits"] = cap.config_digits
         name = p.name if p.name else "(unnamed)"
-        print(f"processor: {name}, {p.transistors} transistors")
-        print(
-            f"computational capacity = {report.computational.bits!r} bits "
-            f"({report.computational.config_digits} digits as a configuration count)"
-        )
+        lines += [
+            f"processor: {name}, {p.transistors} transistors",
+            f"computational capacity = {cap.bits!r} bits "
+            f"({cap.config_digits} digits as a configuration count)",
+        ]
+    print(json.dumps(payload, sort_keys=True) if args.json else "\n".join(lines))
     return EXIT_OK
 
 

@@ -93,6 +93,10 @@ class PlatformDocument:
     kind_defaulted: bool = False
 
 
+# Statements that may appear at most once; each records its line in the
+# document's source_line_map.
+_SINGLETONS = ("platform", "kind", "year", "processor")
+
 _WORD_RE = re.compile(r"[^\s\"#]+")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _NUM_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
@@ -186,10 +190,13 @@ class _Cursor:
             )
         return tok.text
 
-    def keyword(self, word: str) -> None:
-        tok = self._next(f"'{word}'")
-        if tok.kind != "word" or tok.text != word:
-            raise ParseError(self.lineno, f"expected '{word}', found {tok.text!r}")
+    def keyword(self, *words: str) -> str:
+        """Consume one of ``words`` and return it."""
+        expected = " or ".join(f"'{w}'" for w in words)
+        tok = self._next(expected)
+        if tok.kind != "word" or tok.text not in words:
+            raise ParseError(self.lineno, f"expected {expected}, found {tok.text!r}")
+        return tok.text
 
     def integer(self, what: str) -> int:
         tok = self._next(what)
@@ -207,11 +214,12 @@ class _Cursor:
             )
         return float(tok.text), tok.text
 
-    def peek_word(self) -> Optional[str]:
+    def peek(self, kind: str) -> Optional[str]:
+        """Text of the next token if it is of ``kind`` ("word" or "string")."""
         if self.done():
             return None
         tok = self.tokens[self.pos]
-        return tok.text if tok.kind == "word" else None
+        return tok.text if tok.kind == kind else None
 
     def end(self) -> None:
         if not self.done():
@@ -225,7 +233,7 @@ def _parse_group(cur: _Cursor) -> DofGroup:
     label = cur.string("group label")
     cur.keyword("count")
     count = cur.integer("multiplicity")
-    kw = cur.peek_word()
+    kw = cur.peek("word")
     if kw == "states":
         cur.keyword("states")
         levels: object = DiscreteStates(cur.integer("state count"))
@@ -271,36 +279,23 @@ def parse_platform(text: str) -> PlatformDocument:
         head = tokens[0]
         if head.kind != "word":
             raise ParseError(lineno, f"expected a keyword, found string {head.text!r}")
-        cur = _Cursor(tokens, lineno)
-        cur.pos = 1
+        if head.text in _SINGLETONS and head.text in line_map:
+            raise ParseError(lineno, f"duplicate '{head.text}' statement")
+        cur = _Cursor(tokens[1:], lineno)
         if head.text == "platform":
-            if name is not None:
-                raise ParseError(lineno, "duplicate 'platform' statement")
             name = cur.string("platform name")
             if not name:
                 raise ParseError(lineno, "platform name must be non-empty")
             line_map["platform"] = lineno
         elif head.text == "kind":
-            if kind is not None:
-                raise ParseError(lineno, "duplicate 'kind' statement")
-            tok = cur._next("'artificial' or 'natural'")
-            if tok.kind != "word" or tok.text not in ("artificial", "natural"):
-                raise ParseError(
-                    lineno,
-                    f"expected 'artificial' or 'natural', found {tok.text!r}",
-                )
-            kind = tok.text
+            kind = cur.keyword("artificial", "natural")
             line_map["kind"] = lineno
         elif head.text == "year":
-            if year is not None:
-                raise ParseError(lineno, "duplicate 'year' statement")
             year = cur.integer("year")
             line_map["year"] = lineno
         elif head.text == "processor":
-            if processor is not None:
-                raise ParseError(lineno, "duplicate 'processor' statement")
             pname = ""
-            if not cur.done() and cur.tokens[cur.pos].kind == "string":
+            if cur.peek("string") is not None:
                 pname = cur.string("processor name")
             cur.keyword("transistors")
             value, literal = cur.number("transistor count")
@@ -420,47 +415,40 @@ def validate(doc: PlatformDocument) -> list[Diagnostic]:
                     f"integral; strict analysis will reject this document",
                 )
             )
-    if p.kind == "natural" and p.processor is not None:
-        out.append(
-            Diagnostic(
-                Severity.WARNING,
-                lm.get("processor", 0),
-                "natural platform declares a processor",
-            )
-        )
-    if doc.scientific_transistors:
-        out.append(
-            Diagnostic(
-                Severity.WARNING,
-                lm.get("processor", 0),
-                "transistor count was written in scientific or fractional "
-                "notation; stored as a rounded integer",
-            )
-        )
-    if p.kind == "artificial" and p.processor is None:
-        out.append(
-            Diagnostic(
-                Severity.WARNING,
-                lm.get("platform", 0),
-                "informational: artificial platform has no processor entry",
-            )
-        )
-    if doc.kind_defaulted:
-        out.append(
-            Diagnostic(
-                Severity.WARNING,
-                lm.get("platform", 0),
-                "informational: no 'kind' statement; assumed artificial",
-            )
-        )
-    if not p.groups:
-        out.append(
-            Diagnostic(
-                Severity.WARNING,
-                lm.get("platform", 0),
-                "informational: platform has no groups; capacity is zero bits",
-            )
-        )
+    # (condition, source_line_map key, message)
+    notices = (
+        (
+            p.kind == "natural" and p.processor is not None,
+            "processor",
+            "natural platform declares a processor",
+        ),
+        (
+            doc.scientific_transistors,
+            "processor",
+            "transistor count was written in scientific or fractional "
+            "notation; stored as a rounded integer",
+        ),
+        (
+            p.kind == "artificial" and p.processor is None,
+            "platform",
+            "informational: artificial platform has no processor entry",
+        ),
+        (
+            doc.kind_defaulted,
+            "platform",
+            "informational: no 'kind' statement; assumed artificial",
+        ),
+        (
+            not p.groups,
+            "platform",
+            "informational: platform has no groups; capacity is zero bits",
+        ),
+    )
+    out.extend(
+        Diagnostic(Severity.WARNING, lm.get(key, 0), message)
+        for condition, key, message in notices
+        if condition
+    )
     out.sort(key=lambda d: (d.line, d.message))
     return out
 

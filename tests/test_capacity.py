@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import brute_force_count, random_group_list
+from mechx import capacity, cli
 from mechx.capacity import (
     LOG10_2,
     BigCount,
@@ -160,6 +161,54 @@ class TestCounting:
         c = count_configurations(p, mode=CountMode.LOG_SPACE)
         assert c.exact is None
         assert c.log10 == pytest.approx(3 * math.log10(7), rel=1e-12)
+
+def _random_tagged_platform(rng):
+    """Up to six groups, about a third non-mechanical, with ranges whose
+    span/resolution is often not integral."""
+    groups = []
+    for i in range(rng.randint(0, 6)):
+        if rng.random() < 0.5:
+            spec = DiscreteStates(rng.randint(1, 5000))
+        else:
+            lo = rng.uniform(-100, 100)
+            spec = Continuous(lo, lo + rng.uniform(1, 500), rng.uniform(0.01, 1))
+        tags = frozenset(["non-mechanical"]) if rng.random() < 0.35 else frozenset()
+        groups.append(DofGroup(f"g{i}", rng.randint(1, 40), spec, tags=tags))
+    return platform_of(groups)
+
+
+@pytest.mark.parametrize("mode", list(CountMode))
+def test_analyze_matches_count_configurations(mode):
+    """analyze and count_configurations give bit-identical counts."""
+    rng = random.Random(31)
+    for _ in range(200):
+        p = _random_tagged_platform(rng)
+        rep = analyze(p, mode=mode, strict=False)
+        assert rep.count_all == count_configurations(p, mode=mode, strict=False)
+        assert rep.count_mechanical == count_configurations(
+            p, mechanical_only=True, mode=mode, strict=False
+        )
+
+
+def test_default_compute_counts_digits_once(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def counting_ndigits(n):
+        calls.append(n.bit_length())
+        return ndigits(n)
+
+    monkeypatch.setattr(capacity, "ndigits", counting_ndigits)
+    path = tmp_path / "big.mechx"
+    path.write_text(
+        'platform "big"\n'
+        'group "g" count 2000 states 3600\n'
+        'group "led" count 3 states 2 tag "non-mechanical"\n'
+    )
+    assert cli.main(["compute", str(path)]) == 0
+    printed = capsys.readouterr().out.count(" digits)\n")
+    assert printed == 2
+    assert len(calls) <= printed
+
 
 def test_exact_vs_log_space_many():
     rng = random.Random(9)

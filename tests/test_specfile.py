@@ -191,6 +191,42 @@ class TestParseErrors:
             parse_platform('platform "a"\nwibble\n')
         assert "line 2" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                'platform "a"\nkind\n',
+                "line 2: expected 'artificial' or 'natural', found end of line",
+            ),
+            (
+                'platform "a"\nkind robot\n',
+                "line 2: expected 'artificial' or 'natural', found 'robot'",
+            ),
+            (
+                'platform "a"\nkind "natural"\n',
+                "line 2: expected 'artificial' or 'natural', found 'natural'",
+            ),
+            ('platform "a"\nplatform "b"\n', "line 2: duplicate 'platform' statement"),
+            (
+                'platform "a"\nkind natural\nkind natural\n',
+                "line 3: duplicate 'kind' statement",
+            ),
+            ('platform "a"\nyear 1\nyear 1\n', "line 3: duplicate 'year' statement"),
+            (
+                'platform "a"\nprocessor transistors 1\nprocessor "p" transistors 1\n',
+                "line 3: duplicate 'processor' statement",
+            ),
+            (
+                'platform "a"\nprocessor "p"\n',
+                "line 2: expected 'transistors', found end of line",
+            ),
+        ],
+    )
+    def test_statement_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_platform(text)
+        assert str(info.value) == message
+
 
 class TestSerialize:
     def test_canonical_form(self):
