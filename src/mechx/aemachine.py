@@ -7,10 +7,11 @@ discretized workspace.  The two are structurally identical: inverting a
 computation machine through a pair of bijective relabelings yields a
 mechanization machine whose traces match the original step for step.
 
-Tape cells are indexed from 1 and stored sparsely (blanks implicit).
-The head clamps at cell 1; a left move at the edge stays put.  The
-transition table may be partial: a missing entry means the machine
-halts.
+Tape cells are indexed from 1 and given and returned sparsely (blanks
+implicit).  The head clamps at cell 1; a left move at the edge stays
+put.  The transition table may be partial: a missing entry means the
+machine halts.  Runs go through one kernel over integer tables compiled
+once per machine; traces are kept as integer columns.
 
     >>> m, tape = INCREMENTER.machine, {1: "1", 2: "1", 3: "1"}
     >>> result = run(m, tape, max_steps=100)
@@ -20,6 +21,7 @@ halts.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Union
@@ -149,11 +151,144 @@ class Outcome(str, Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
+class _Tables:
+    """A Machine compiled to integer tables.
+
+    Symbol code 0 is the blank; the other symbols follow in declaration
+    order.  State i owns the slots ``i * nsym`` to ``i * nsym + nsym - 1``,
+    so the kernel carries a state as that slot base.  ``table[base +
+    read]`` is None (halt) or (next base, written code, move, rule id),
+    and ``rules[rule id]`` is (state, read, written, move) by name.
+    A trace line is its step number, ``before[rule id]``, its head and
+    ``after[rule id]``.
+    """
+
+    __slots__ = (
+        "symbols", "code", "nsym", "states", "base", "table", "rules", "before", "after"
+    )
+
+    def __init__(self, machine: Machine):
+        blank = machine.blank
+        self.symbols = (blank,) + tuple(s for s in machine.symbols if s != blank)
+        self.code = {s: i for i, s in enumerate(self.symbols)}
+        self.nsym = len(self.symbols)
+        self.states = machine.states
+        self.base = {q: i * self.nsym for i, q in enumerate(self.states)}
+        self.table: list = [None] * (len(self.states) * self.nsym)
+        self.rules: list[tuple[str, str, str, int]] = []
+        for (q, s), (q2, w, move) in machine.transitions.items():
+            slot = self.base[q] + self.code[s]
+            self.table[slot] = (self.base[q2], self.code[w], move, len(self.rules))
+            self.rules.append((q, s, w, move))
+        self.before = [f" {q} " for q, _, _, _ in self.rules]
+        self.after = [f" {s} {w} {_LETTER_OF_MOVE[m]}\n" for _, s, w, m in self.rules]
+
+    def state_of(self, base: int) -> str:
+        return self.states[base // self.nsym]
+
+
+def _tables(machine: Machine) -> _Tables:
+    # Compiled on first use and kept in the instance __dict__, outside the
+    # dataclass fields, so equality and repr do not see it.
+    tables = machine.__dict__.get("_tables")
+    if tables is None:
+        tables = machine.__dict__["_tables"] = _Tables(machine)
+    return tables
+
+
+class Trace(Sequence):
+    """The steps of a traced run as a read-only sequence of TraceStep.
+
+    Stored as two integer columns, the rule id and the head of each step,
+    so a step costs a few bytes instead of a tuple of five objects.
+    """
+
+    __slots__ = ("_tables", "_ids", "_heads")
+
+    def __init__(self, tables: _Tables, max_steps: int):
+        # array is an extension module loaded from disk; importing it here
+        # keeps it off the start-up path of commands that never trace.
+        from array import array
+
+        self._tables = tables
+        self._ids = array("i")
+        # A head never exceeds max_steps + 1.
+        self._heads = array("i" if max_steps < 2**31 - 1 else "q")
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        q, s, w, m = self._tables.rules[self._ids[i]]
+        return TraceStep(q, self._heads[i], s, w, m)
+
+    def __iter__(self):
+        rules = self._tables.rules
+        for r, h in zip(self._ids, self._heads):
+            q, s, w, m = rules[r]
+            yield TraceStep(q, h, s, w, m)
+
+    def __eq__(self, other):
+        if isinstance(other, Trace) and self._tables.rules == other._tables.rules:
+            return self._ids == other._ids and self._heads == other._heads
+        if isinstance(other, Sequence):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class RunResult:
+    """What run() returns; ``trace`` is None unless run() was asked for it."""
+
     outcome: Outcome
     final: MachineConfig
-    trace: Optional[tuple[TraceStep, ...]] = None
+    trace: Optional[Trace] = None
+
+
+def _kernel(
+    tables: _Tables,
+    tape: list[int],
+    far: list[tuple[int, int]],
+    head: int,
+    base: int,
+    limit: int,
+    trace: Optional[Trace],
+) -> tuple[bool, int, int, int]:
+    """The transition loop behind step() and run(): takes up to ``limit``
+    transitions on ``tape``, a list of symbol codes indexed by cell
+    (index 0 unused), and logs each step to ``trace`` when given.
+    ``far`` holds (cell, code) pairs beyond the list, by descending cell;
+    they move in as the list doubles.  Returns (halted, head, base,
+    steps taken)."""
+    table = tables.table
+    size = len(tape)
+    if trace is not None:
+        log_rule, log_head = trace._ids.append, trace._heads.append
+    for n in range(limit):
+        rule = table[base + tape[head]]
+        if rule is None:
+            return True, head, base, n
+        base, tape[head], move, rid = rule
+        if trace is not None:
+            log_rule(rid)
+            log_head(head)
+        head += move
+        if head < 1:
+            head = 1
+        elif head >= size:
+            tape.extend([0] * size)
+            size += size
+            while far and far[-1][0] < size:
+                idx, code = far.pop()
+                tape[idx] = code
+    return False, head, base, limit
 
 
 def step(machine: Machine, config: MachineConfig) -> Union[MachineConfig, _HaltedType]:
@@ -161,56 +296,39 @@ def step(machine: Machine, config: MachineConfig) -> Union[MachineConfig, _Halte
     when the table has no entry for (state, read symbol)."""
     if config.state not in machine.states:
         raise ValueError(f"state {config.state!r} not declared by the machine")
+    tables = _tables(machine)
     read = config.cells.get(config.head, machine.blank)
-    if read not in machine.symbols:
+    if read not in tables.code:
         raise UndeclaredSymbolInTape(
             f"cell {config.head} holds undeclared symbol {read!r}"
         )
-    cells = dict(config.cells)
-    outcome, head, state, steps, _ = _advance(
-        machine, cells, config.head, config.state, 1, False
+    # One step touches only the cell under the head.  Run it on a window
+    # whose cell 1 is the real cell 1 when the head is there, so a left
+    # move clamps, and otherwise the cell left of the head.
+    shift = 0 if config.head == 1 else config.head - 2
+    window = [0, 0, 0, 0]
+    window[config.head - shift] = tables.code[read]
+    halted, head, base, _ = _kernel(
+        tables, window, [], config.head - shift, tables.base[config.state], 1, None
     )
-    if outcome is Outcome.HALTED:
+    if halted:
         return HALTED
+    cells = dict(config.cells)
+    written = window[config.head - shift]
+    if written:
+        cells[config.head] = tables.symbols[written]
+    else:
+        cells.pop(config.head, None)
     return MachineConfig(
-        cells=cells, head=head, state=state, step_count=config.step_count + steps
+        cells=cells,
+        head=head + shift,
+        state=tables.state_of(base),
+        step_count=config.step_count + 1,
     )
 
 
-def _advance(
-    machine: Machine,
-    cells: dict[int, str],
-    head: int,
-    state: str,
-    max_steps: int,
-    trace: bool,
-) -> tuple[Outcome, int, str, int, list[TraceStep]]:
-    """The transition loop behind step() and run(): takes up to
-    ``max_steps`` transitions, updating ``cells`` in place, and returns
-    (outcome, head, state, steps taken, trace)."""
-    # Hot loop mutates local copies; immutable values are built at the end.
-    table = machine.transitions
-    blank = machine.blank
-    steps = 0
-    log: list[TraceStep] = []
-    outcome = Outcome.BUDGET_EXHAUSTED
-    while steps < max_steps:
-        read = cells.get(head, blank)
-        rule = table.get((state, read))
-        if rule is None:
-            outcome = Outcome.HALTED
-            break
-        next_state, written, move = rule
-        if trace:
-            log.append(TraceStep(state, head, read, written, move))
-        if written == blank:
-            cells.pop(head, None)
-        else:
-            cells[head] = written
-        head = max(1, head + move)
-        state = next_state
-        steps += 1
-    return outcome, head, state, steps, log
+# Cells the dense tape of a run starts with; it doubles as the head moves on.
+_DENSE_CELLS = 256
 
 
 def run(
@@ -223,21 +341,35 @@ def run(
     the machine halts or ``max_steps`` transitions have been taken."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    cells: dict[int, str] = {}
+    tables = _tables(machine)
+    tape = [0] * _DENSE_CELLS
+    far = []
     for idx, sym in initial_cells.items():
         if not isinstance(idx, int) or idx < 1:
             raise ValueError(f"cell index must be an integer >= 1, got {idx!r}")
-        if sym not in machine.symbols:
+        code = tables.code.get(sym)
+        if code is None:
             raise UndeclaredSymbolInTape(f"cell {idx} holds undeclared symbol {sym!r}")
-        if sym != machine.blank:
-            cells[idx] = sym
+        if idx < _DENSE_CELLS:
+            tape[idx] = code
+        elif code:
+            far.append((idx, code))
+    far.sort(reverse=True)
 
-    outcome, head, state, steps, log = _advance(
-        machine, cells, 1, machine.initial_state, max_steps, trace
+    log = Trace(tables, max_steps) if trace else None
+    halted, head, base, steps = _kernel(
+        tables, tape, far, 1, tables.base[machine.initial_state], max_steps, log
     )
-    final = MachineConfig(cells=cells, head=head, state=state, step_count=steps)
+    symbols = tables.symbols
+    cells = {i: symbols[c] for i, c in enumerate(tape) if c}
+    cells.update((i, symbols[c]) for i, c in reversed(far))
+    final = MachineConfig(
+        cells=cells, head=head, state=tables.state_of(base), step_count=steps
+    )
     return RunResult(
-        outcome=outcome, final=final, trace=tuple(log) if trace else None
+        outcome=Outcome.HALTED if halted else Outcome.BUDGET_EXHAUSTED,
+        final=final,
+        trace=log,
     )
 
 
@@ -309,35 +441,49 @@ def traces_isomorphic(
     given renamings (heads and moves must match verbatim)."""
     if a.trace is None or b.trace is None:
         raise ValueError("both runs must be produced with tracing enabled")
-    if a.outcome != b.outcome or len(a.trace) != len(b.trace):
+    ta, tb = a.trace, b.trace
+    if a.outcome != b.outcome or len(ta) != len(tb):
         return False
-    for ta, tb in zip(a.trace, b.trace):
-        if (
-            tb.state != state_map.get(ta.state)
-            or tb.head != ta.head
-            or tb.read != symbol_map.get(ta.read)
-            or tb.written != symbol_map.get(ta.written)
-            or tb.move != ta.move
-        ):
-            return False
-    return True
+    # Each of a's rule ids must show up in b as the id of the renamed rule;
+    # -1 stands for a renamed rule b does not have.
+    ids_b = {rule: i for i, rule in enumerate(tb._tables.rules)}
+    qmap, smap = state_map.get, symbol_map.get
+    to_b = [
+        ids_b.get((qmap(q), smap(s), smap(w), m), -1)
+        for q, s, w, m in ta._tables.rules
+    ]
+    ids_a = list(map(to_b.__getitem__, ta._ids))
+    return ta._heads == tb._heads and ids_a == tb._ids.tolist()
 
 
-def format_run(result: RunResult) -> str:
+# Trace lines per write when format_run streams.
+_LINES_PER_WRITE = 4096
+
+
+def format_run(result: RunResult, out=None) -> Optional[str]:
     """Canonical text form of a RunResult: outcome line, final summary,
-    then one 'step state head read write move' line per traced step."""
-    lines = [f"outcome {result.outcome.value}"]
+    then one 'step state head read write move' line per traced step.
+
+    Returns the text, or with ``out`` (anything with a ``write(str)``
+    method) writes it there a bounded number of lines at a time and
+    returns None, so a long listing is never held whole."""
+    parts: list[str] = []
+    write = parts.append if out is None else out.write
     f = result.final
     cells = " ".join(f"{i}:{s}" for i, s in sorted(f.cells.items()))
-    lines.append(
-        f"final state={f.state} head={f.head} steps={f.step_count} cells=[{cells}]"
+    write(
+        f"outcome {result.outcome.value}\n"
+        f"final state={f.state} head={f.head} steps={f.step_count} cells=[{cells}]\n"
     )
-    if result.trace is not None:
-        for n, t in enumerate(result.trace):
-            lines.append(
-                f"{n} {t.state} {t.head} {t.read} {t.written} {_LETTER_OF_MOVE[t.move]}"
-            )
-    return "\n".join(lines) + "\n"
+    trace = result.trace
+    if trace is not None:
+        before, after = trace._tables.before, trace._tables.after
+        ids, heads = trace._ids, trace._heads
+        for start in range(0, len(ids), _LINES_PER_WRITE):
+            stop = start + _LINES_PER_WRITE
+            lines = zip(range(start, stop), ids[start:stop], heads[start:stop])
+            write("".join([f"{n}{before[r]}{h}{after[r]}" for n, r, h in lines]))
+    return "".join(parts) if out is None else None
 
 
 # Description files (".aem") -------------------------------------------------

@@ -17,11 +17,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
 from . import aemachine, figures, specfile
-from .capacity import CountMode, analyze, compare
+from .capacity import (
+    CountMode,
+    analyze,
+    compare,
+    computational_capacity,
+    count_configurations,
+)
 from .model import Platform
 
 EXIT_OK = 0
@@ -70,10 +77,17 @@ def cmd_compute(args) -> int:
         mode = CountMode.LOG_SPACE
     else:
         mode = CountMode.BOTH
-    report = analyze(platform, mode=mode)
-    counts = [("mechanical", report.count_mechanical)]
-    if not args.mechanical_only:
-        counts.insert(0, ("all", report.count_all))
+    if args.mechanical_only:
+        # Non-mechanical groups stay unresolved, so a non-integral range
+        # on one of them cannot stop the count that is printed.
+        mech = count_configurations(platform, mechanical_only=True, mode=mode)
+        counts = [("mechanical", mech)]
+        processor = platform.processor
+        computational = None if processor is None else computational_capacity(processor)
+    else:
+        report = analyze(platform, mode=mode)
+        counts = [("all", report.count_all), ("mechanical", report.count_mechanical)]
+        computational = report.computational
     exact_json = args.json and mode is CountMode.EXACT
     if exact_json and hasattr(sys, "set_int_max_str_digits"):
         # Exact decimal strings can run to thousands of digits; lift the
@@ -81,9 +95,9 @@ def cmd_compute(args) -> int:
         digits = max(c.digit_count for _, c in counts) + 10
         sys.set_int_max_str_digits(max(10000, digits))
 
-    payload = {"platform": report.name, "kind": platform.kind, "mode": mode.value}
+    payload = {"platform": platform.name, "kind": platform.kind, "mode": mode.value}
     lines = [
-        f"platform: {report.name}",
+        f"platform: {platform.name}",
         f"kind: {platform.kind}",
         f"degrees of freedom: {_dof_total(platform)} ({len(platform.groups)} groups)",
     ]
@@ -102,8 +116,8 @@ def cmd_compute(args) -> int:
                 f"K({label}) = {round(bits)} bits (rounded)",
                 f"K({label}) = {bits!r} bits",
             ]
-    if report.computational is not None:
-        p, cap = platform.processor, report.computational
+    if computational is not None:
+        p, cap = platform.processor, computational
         payload["transistors"] = p.transistors
         payload["computational_bits"] = cap.bits
         payload["computational_config_digits"] = cap.config_digits
@@ -190,7 +204,14 @@ def cmd_aem_run(args) -> int:
     result = aemachine.run(
         mf.machine, mf.tape, max_steps=args.max_steps, trace=args.trace
     )
-    sys.stdout.write(aemachine.format_run(result))
+    try:
+        aemachine.format_run(result, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (say, `| head`).  Drop the rest of the
+        # listing quietly, and point stdout at the null device so the
+        # flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if (
         args.strict_halt
         and result.outcome is aemachine.Outcome.BUDGET_EXHAUSTED

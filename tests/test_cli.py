@@ -1,6 +1,9 @@
 """End-to-end command tests, driving cli.main() in process."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -88,6 +91,34 @@ class TestCompute:
         payload = json.loads(jout)
         assert "k_bits_all" not in payload
         assert payload["k_bits_mechanical_rounded"] == 238
+
+    @pytest.mark.parametrize(
+        "flags", [(), ("--json",), ("--log-space",), ("--exact",)]
+    )
+    def test_mechanical_only_skips_non_mechanical_ranges(self, capsys, tmp_path, flags):
+        # The LED's non-integral range cannot be resolved, but the printed
+        # count never uses it; the full count still refuses the file.
+        path = tmp_path / "led.mechx"
+        path.write_text(
+            'platform "p"\n'
+            'group "led" count 1 range 0 1 resolution 0.3 tag "non-mechanical"\n'
+            'group "servo" count 1 states 2\n'
+            'processor "mcu" transistors 100\n',
+            encoding="utf-8",
+        )
+        argv = ("compute", str(path), *flags)
+        code, out, err = run_cli(capsys, *argv, "--mechanical-only")
+        assert (code, err) == (0, "")
+        if flags == ("--json",):
+            payload = json.loads(out)
+            assert payload["k_bits_mechanical"] == 1.0
+            assert payload["computational_bits"] == 100.0
+        else:
+            assert "K(mechanical) = 1.0 bits" in out.splitlines()
+            assert "processor: mcu, 100 transistors" in out.splitlines()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: group 'led': span/resolution")
 
     def test_file_path_input(self, capsys, tmp_path):
         path = tmp_path / "simple.mechx"
@@ -310,6 +341,31 @@ class TestAemRun:
             capsys, "aem-run", str(tmp_path / "gone.aem"), "--max-steps", "5"
         )
         assert code == 2
+
+    def test_reader_closing_early_is_quiet(self, tmp_path):
+        # `mechx aem-run ... --trace | head`: the listing is written in
+        # chunks, and the chunks after the reader has gone must not end in
+        # a traceback.
+        path = tmp_path / "mover.aem"
+        path.write_text(
+            "flavor computation\nstates a\nsymbols blank b\ninit a\n"
+            "rule a b -> a b R\n",
+            encoding="utf-8",
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mechx.cli", "aem-run", str(path),
+             "--max-steps", "200000", "--trace"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline() == b"outcome budget_exhausted\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
 
 class TestUsage:
