@@ -231,9 +231,9 @@ class Trace(Sequence):
             yield TraceStep(q, h, s, w, m)
 
     def __eq__(self, other):
-        if isinstance(other, Trace) and self._tables.rules == other._tables.rules:
-            return self._ids == other._ids and self._heads == other._heads
-        if isinstance(other, Sequence):
+        # Compares like a tuple of TraceSteps: equal to a Trace or tuple
+        # with the same steps, never to a list.
+        if isinstance(other, (Trace, tuple)):
             return tuple(self) == tuple(other)
         return NotImplemented
 
@@ -245,11 +245,20 @@ class Trace(Sequence):
 
 @dataclass(frozen=True)
 class RunResult:
-    """What run() returns; ``trace`` is None unless run() was asked for it."""
+    """What run() returns; ``trace`` is None unless run() was asked for it,
+    and otherwise the Trace that run() recorded."""
 
     outcome: Outcome
     final: MachineConfig
     trace: Optional[Trace] = None
+
+    def __post_init__(self):
+        # format_run and traces_isomorphic read the trace's columns.
+        if self.trace is not None and not isinstance(self.trace, Trace):
+            raise TypeError(
+                "trace must be None or a Trace made by run(), "
+                f"got {type(self.trace).__name__}"
+            )
 
 
 def _kernel(

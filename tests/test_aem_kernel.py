@@ -11,13 +11,17 @@ import io
 import random
 import tracemalloc
 
+import pytest
+
 from mechx import cli
 from mechx.aemachine import (
     COMPUTATION,
     HALTED,
+    INCREMENTER,
     Machine,
     MachineConfig,
     Outcome,
+    RunResult,
     TraceStep,
     format_run,
     map_tape,
@@ -243,6 +247,22 @@ def test_traces_isomorphic_matches_reference():
             assert verdict == reference_isomorphic(a, b, s, q)
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_trace_equals_tuples_not_lists():
+    # The trace compares as the tuple of TraceSteps it replaced did.
+    traced = run(INCREMENTER.machine, INCREMENTER.tape, 100, trace=True)
+    steps = tuple(traced.trace)
+    assert traced.trace == steps and steps == traced.trace
+    assert traced.trace == run(INCREMENTER.machine, INCREMENTER.tape, 100, True).trace
+    assert traced.trace != steps[:-1]
+    assert traced.trace != list(steps) and list(steps) != traced.trace
+
+
+def test_run_result_trace_must_come_from_run():
+    traced = run(INCREMENTER.machine, INCREMENTER.tape, 100, trace=True)
+    with pytest.raises(TypeError, match="Trace made by run"):
+        RunResult(traced.outcome, traced.final, tuple(traced.trace))
 
 
 def test_far_cell_is_cheap(tmp_path, capsys):
