@@ -2,17 +2,21 @@
 
 The static configuration count of a platform is the product over its
 groups of levels ** multiplicity.  These products get astronomically
-large (a fountain described here exceeds 10^8000 configurations), so
-counts are carried both as exact Python ints and as log10 floats, and
-nothing in this module ever renders a large int in base 10.
+large (a fountain described here exceeds 10^8000 configurations), so a
+count is summarised from a fixed-point logarithm of the product: log10,
+the digit count and the leading digits.  The exact int is formed when a
+caller reads ``BigCount.exact``, when the count is small, or when the
+logarithm lies too close to a rounding boundary to decide it.  Nothing
+here calls ``str()`` on a large int; ``decimal_string`` renders one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
+from dataclasses import FrozenInstanceError, dataclass
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, localcontext
 from enum import Enum
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 from .model import Platform, mechanical_groups, resolve_levels
@@ -25,12 +29,21 @@ _DECIMAL_LOG10_2 = Decimal(2).log10(Context(prec=80))
 LOG10_2 = float(_DECIMAL_LOG10_2)
 LOG2_10 = 1.0 / LOG10_2
 
+# The largest exact count, in decimal digits, that ``compute --exact``
+# forms and prints; the digit count is read from the logarithm first.
+EXACT_DIGITS_LIMIT = 1_000_000
+
 
 class CountMode(str, Enum):
-    """How much arithmetic to perform when counting configurations.
+    """How a count is carried.
 
-    EXACT and BOTH keep the exact product and take log10 (and so K) from
-    it with ``ilog10``; they count identically and differ only in what
+    EXACT and BOTH count identically.  Each keeps the group factors and
+    takes log10, the digit count and the leading digits from a
+    fixed-point logarithm of the product, with log10 bit for bit what
+    ``ilog10`` of the exact product gives; small counts, and values
+    within the error margin of a rounding boundary, are read off the
+    exact product instead.  The exact int itself is formed on demand,
+    when ``BigCount.exact`` is read.  The two modes differ only in what
     the command line prints.  LOG_SPACE forms no big int: log10 is the
     sum of ``M * log10(R)`` over the groups, added in group order.
     """
@@ -100,27 +113,248 @@ def _leading(n: int, d: int, k: int) -> str:
     return str(n // 10 ** (d - k))
 
 
-@dataclass(frozen=True)
-class BigCount:
-    """A configuration count carried in exact and/or log10 form.
+def decimal_string(n: int) -> str:
+    """``str(n)`` for an int n >= 0, in sub-quadratic time and whatever
+    the interpreter's int-to-str digit limit.
 
-    ``exact`` is None when the count was computed in log space only.
-    ``log10`` is always present.  Formatting helpers never go through
-    base-10 rendering of the exact value; the digit count is derived at
-    most once and shared by ``leading`` and ``sci``.
+    n is split on powers of two and the halves are recombined in
+    ``decimal`` arithmetic at ``MAX_PREC``, where every product is exact
+    and libmpdec multiplies large numbers in sub-quadratic time.  This is
+    the scheme of CPython 3.12's ``_pylong.int_to_decimal_string``.
+    """
+    if n < 0:
+        raise ValueError("decimal_string requires a nonnegative integer")
+    powers: dict = {}
+
+    def pow2(w: int) -> Decimal:
+        p = powers.get(w)
+        if p is None:
+            p = powers[w] = Decimal(2) ** w
+        return p
+
+    def convert(n: int, w: int) -> Decimal:  # n < 2**w
+        if w <= 2000:  # at most 602 digits: convert directly
+            return Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return convert(n - (hi << half), half) + convert(hi, w - half) * pow2(half)
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        return str(convert(n, n.bit_length()))
+
+
+# Fixed-point logarithms ---------------------------------------------------
+#
+# A real x is held as the int x * 2**prec, and every step truncates.  The
+# series below are off by fewer than 16 * prec units of 2**-prec.  For a
+# count whose bit bound B = sum(M * R.bit_length()) has G bits, ln C is
+# then off by fewer than 2**(G + 6) * prec units, log2 C and log10 C by
+# fewer than 2**(G + 8) * prec, and its first 64 bits and first 20 digits
+# by fewer than 2**(G + 78) * prec.  A value closer than 2**(G + 90) * prec
+# units to a rounding boundary is not trusted.  _summarize starts at
+# prec >= G + 256, where that margin is below 2**-150.
+
+# Products of at most this many bits are formed outright: that is cheap,
+# and the exact product is the ground truth the logarithm is tested on.
+_EXACT_BITS = 20_000
+# Near a boundary no exact identity settles, a count no larger than one
+# ``compute --exact`` prints (10**6 digits are 3.3 million bits) is formed;
+# a larger one is recomputed at twice the precision.
+_FALLBACK_BITS = 4 * EXACT_DIGITS_LIMIT
+# The margin is 2**(G + _MARGIN_BITS) * prec units (see above).
+_MARGIN_BITS = 90
+# Leading digits each count keeps; leading(k) up to this needs no big int.
+_LEAD_DIGITS = 20
+
+
+def _atanh(x: int, prec: int) -> int:
+    """atanh(x) for 0 <= x < 1/3, by its Taylor series."""
+    total, power, k = 0, x, 1
+    x2 = x * x >> prec
+    while power:
+        total += power // k
+        power = power * x2 >> prec
+        k += 2
+    return total
+
+
+@lru_cache(maxsize=1024)
+def _ln(r: int, prec: int) -> int:
+    """ln(r) for an int r >= 1, off by fewer than 2**6 * r.bit_length() * prec
+    units.  With r = 2**a * (1 + x) / (1 - x), ln r = a ln 2 + 2 atanh(x), and
+    0 <= x < 1/3."""
+    if r == 2:
+        return 2 * _atanh((1 << prec) // 3, prec)
+    a = r.bit_length() - 1
+    x = ((r - (1 << a)) << prec) // (r + (1 << a))
+    return a * _ln(2, prec) + 2 * _atanh(x, prec)
+
+
+def _exp(x: int, prec: int) -> int:
+    """exp(x) for 0 <= x < 3, by its Taylor series."""
+    total = term = 1 << prec
+    k = 0
+    while term:
+        k += 1
+        term = (term * x >> prec) // k
+        total += term
+    return total
+
+
+def _product(pairs) -> int:
+    return math.prod(r**m for r, m in pairs)
+
+
+def _is_product(pairs, n: int, e2: int, e5: int) -> bool:
+    """Whether prod(r ** m) == n * 2**e2 * 5**e5, for e2, e5 >= 0.
+
+    Decided without forming the product: only its part prime to 10 is
+    built, and only while it stays below n.  This settles counts that sit
+    exactly on a boundary, such as powers of two and of ten, at any size.
+    """
+    rest = 1
+    for r, m in pairs:
+        a = (r & -r).bit_length() - 1
+        r >>= a
+        b = 0
+        while r % 5 == 0:
+            r //= 5
+            b += 1
+        e2 -= a * m
+        e5 -= b * m
+        if r > 1:
+            if m >= n.bit_length():  # r**m >= 3**m > n
+                return False
+            rest *= r**m
+            if rest > n:
+                return False
+    if e2 > 0 or e5 > 0 or max(-e2, -e5) > n.bit_length():
+        return False
+    return (rest << -e2) * 5**-e5 == n
+
+
+def _exact_summary(pairs) -> tuple:
+    """(log10, digit count, leading digits) read off the exact product."""
+    n = _product(pairs)
+    d = ndigits(n)
+    return ilog10(n), d, _leading(n, d, _LEAD_DIGITS)
+
+
+def _log_summary(pairs, bits: int, prec: int) -> Optional[tuple]:
+    """(log10, digit count, leading digits) from fixed-point logarithms, or
+    None when a value lies within the margin of a rounding boundary that
+    no exact identity settles.
+
+    log10 repeats ``ilog10``: with b the bit length and top the first 64
+    bits, it is log10(top) + (b - 64) * LOG10_2, and top is
+    floor(2**(63 + frac(log2 C))).
+    """
+    one = 1 << prec
+    margin = prec << (bits.bit_length() + _MARGIN_BITS)
+    ln2, ln10 = _ln(2, prec), _ln(10, prec)
+    ln_c = sum(m * _ln(r, prec) for r, m in pairs)
+
+    def near(frac: int) -> bool:  # is frac, in [0, 1), next to 0 or 1?
+        return frac < margin or one - frac < margin
+
+    whole, frac = divmod((ln_c << prec) // ln2, one)  # log2 C
+    if near(frac):
+        whole += frac > margin
+        if not _is_product(pairs, 1, whole, 0):
+            return None
+        top = 1 << 63
+    else:
+        top, rest = divmod(_exp(frac * ln2 >> prec, prec) << 63, one)
+        if near(rest):
+            top += rest > margin
+            if not _is_product(pairs, top, whole - 63, 0):
+                return None
+    log10 = math.log10(top) + (whole - 63) * LOG10_2
+
+    whole, frac = divmod((ln_c << prec) // ln10, one)  # log10 C
+    if near(frac):
+        whole += frac > margin
+        if not _is_product(pairs, 1, whole, whole):
+            return None
+        return log10, whole + 1, "1" + "0" * (_LEAD_DIGITS - 1)
+    lead, rest = divmod(_exp(frac * ln10 >> prec, prec) * 10 ** (_LEAD_DIGITS - 1), one)
+    if near(rest):
+        lead += rest > margin
+        skipped = whole + 1 - _LEAD_DIGITS
+        if not _is_product(pairs, lead, skipped, skipped):
+            return None
+    return log10, whole + 1, str(lead)
+
+
+def _summarize(pairs) -> tuple:
+    """(log10, digit count, leading digits) of prod(r ** m) over ``pairs``."""
+    bits = sum(m * r.bit_length() for r, m in pairs)  # >= C.bit_length()
+    if bits <= _EXACT_BITS:
+        return _exact_summary(pairs)
+    # Whole words keep the _ln cache shared between nearby sizes.
+    prec = 256 + 64 * -(-bits.bit_length() // 64)
+    while (summary := _log_summary(pairs, bits, prec)) is None:
+        if bits <= _FALLBACK_BITS:
+            return _exact_summary(pairs)
+        prec *= 2
+    return summary
+
+
+class BigCount:
+    """A configuration count: log10 always, the exact int when known.
+
+    ``exact`` is None for a count computed in log space only.  A count
+    made from group factors holds log10 (bit for bit ``ilog10`` of the
+    product), its digit count and its first digits, all from a
+    fixed-point logarithm; it forms the exact int on the first read of
+    ``exact`` and keeps it.  Formatting helpers never go through base-10
+    rendering of the exact value.  Counts are immutable; equality and
+    hashing go by (log10, exact).
     """
 
-    log10: float
-    exact: Optional[int] = None
+    _factors: Optional[tuple] = None  # (levels, multiplicity) pairs
 
-    def __post_init__(self):
-        if self.exact is not None:
-            if self.exact < 1:
-                raise ValueError("exact count must be >= 1")
+    def __init__(self, log10: float, exact: Optional[int] = None):
+        if exact is not None and exact < 1:
+            raise ValueError("exact count must be >= 1")
+        vars(self).update(log10=log10, exact=exact)
 
     @classmethod
     def from_exact(cls, n: int) -> "BigCount":
         return cls(log10=ilog10(n), exact=n)
+
+    @classmethod
+    def _from_factors(cls, pairs) -> "BigCount":
+        """The count prod(r ** m) over (r, m) pairs, not yet formed."""
+        pairs = tuple((r, m) for r, m in pairs if r > 1)
+        log10, digits, lead = _summarize(pairs)
+        self = cls.__new__(cls)
+        vars(self).update(log10=log10, _factors=pairs, _digit_count=digits, _lead=lead)
+        return self
+
+    @cached_property
+    def exact(self) -> int:
+        # Reached only by counts made from factors: every other count
+        # holds ``exact`` in its instance dict from the start.
+        return _product(self._factors)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.log10 == other.log10 and self.exact == other.exact
+
+    def __hash__(self):
+        return hash((self.log10, self.exact))
+
+    def __repr__(self):
+        return f"BigCount(log10={self.log10!r}, exact={self.exact!r})"
 
     @property
     def log2(self) -> float:
@@ -128,19 +362,21 @@ class BigCount:
 
     @property
     def digit_count(self) -> int:
-        # Cached outside the dataclass fields, so equality is unaffected.
-        d = self.__dict__.get("_digit_count")
+        d = vars(self).get("_digit_count")
         if d is None:
             if self.exact is not None:
                 d = ndigits(self.exact)
             else:
                 d = int(math.floor(self.log10)) + 1
-            object.__setattr__(self, "_digit_count", d)
+            vars(self)["_digit_count"] = d
         return d
 
     def leading(self, k: int = 3) -> str:
         """First ``k`` significant decimal digits."""
-        if self.exact is not None:
+        lead = vars(self).get("_lead")
+        if lead is not None and 0 < k <= _LEAD_DIGITS:
+            return lead[:k]
+        if self._factors is not None or self.exact is not None:
             return _leading(self.exact, self.digit_count, k)
         frac = self.log10 - math.floor(self.log10)
         # Rounding up to 10**k would carry into the exponent that
@@ -156,27 +392,27 @@ class BigCount:
     def __mul__(self, other: "BigCount") -> "BigCount":
         if not isinstance(other, BigCount):
             return NotImplemented
-        exact = None
         if self.exact is not None and other.exact is not None:
-            exact = self.exact * other.exact
-            return BigCount(log10=ilog10(exact), exact=exact)
+            return BigCount.from_exact(self.exact * other.exact)
         return BigCount(log10=self.log10 + other.log10, exact=None)
 
 
 def _factors(groups, exact: bool, strict: bool) -> list:
-    """Each group resolved once into its factor: ``R ** M`` when ``exact``,
+    """Each group resolved once into its factor: ``(R, M)`` when ``exact``,
     ``M * log10(R)`` in log space."""
     levels = [resolve_levels(g, strict=strict) for g in groups]
+    # Past this bound log2 C, which is at least half of it, leaves float range.
+    if sum(g.multiplicity * r.bit_length() for g, r in zip(groups, levels) if r > 1) >> 1022:
+        raise ValueError("configuration count too large: K is 2**1021 bits or more")
     if exact:
-        return [r**g.multiplicity for g, r in zip(groups, levels)]
+        return [(r, g.multiplicity) for g, r in zip(groups, levels)]
     return [g.multiplicity * math.log10(r) for g, r in zip(groups, levels)]
 
 
 def _fold(factors: list, exact: bool) -> BigCount:
     """The count of a list of group factors, folded in group order."""
     if exact:
-        # Exact value wins: the log comes from it, free of float drift.
-        return BigCount.from_exact(math.prod(factors))
+        return BigCount._from_factors(factors)
     # A plain left-to-right loop: sum() compensates float rounding from
     # Python 3.12 on, which would change the bits between versions.
     log10 = 0.0
@@ -196,7 +432,8 @@ def count_configurations(
 
     ``mechanical_only`` drops groups tagged non-mechanical first, without
     resolving them.  In LOG_SPACE mode no big int is ever formed; in
-    EXACT and BOTH modes the exact product is kept alongside the log.
+    EXACT and BOTH modes the count keeps its factors and forms the exact
+    product when ``exact`` is read.
     """
     exact = CountMode(mode) is not CountMode.LOG_SPACE
     groups = mechanical_groups(platform) if mechanical_only else platform.groups
@@ -271,15 +508,19 @@ def analyze(
     """Count configurations both ways and summarize the processor, if any.
 
     Each group is resolved once; the mechanical count folds the
-    mechanical groups' factors in their own order.
+    mechanical groups' factors in their own order.  When every group is
+    mechanical the two counts are one object.
     """
     exact = CountMode(mode) is not CountMode.LOG_SPACE
     factors = _factors(platform.groups, exact, strict)
     mechanical = [f for g, f in zip(platform.groups, factors) if g.is_mechanical]
+    count_all = _fold(factors, exact)
     return CapacityReport(
         name=platform.name,
-        count_all=_fold(factors, exact),
-        count_mechanical=_fold(mechanical, exact),
+        count_all=count_all,
+        count_mechanical=(
+            count_all if len(mechanical) == len(factors) else _fold(mechanical, exact)
+        ),
         computational=(
             computational_capacity(platform.processor)
             if platform.processor is not None

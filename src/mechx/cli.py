@@ -17,17 +17,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
 
 from . import aemachine, figures, specfile
 from .capacity import (
+    EXACT_DIGITS_LIMIT,
     CountMode,
     analyze,
     compare,
     computational_capacity,
     count_configurations,
+    decimal_string,
 )
 from .model import Platform
 
@@ -50,10 +53,33 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = _universal_newlines(data[: exc.start].decode("utf-8"))
+        line = head.count("\n") + 1
+        raise ValueError(
+            f"cannot read {path!r}: line {line}: "
+            f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        ) from exc
+    return _universal_newlines(text)
+
+
+def _universal_newlines(text: str) -> str:
+    # As text-mode open() reads a file.
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _load_platform(ref: str) -> Platform:
@@ -61,7 +87,7 @@ def _load_platform(ref: str) -> Platform:
         try:
             return specfile.dataset_lookup(ref[1:]).platform
         except KeyError as exc:
-            raise specfile.SpecFileError(0, str(exc)) from exc
+            raise specfile.SpecFileError(0, exc.args[0]) from exc
     return specfile.parse_platform(_read_text(ref)).platform
 
 
@@ -88,12 +114,17 @@ def cmd_compute(args) -> int:
         report = analyze(platform, mode=mode)
         counts = [("all", report.count_all), ("mechanical", report.count_mechanical)]
         computational = report.computational
+    if mode is CountMode.EXACT:
+        # The digit count comes from the count's logarithm, so a count
+        # too large to form is refused before any product is built.
+        for _, c in counts:
+            if c.digit_count > EXACT_DIGITS_LIMIT:
+                raise ValueError(
+                    f"exact count has {c.digit_count} digits, "
+                    f"above the limit of {EXACT_DIGITS_LIMIT}"
+                )
     exact_json = args.json and mode is CountMode.EXACT
-    if exact_json and hasattr(sys, "set_int_max_str_digits"):
-        # Exact decimal strings can run to thousands of digits; lift the
-        # interpreter's conversion cap before rendering them.
-        digits = max(c.digit_count for _, c in counts) + 10
-        sys.set_int_max_str_digits(max(10000, digits))
+    rendered: dict = {}  # id(count) -> decimal string; a shared count renders once
 
     payload = {"platform": platform.name, "kind": platform.kind, "mode": mode.value}
     lines = [
@@ -109,7 +140,9 @@ def cmd_compute(args) -> int:
             payload[f"log10_c_{label}"] = c.log10
             payload[f"c_digits_{label}"] = c.digit_count
             if exact_json:
-                payload[f"c_exact_{label}"] = str(c.exact)
+                if id(c) not in rendered:
+                    rendered[id(c)] = decimal_string(c.exact)
+                payload[f"c_exact_{label}"] = rendered[id(c)]
         else:
             lines += [
                 f"C({label}) = {c.sci()} ({c.digit_count} digits)",
@@ -143,7 +176,8 @@ def cmd_compare(args) -> int:
             "k_bits_right": rep.right.bits_mechanical,
             "bits_difference": rep.bits_difference,
             "log10_ratio": rep.log10_ratio,
-            "bits_ratio": rep.bits_ratio,
+            # JSON has no infinity: a right-hand count of 0 bits gives null.
+            "bits_ratio": rep.bits_ratio if math.isfinite(rep.bits_ratio) else None,
             "larger": rep.larger,
         }
         print(json.dumps(payload, sort_keys=True))
@@ -179,10 +213,8 @@ def cmd_plot(args) -> int:
     )
     for diag in diagnostics:
         print(str(diag), file=sys.stderr)
-    with open(args.out_csv, "w", encoding="utf-8", newline="") as fh:
-        fh.write(bundle.csv)
-    with open(args.out_svg, "w", encoding="utf-8", newline="") as fh:
-        fh.write(bundle.svg)
+    _write_text(args.out_csv, bundle.csv)
+    _write_text(args.out_svg, bundle.svg)
     print(f"{figure_id}: {len(bundle.points)} points -> {args.out_csv}, {args.out_svg}")
     return EXIT_OK
 

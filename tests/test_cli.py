@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from mechx import cli
+from mechx import cli, specfile
 from mechx.aemachine import INCREMENTER, serialize_machine
+from mechx.capacity import EXACT_DIGITS_LIMIT, analyze
 
 from conftest import SIMPLE_ROBOT
 
@@ -163,6 +164,79 @@ class TestCompute:
         _, second, _ = run_cli(capsys, "compute", "@bellagio", "--json")
         assert first == second
 
+    def test_exact_json_is_hermetic(self, capsys, tmp_path):
+        # 3600**1300 has 4,624 digits, beyond the interpreter's default
+        # int-to-str limit of 4,300.
+        path = tmp_path / "wide.mechx"
+        path.write_text(
+            'platform "wide"\n'
+            'group "g" count 1300 states 3600\n'
+            'group "led" count 3 states 2 tag "non-mechanical"\n',
+            encoding="utf-8",
+        )
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "compute", str(path), "--exact", "--json")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        payload = json.loads(out)
+        report = analyze(specfile.parse_platform(path.read_text()).platform)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert payload["c_exact_mechanical"] == str(report.count_mechanical.exact)
+            assert payload["c_exact_all"] == str(report.count_all.exact)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert payload["c_digits_mechanical"] == 4624
+
+    def test_exact_count_above_limit_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "huge.mechx"
+        path.write_text(
+            'platform "huge"\ngroup "g" count 1000000000000 states 3600\n',
+            encoding="utf-8",
+        )
+        for flags in (("--exact",), ("--exact", "--json")):
+            code, out, err = run_cli(capsys, "compute", str(path), *flags)
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: exact count has 3556302500768 digits, "
+                f"above the limit of {EXACT_DIGITS_LIMIT}\n"
+            )
+        # The default mode needs no exact product at all.
+        code, out, _ = run_cli(capsys, "compute", str(path))
+        assert code == 0
+        assert "C(all) = 1.9e+3556302500767 (3556302500768 digits)" in out
+        assert "K(all) = 11813781191217 bits (rounded)" in out
+
+    @pytest.mark.parametrize("flags", [(), ("--log-space",), ("--json",)])
+    def test_count_beyond_float_range_is_refused(self, capsys, tmp_path, flags):
+        path = tmp_path / "vast.mechx"
+        text = 'platform "vast"\ngroup "g" count 1{} states 3600\n'
+        path.write_text(text.format("0" * 400), encoding="utf-8")
+        code, out, err = run_cli(capsys, "compute", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: configuration count too large: K is 2**1021 bits or more\n"
+        path.write_text(text.format("0" * 306), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "compute", str(path), *flags)
+        assert code == 0 and "1.181378119121703" in out
+
+    def test_exact_limit_leaves_room_for_large_counts(self, capsys, tmp_path):
+        path = tmp_path / "large.mechx"
+        path.write_text(
+            'platform "large"\ngroup "g" count 28000 states 3600\n', encoding="utf-8"
+        )
+        code, out, _ = run_cli(capsys, "compute", str(path), "--exact", "--json")
+        assert code == 0
+        assert len(json.loads(out)["c_exact_all"]) == 99577 < EXACT_DIGITS_LIMIT
+
+    @pytest.mark.parametrize("command", ["compute", "validate", "aem-run"])
+    def test_invalid_utf8_names_file_and_line(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b'platform "x"\r\n# caf\xc3\xa9\r\ngroup "\xff" count 1 states 2\n')
+        argv = [command, str(path)] + (["--max-steps", "5"] if command == "aem-run" else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {str(path)!r}: line 3: invalid UTF-8 byte 0xff\n"
+
 
 class TestCompare:
     def test_human(self, capsys):
@@ -181,6 +255,21 @@ class TestCompare:
         assert payload["bits_difference"] == pytest.approx(
             payload["k_bits_left"] - payload["k_bits_right"], abs=1e-9
         )
+
+    @pytest.mark.parametrize("left", ["@nao", "zero"])
+    def test_json_zero_bits_on_the_right_is_null(self, capsys, tmp_path, left):
+        zero = tmp_path / "zero.mechx"
+        zero.write_text('platform "zero"\ngroup "g" count 3 states 1\n', encoding="utf-8")
+        left = str(zero) if left == "zero" else left
+
+        def no_constants(name):
+            raise ValueError(f"not JSON: {name}")
+
+        code, out, _ = run_cli(capsys, "compare", left, str(zero), "--json")
+        assert code == 0
+        assert json.loads(out, parse_constant=no_constants)["bits_ratio"] is None
+        code, out, _ = run_cli(capsys, "compare", left, str(zero))
+        assert "bits ratio = inf\n" in out
 
     def test_self_comparison_equal(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "@nao", "@nao", "--json")
@@ -225,6 +314,17 @@ class TestPlot:
         svg = out_svg.read_text(encoding="utf-8")
         assert svg.startswith("<svg ")
         assert svg.count('class="marker"') == 19
+
+    @pytest.mark.parametrize("bad", ["--out-csv", "--out-svg"])
+    def test_unwritable_output_is_data_error(self, capsys, tmp_path, bad):
+        paths = {"--out-csv": str(tmp_path / "x.csv"), "--out-svg": str(tmp_path / "x.svg")}
+        paths[bad] = str(tmp_path / "no-such-dir" / "x")
+        argv = ["plot", "--figure", "1"] + [a for kv in paths.items() for a in kv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        # Warnings about skipped platforms come first.
+        assert err.splitlines()[-1].startswith(f"error: cannot write {paths[bad]!r}: [Errno 2] ")
+        assert "Traceback" not in err
 
     def test_figure_number_out_of_range(self, capsys, tmp_path):
         code, _, err = run_cli(
