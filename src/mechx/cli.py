@@ -160,7 +160,12 @@ def cmd_compute(args) -> int:
             f"computational capacity = {cap.bits!r} bits "
             f"({cap.config_digits} digits as a configuration count)",
         ]
-    print(json.dumps(payload, sort_keys=True) if args.json else "\n".join(lines))
+    text = json.dumps(payload, sort_keys=True) if args.json else "\n".join(lines)
+    # Written in pieces: an exact count can run to a million digits, and a
+    # single write would encode a second copy of all of them at once.
+    for i in range(0, len(text), 1 << 16):
+        sys.stdout.write(text[i : i + (1 << 16)])
+    sys.stdout.write("\n")
     return EXIT_OK
 
 
