@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Union
 
+from . import MAX_INT_DIGITS
+
 COMPUTATION = "computation"
 MECHANIZATION = "mechanization"
 FLAVORS = (COMPUTATION, MECHANIZATION)
@@ -583,6 +585,11 @@ def parse_machine(text: str) -> MachineFile:
         elif kw == "tape":
             if len(tok) != 3:
                 raise MachineFormatError(lineno, "expected 'tape <cell-index> <symbol>'")
+            digits = len(tok[1].lstrip("+-"))
+            if digits > MAX_INT_DIGITS:
+                raise MachineFormatError(
+                    lineno, f"cell index has {digits} digits, above the limit of {MAX_INT_DIGITS}"
+                )
             try:
                 idx = int(tok[1])
             except ValueError:
@@ -652,9 +659,9 @@ def load_machine(path) -> MachineFile:
         return parse_machine(fh.read())
 
 
-def _incrementer() -> MachineFile:
-    # Unary incrementer: skip right over 1s, append one 1, halt.
-    machine = Machine(
+# Unary incrementer: skip right over 1s, append one 1, halt.
+INCREMENTER = MachineFile(
+    machine=Machine(
         flavor=COMPUTATION,
         states=("q_scan", "q_done"),
         symbols=("e", "1"),
@@ -664,8 +671,6 @@ def _incrementer() -> MachineFile:
             ("q_scan", "e"): ("q_done", "1", MOVE_STAY),
         },
         initial_state="q_scan",
-    )
-    return MachineFile(machine=machine, tape={1: "1", 2: "1", 3: "1"})
-
-
-INCREMENTER = _incrementer()
+    ),
+    tape={1: "1", 2: "1", 3: "1"},
+)

@@ -14,19 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass
-from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 from .model import Platform, mechanical_groups, resolve_levels
 
-# log10(2) to 80 significant digits.  digits_of_pow2 needs ~50 correct
-# digits before its floor is trustworthy for exponents up to ~1e11, and
-# LOG10_2 gets its rounding from this value rather than from libm.
-_DECIMAL_LOG10_2 = Decimal(2).log10(Context(prec=80))
-
-LOG10_2 = float(_DECIMAL_LOG10_2)
+# log10(2) correctly rounded to a double, written out rather than taken
+# from libm so that every platform uses the same bits.
+LOG10_2 = 0.3010299956639812
 LOG2_10 = 1.0 / LOG10_2
 
 # The largest exact count, in decimal digits, that ``compute --exact``
@@ -91,12 +88,11 @@ def ndigits(n: int) -> int:
 
 
 def digits_of_pow2(exponent: int) -> int:
-    """Decimal digit count of 2**exponent without forming the power."""
+    """Decimal digit count of 2**exponent, from the counting core: the
+    power is formed only when it has at most ``_EXACT_BITS`` bits."""
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
-    with localcontext() as ctx:
-        ctx.prec = 80
-        return int(Decimal(exponent) * _DECIMAL_LOG10_2) + 1
+    return _summarize(((2, exponent),))[1]
 
 
 def leading_digits(n: int, k: int = 3) -> str:
@@ -465,7 +461,7 @@ def computational_capacity(processor) -> ComputationalCapacity:
     """Capacity of a processor modeled as one bit per transistor.
 
     Accepts a ProcessorSpec or a bare transistor count.  The implied
-    configuration count 2**t is never materialized.
+    configuration count 2**t is formed only when it is small.
     """
     t = processor if isinstance(processor, int) else processor.transistors
     if t < 0:

@@ -22,7 +22,7 @@ import os
 import sys
 from typing import Optional
 
-from . import aemachine, figures, specfile
+from . import specfile
 from .capacity import (
     EXACT_DIGITS_LIMIT,
     CountMode,
@@ -206,6 +206,8 @@ def cmd_dataset_list(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from . import figures
+
     dataset = [doc.platform for doc in specfile.load_dataset()]
     figure_id = figures.FIGURE_IDS[args.figure - 1]
     diagnostics: list = []
@@ -237,6 +239,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_aem_run(args) -> int:
+    from . import aemachine
+
     mf = aemachine.parse_machine(_read_text(args.file))
     result = aemachine.run(
         mf.machine, mf.tape, max_steps=args.max_steps, trace=args.trace

@@ -266,6 +266,9 @@ _PALETTE = {
 }
 _FALLBACK_COLORS = ("#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
 LABEL_SUPPRESS_PX = 12.0
+# The largest width or height, in px: squared distances between markers
+# then stay far inside float range.
+MAX_SIZE_PX = 1_000_000
 
 
 def _esc(text: str) -> str:
@@ -344,8 +347,10 @@ def emit_svg_scatter(
     marker sits within ``label_min_gap`` pixels of an already drawn
     marker.  Output is a pure function of the inputs.
     """
-    if width <= 0 or height <= 0:
+    if not (width > 0 and height > 0):  # NaN fails this too
         raise ValueError("width and height must be positive")
+    if width > MAX_SIZE_PX or height > MAX_SIZE_PX:
+        raise ValueError(f"width and height must be at most {MAX_SIZE_PX} px")
     pts = sort_points(points)
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM

@@ -155,15 +155,11 @@ class Platform:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         object.__setattr__(self, "groups", tuple(self.groups))
         object.__setattr__(self, "notes", tuple(self.notes))
-        labels = [g.label for g in self.groups]
-        if len(set(labels)) != len(labels):
-            seen, dup = set(), None
-            for lbl in labels:
-                if lbl in seen:
-                    dup = lbl
-                    break
-                seen.add(lbl)
-            raise ValueError(f"duplicate group label {dup!r}")
+        seen = set()
+        for g in self.groups:
+            if g.label in seen:
+                raise ValueError(f"duplicate group label {g.label!r}")
+            seen.add(g.label)
 
 
 def resolve_levels(group: DofGroup, *, strict: bool = True) -> int:

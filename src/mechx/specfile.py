@@ -24,6 +24,7 @@ from enum import Enum
 from importlib import resources
 from typing import Optional
 
+from . import MAX_INT_DIGITS
 from .model import (
     Continuous,
     DiscreteStates,
@@ -203,6 +204,11 @@ class _Cursor:
         if tok.kind != "word" or not _INT_RE.match(tok.text):
             raise ParseError(
                 self.lineno, f"expected {what} (an integer), found {tok.text!r}"
+            )
+        digits = len(tok.text.lstrip("+-"))
+        if digits > MAX_INT_DIGITS:
+            raise ParseError(
+                self.lineno, f"{what} has {digits} digits, above the limit of {MAX_INT_DIGITS}"
             )
         return int(tok.text)
 

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from decimal import Context, Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +79,24 @@ class TestIntHelpers:
 
     def test_digits_of_pow2_large(self):
         assert digits_of_pow2(10**11) == 30102999567
+
+    @pytest.mark.parametrize(
+        "t",
+        [0, 1, 20000, 47 * 10**6, 10**12, 10**79, 10**80, 10**100, 10**300],
+        ids=lambda t: f"{t:.2g}" if t > 10**6 else str(t),
+    )
+    def test_digits_of_pow2_matches_reference(self, t):
+        if t <= 20000:
+            expected = len(str(2**t))
+        else:
+            # floor(t * log10 2) + 1, with log10 2 to 60 digits more than t has.
+            ctx = Context(prec=len(str(t)) + 60)
+            expected = int(ctx.multiply(Decimal(t), Decimal(2).log10(ctx))) + 1
+        assert digits_of_pow2(t) == expected
+
+    def test_digits_of_pow2_rejects_negative(self):
+        with pytest.raises(ValueError):
+            digits_of_pow2(-1)
 
     def test_leading_digits(self):
         assert leading_digits(123456, 3) == "123"
@@ -340,3 +359,4 @@ class TestReports:
 
 def test_log10_2_constant():
     assert LOG10_2 == pytest.approx(0.30102999566398, abs=1e-13)
+    assert LOG10_2 == float(Decimal(2).log10(Context(prec=80)))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Context, Decimal
 
 import pytest
 
@@ -237,6 +238,18 @@ class TestCompute:
         assert (code, out) == (2, "")
         assert err == f"error: cannot read {str(path)!r}: line 3: invalid UTF-8 byte 0xff\n"
 
+    def test_processor_digit_count_for_huge_transistor_count(self, capsys, tmp_path):
+        path = tmp_path / "p.mechx"
+        path.write_text('platform "p"\nprocessor transistors 1e100\n', encoding="utf-8")
+        code, out, _ = run_cli(capsys, "compute", str(path))
+        assert code == 0
+        t = int(1e100)  # the parser stores the rounded integer
+        ctx = Context(prec=len(str(t)) + 60)
+        digits = int(ctx.multiply(Decimal(t), Decimal(2).log10(ctx))) + 1
+        assert out.splitlines()[-1] == (
+            f"computational capacity = 1e+100 bits ({digits} digits as a configuration count)"
+        )
+
 
 class TestCompare:
     def test_human(self, capsys):
@@ -326,6 +339,27 @@ class TestPlot:
         assert err.splitlines()[-1].startswith(f"error: cannot write {paths[bad]!r}: [Errno 2] ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("option", ["--width", "--height"])
+    @pytest.mark.parametrize(
+        "size, message",
+        [
+            ("nan", "width and height must be positive"),
+            ("-1", "width and height must be positive"),
+            ("inf", "width and height must be at most 1000000 px"),
+            ("1e308", "width and height must be at most 1000000 px"),
+        ],
+        ids=["nan", "-1", "inf", "1e308"],
+    )
+    def test_size_out_of_range_is_data_error(self, capsys, tmp_path, option, size, message):
+        out_csv, out_svg = tmp_path / "x.csv", tmp_path / "x.svg"
+        code, out, err = run_cli(
+            capsys, "plot", "--figure", "1", "--out-csv", str(out_csv),
+            "--out-svg", str(out_svg), option, size,
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"error: {message}"
+        assert not out_csv.exists() and not out_svg.exists()
+
     def test_figure_number_out_of_range(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -370,6 +404,44 @@ class TestValidate:
         assert code == 2
         assert out == ""
         assert err == "error: line 2: span/resolution = inf is not finite\n"
+
+
+# An integer literal one past the 4300-digit limit would fail in int()
+# with the interpreter's own message; each reader reports it by line.
+TOO_LONG = "9" * 5000
+MECHX_HEAD = 'platform "p"\n'
+AEM_HEAD = "flavor computation\nstates a\nsymbols blank e\ninit a\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, what",
+    [
+        ("year.mechx", f"{MECHX_HEAD}year {TOO_LONG}\n", "year"),
+        ("count.mechx", f'{MECHX_HEAD}group "g" count {TOO_LONG} states 2\n', "multiplicity"),
+        ("states.mechx", f'{MECHX_HEAD}group "g" count 1 states {TOO_LONG}\n', "state count"),
+        ("tape.aem", f"{AEM_HEAD}tape {TOO_LONG} e\n", "cell index"),
+    ],
+    ids=["year", "count", "states", "tape"],
+)
+def test_over_long_integer_is_line_numbered_error(capsys, tmp_path, name, text, what):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    if name.endswith(".aem"):
+        command = ["aem-run", str(path), "--max-steps", "1"]
+    else:
+        command = ["compute", str(path)]
+    code, out, err = run_cli(capsys, *command)
+    assert (code, out) == (2, "")
+    line = text.count("\n")
+    assert err == f"error: line {line}: {what} has 5000 digits, above the limit of 4300\n"
+
+
+def test_integer_at_the_digit_limit_parses(capsys, tmp_path):
+    path = tmp_path / "year.mechx"
+    path.write_text(f'platform "p"\nyear {"9" * 4300}\n', encoding="utf-8")
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0
+    assert out.startswith("warning: line 1: informational:")
 
 
 class TestAemRun:

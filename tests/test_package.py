@@ -1,8 +1,14 @@
 import ast
+import doctest
+import os
 import pathlib
+import subprocess
 import sys
 
+import pytest
+
 import mechx
+from mechx import aemachine, capacity, figures, model, specfile
 
 
 def test_package_imports_only_stdlib():
@@ -25,3 +31,99 @@ def test_package_imports_only_stdlib():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+PUBLIC_NAMES = [
+    "ARTIFICIAL", "NATURAL", "NON_MECHANICAL_TAG", "Continuous", "DiscreteStates",
+    "DofGroup", "NonIntegralSpan", "Platform", "ProcessorSpec", "mechanical_groups",
+    "resolve_levels", "BigCount", "CapacityReport", "ComparisonReport",
+    "ComputationalCapacity", "CountMode", "LOG10_2", "analyze", "compare",
+    "computational_capacity", "count_configurations", "digits_of_pow2", "ilog10",
+    "kinematic_expressivity", "ndigits", "DatasetCorrupt", "Diagnostic",
+    "DuplicateGroupLabel", "MissingPlatformName", "ParseError", "PlatformDocument",
+    "Severity", "SpecFileError", "dataset_lookup", "load_dataset", "parse_platform",
+    "serialize_platform", "validate", "HALTED", "Machine", "MachineConfig",
+    "MachineFile", "Outcome", "RunResult", "TraceStep", "load_machine",
+    "parse_machine", "run", "serialize_machine", "step", "to_mechanization",
+    "traces_isomorphic", "FigureBundle", "TrendPoint", "build_figure", "emit_csv",
+    "emit_svg_scatter", "trend_table",
+]
+
+
+def _run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh ``python -S`` with this package on the path."""
+    src = str(pathlib.Path(mechx.__file__).parent.parent)
+    return subprocess.run(
+        [sys.executable, "-S", *flags, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+        check=True,
+    )
+
+
+def test_all_lists_the_public_names_in_order():
+    assert mechx.__all__ == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_each_name_is_its_submodules_object(name):
+    owners = [
+        module
+        for module in (model, capacity, specfile, aemachine, figures)
+        if name in vars(module)
+    ]
+    assert owners
+    assert all(getattr(mechx, name) is getattr(m, name) for m in owners)
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from mechx import *", namespace)
+    assert all(namespace[name] is getattr(mechx, name) for name in PUBLIC_NAMES)
+
+
+def test_dir_lists_every_public_name():
+    listed = dir(mechx)
+    assert set(PUBLIC_NAMES) <= set(listed)
+    assert "__version__" in listed
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'mechx' has no attribute 'nope'$"):
+        getattr(mechx, "nope")
+
+
+def test_import_loads_submodules_on_first_use():
+    out = _run_python(
+        "import sys, mechx\n"
+        "print(sorted(m for m in sys.modules if m.startswith('mechx.')))\n"
+        "print(mechx.capacity.decimal_string(12345))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('mechx.')))\n"
+    ).stdout.splitlines()
+    assert out == ["[]", "12345", "['mechx.capacity', 'mechx.model']"]
+
+
+def test_cli_leaves_figures_and_tape_machine_unloaded():
+    proc = _run_python(
+        "import sys\n"
+        "from mechx import cli\n"
+        "print(sorted({'mechx.figures', 'mechx.aemachine', 'csv'} & set(sys.modules)))\n"
+        "cli.main(['compute', '@nao'])\n"
+        "print(sorted({'mechx.figures', 'mechx.aemachine', 'csv'} & set(sys.modules)))\n",
+        "-X",
+        "importtime",
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]"
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "mechx.capacity" in imported
+    assert not imported & {"mechx.figures", "mechx.aemachine", "csv"}
+
+
+@pytest.mark.parametrize("module", [mechx, aemachine], ids=lambda m: m.__name__)
+def test_docstring_examples(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0
