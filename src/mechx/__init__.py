@@ -21,6 +21,92 @@ __version__ = "0.1.0"
 # the interpreter's default limit on converting a string to an int.
 MAX_INT_DIGITS = 4300
 
+
+# The base of the frozen value classes sits here, as MAX_INT_DIGITS does,
+# so that every submodule can import it without importing another.
+class _Factory:
+    """A record field default made afresh for each instance, as in
+    ``tape: dict = _Factory(dict)``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+class _Record:
+    """Base of the package's frozen value classes.
+
+    A subclass lists its fields as annotations, with optional defaults,
+    and may check them in ``__post_init__``.  Instances compare, hash and
+    print by their fields as frozen dataclasses do, and refuse assignment
+    and deletion with ``dataclasses.FrozenInstanceError``.  The fields
+    are read once per class from ``__annotations__``, so no code is
+    generated and ``dataclasses`` is imported only to raise that error.
+    Instances keep a ``__dict__``, which pickling and ``copy`` use.
+    """
+
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(vars(cls).get("__annotations__", ()))
+        cls._fields = cls.__match_args__ = cls._fields + own
+        cls._defaults = {**cls._defaults, **{f: vars(cls)[f] for f in own if f in vars(cls)}}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(fields)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        values = dict(zip(fields, args))
+        for name in fields[len(args) :]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in cls._defaults:
+                value = cls._defaults[name]
+                values[name] = value.make() if isinstance(value, _Factory) else value
+            else:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+        for name in kwargs:
+            problem = "multiple values for" if name in values else "an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[f] for f in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 # The public names, by the submodule that defines them.  Importing the
 # package imports none of these submodules: each is imported when one of
 # its names, or the submodule itself, is first looked up here.

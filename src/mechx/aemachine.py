@@ -22,11 +22,10 @@ once per machine; traces are kept as integer columns.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Union
 
-from . import MAX_INT_DIGITS
+from . import MAX_INT_DIGITS, _Factory, _Record
 
 COMPUTATION = "computation"
 MECHANIZATION = "mechanization"
@@ -61,8 +60,7 @@ class MachineFormatError(ValueError):
 Transition = tuple[str, str, int]  # (next state, written symbol, move)
 
 
-@dataclass(frozen=True)
-class Machine:
+class Machine(_Record):
     """Immutable machine definition.
 
     ``transitions`` maps (state, read symbol) to (next state, written
@@ -102,8 +100,7 @@ class Machine:
         object.__setattr__(self, "transitions", table)
 
 
-@dataclass(frozen=True)
-class MachineConfig:
+class MachineConfig(_Record):
     """A point-in-time machine configuration (tape, head, state)."""
 
     cells: Mapping[int, str]
@@ -191,7 +188,7 @@ class _Tables:
 
 def _tables(machine: Machine) -> _Tables:
     # Compiled on first use and kept in the instance __dict__, outside the
-    # dataclass fields, so equality and repr do not see it.
+    # record fields, so equality and repr do not see it.
     tables = machine.__dict__.get("_tables")
     if tables is None:
         tables = machine.__dict__["_tables"] = _Tables(machine)
@@ -245,8 +242,7 @@ class Trace(Sequence):
         return repr(tuple(self))
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(_Record):
     """What run() returns; ``trace`` is None unless run() was asked for it,
     and otherwise the Trace that run() recorded."""
 
@@ -500,12 +496,11 @@ def format_run(result: RunResult, out=None) -> Optional[str]:
 # Description files (".aem") -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MachineFile:
+class MachineFile(_Record):
     """A parsed machine description plus its optional starting tape."""
 
     machine: Machine
-    tape: dict[int, str] = field(default_factory=dict)
+    tape: dict[int, str] = _Factory(dict)
 
 
 def parse_machine(text: str) -> MachineFile:
@@ -585,17 +580,18 @@ def parse_machine(text: str) -> MachineFile:
         elif kw == "tape":
             if len(tok) != 3:
                 raise MachineFormatError(lineno, "expected 'tape <cell-index> <symbol>'")
-            digits = len(tok[1].lstrip("+-"))
-            if digits > MAX_INT_DIGITS:
-                raise MachineFormatError(
-                    lineno, f"cell index has {digits} digits, above the limit of {MAX_INT_DIGITS}"
-                )
-            try:
-                idx = int(tok[1])
-            except ValueError:
+            # int() alone would also take underscores and other scripts' digits.
+            digits = tok[1][1:] if tok[1][0] in "+-" else tok[1]
+            if not (digits.isascii() and digits.isdigit()):
                 raise MachineFormatError(
                     lineno, f"cell index must be an integer, got {tok[1]!r}"
-                ) from None
+                )
+            if len(digits) > MAX_INT_DIGITS:
+                raise MachineFormatError(
+                    lineno,
+                    f"cell index has {len(digits)} digits, above the limit of {MAX_INT_DIGITS}",
+                )
+            idx = int(tok[1])
             if idx < 1:
                 raise MachineFormatError(lineno, "cell index must be >= 1")
             if idx in tape:

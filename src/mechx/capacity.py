@@ -13,12 +13,11 @@ here calls ``str()`` on a large int; ``decimal_string`` renders one.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
-from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
+from . import _Record
 from .model import Platform, mechanical_groups, resolve_levels
 
 # log10(2) correctly rounded to a double, written out rather than taken
@@ -120,6 +119,8 @@ def decimal_string(n: int) -> str:
     """
     if n < 0:
         raise ValueError("decimal_string requires a nonnegative integer")
+    from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
+
     powers: dict = {}
 
     def pow2(w: int) -> Decimal:
@@ -335,11 +336,8 @@ class BigCount:
         # holds ``exact`` in its instance dict from the start.
         return _product(self._factors)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = _Record.__setattr__
+    __delattr__ = _Record.__delattr__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -469,8 +467,7 @@ def computational_capacity(processor) -> ComputationalCapacity:
     return ComputationalCapacity(bits=float(t), config_digits=digits_of_pow2(t))
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(_Record):
     """Full capacity summary for one platform."""
 
     name: str
@@ -525,8 +522,7 @@ def analyze(
     )
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Record):
     """Two platforms side by side, mechanical-capacity based."""
 
     left: CapacityReport

@@ -16,7 +16,6 @@ errors to standard error.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -160,7 +159,12 @@ def cmd_compute(args) -> int:
             f"computational capacity = {cap.bits!r} bits "
             f"({cap.config_digits} digits as a configuration count)",
         ]
-    text = json.dumps(payload, sort_keys=True) if args.json else "\n".join(lines)
+    if args.json:
+        import json
+
+        text = json.dumps(payload, sort_keys=True)
+    else:
+        text = "\n".join(lines)
     # Written in pieces: an exact count can run to a million digits, and a
     # single write would encode a second copy of all of them at once.
     for i in range(0, len(text), 1 << 16):
@@ -174,6 +178,8 @@ def cmd_compare(args) -> int:
     right = _load_platform(args.right)
     rep = compare(left, right)
     if args.json:
+        import json
+
         payload = {
             "left": rep.left.name,
             "right": rep.right.name,

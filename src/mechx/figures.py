@@ -19,9 +19,9 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
+from . import _Record
 from .capacity import count_configurations
 from .model import Platform
 from .specfile import Diagnostic, Severity, _fmt_num, is_computable
@@ -62,8 +62,7 @@ _NATURAL_SERIES = {
 }
 
 
-@dataclass(frozen=True)
-class TrendPoint:
+class TrendPoint(_Record):
     label: str
     x: float
     y: float
@@ -75,16 +74,14 @@ class TrendPoint:
             raise ValueError(f"point {self.label!r} has non-finite coordinates")
 
 
-@dataclass(frozen=True)
-class AxisSpec:
+class AxisSpec(_Record):
     x_label: str
     y_label: str
     x_log: bool = False
     y_log: bool = False
 
 
-@dataclass(frozen=True)
-class FigureBundle:
+class FigureBundle(_Record):
     figure_id: str
     points: tuple[TrendPoint, ...]
     csv: str

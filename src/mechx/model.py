@@ -9,8 +9,9 @@ discrete level count is derived.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Union
+
+from . import _Record
 
 # Relative tolerance for deciding that span/resolution is an integer.
 INTEGRALITY_REL_TOL = 1e-9
@@ -37,8 +38,7 @@ class NonIntegralSpan(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class DiscreteStates:
+class DiscreteStates(_Record):
     """An explicitly enumerated number of states per degree of freedom."""
 
     count: int
@@ -48,8 +48,7 @@ class DiscreteStates:
             raise ValueError(f"state count must be >= 1, got {self.count}")
 
 
-@dataclass(frozen=True)
-class Continuous:
+class Continuous(_Record):
     """A continuous travel range discretized by a resolution step.
 
     Units are opaque text carried along for documentation; no conversion
@@ -86,8 +85,7 @@ class Continuous:
 LevelsSpec = Union[DiscreteStates, Continuous]
 
 
-@dataclass(frozen=True)
-class DofGroup:
+class DofGroup(_Record):
     """A set of identical degrees of freedom sharing one level count.
 
     ``multiplicity`` is how many such degrees of freedom the platform has;
@@ -119,8 +117,7 @@ class DofGroup:
         return NON_MECHANICAL_TAG not in self.tags
 
 
-@dataclass(frozen=True)
-class ProcessorSpec:
+class ProcessorSpec(_Record):
     """Onboard processor, summarized by its transistor count."""
 
     name: str
@@ -133,8 +130,7 @@ class ProcessorSpec:
             )
 
 
-@dataclass(frozen=True)
-class Platform:
+class Platform(_Record):
     """A named artificial or natural system described by its actuator groups.
 
     ``year`` is annotation-only metadata (release/first-description year,

@@ -17,14 +17,14 @@ round-trip numbers) that is a parse fixpoint.
 
 from __future__ import annotations
 
+import os
 import re
+import sys
 import threading
-from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from typing import Optional
 
-from . import MAX_INT_DIGITS
+from . import MAX_INT_DIGITS, _Factory, _Record
 from .model import (
     Continuous,
     DiscreteStates,
@@ -68,8 +68,7 @@ class Severity(str, Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(_Record):
     severity: Severity
     line: int
     message: str
@@ -78,8 +77,7 @@ class Diagnostic:
         return f"{self.severity.value}: line {self.line}: {self.message}"
 
 
-@dataclass(frozen=True)
-class PlatformDocument:
+class PlatformDocument(_Record):
     """A parsed platform plus bookkeeping about where items came from.
 
     ``source_line_map`` keys: "platform", "kind", "year", "processor",
@@ -89,7 +87,7 @@ class PlatformDocument:
     """
 
     platform: Platform
-    source_line_map: dict[str, int] = field(default_factory=dict)
+    source_line_map: dict[str, int] = _Factory(dict)
     scientific_transistors: bool = False
     kind_defaulted: bool = False
 
@@ -99,15 +97,13 @@ class PlatformDocument:
 _SINGLETONS = ("platform", "kind", "year", "processor")
 
 _WORD_RE = re.compile(r"[^\s\"#]+")
-_INT_RE = re.compile(r"[+-]?\d+\Z")
-_NUM_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?\Z")
+# ASCII digits only: \d would also match the digits of other scripts.
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+_NUM_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?\Z")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "word" or "string"
-    text: str
+# A token is a (kind, text) pair, kind being "word" or "string".
+_Token = tuple[str, str]
 
 
 def _tokenize(line: str, lineno: int) -> list[_Token]:
@@ -143,11 +139,11 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
                     continue
                 out.append(ch)
                 i += 1
-            tokens.append(_Token("string", "".join(out)))
+            tokens.append(("string", "".join(out)))
             continue
         m = _WORD_RE.match(line, i)
         assert m is not None
-        tokens.append(_Token("word", m.group()))
+        tokens.append(("word", m.group()))
         i = m.end()
     return tokens
 
@@ -184,54 +180,53 @@ class _Cursor:
         return tok
 
     def string(self, what: str) -> str:
-        tok = self._next(what)
-        if tok.kind != "string":
+        kind, text = self._next(what)
+        if kind != "string":
             raise ParseError(
-                self.lineno, f"expected {what} (a quoted string), found {tok.text!r}"
+                self.lineno, f"expected {what} (a quoted string), found {text!r}"
             )
-        return tok.text
+        return text
 
     def keyword(self, *words: str) -> str:
         """Consume one of ``words`` and return it."""
         expected = " or ".join(f"'{w}'" for w in words)
-        tok = self._next(expected)
-        if tok.kind != "word" or tok.text not in words:
-            raise ParseError(self.lineno, f"expected {expected}, found {tok.text!r}")
-        return tok.text
+        kind, text = self._next(expected)
+        if kind != "word" or text not in words:
+            raise ParseError(self.lineno, f"expected {expected}, found {text!r}")
+        return text
 
     def integer(self, what: str) -> int:
-        tok = self._next(what)
-        if tok.kind != "word" or not _INT_RE.match(tok.text):
+        kind, text = self._next(what)
+        if kind != "word" or not _INT_RE.match(text):
             raise ParseError(
-                self.lineno, f"expected {what} (an integer), found {tok.text!r}"
+                self.lineno, f"expected {what} (an integer), found {text!r}"
             )
-        digits = len(tok.text.lstrip("+-"))
+        digits = len(text.lstrip("+-"))
         if digits > MAX_INT_DIGITS:
             raise ParseError(
                 self.lineno, f"{what} has {digits} digits, above the limit of {MAX_INT_DIGITS}"
             )
-        return int(tok.text)
+        return int(text)
 
     def number(self, what: str) -> tuple[float, str]:
-        tok = self._next(what)
-        if tok.kind != "word" or not _NUM_RE.match(tok.text):
+        kind, text = self._next(what)
+        if kind != "word" or not _NUM_RE.match(text):
             raise ParseError(
-                self.lineno, f"expected {what} (a number), found {tok.text!r}"
+                self.lineno, f"expected {what} (a number), found {text!r}"
             )
-        return float(tok.text), tok.text
+        return float(text), text
 
     def peek(self, kind: str) -> Optional[str]:
         """Text of the next token if it is of ``kind`` ("word" or "string")."""
         if self.done():
             return None
-        tok = self.tokens[self.pos]
-        return tok.text if tok.kind == kind else None
+        tok_kind, text = self.tokens[self.pos]
+        return text if tok_kind == kind else None
 
     def end(self) -> None:
         if not self.done():
-            tok = self.tokens[self.pos]
             raise ParseError(
-                self.lineno, f"unexpected trailing token {tok.text!r}"
+                self.lineno, f"unexpected trailing token {self.tokens[self.pos][1]!r}"
             )
 
 
@@ -282,42 +277,51 @@ def parse_platform(text: str) -> PlatformDocument:
         tokens = _tokenize(raw, lineno)
         if not tokens:
             continue
-        head = tokens[0]
-        if head.kind != "word":
-            raise ParseError(lineno, f"expected a keyword, found string {head.text!r}")
-        if head.text in _SINGLETONS and head.text in line_map:
-            raise ParseError(lineno, f"duplicate '{head.text}' statement")
+        head_kind, head = tokens[0]
+        if head_kind != "word":
+            raise ParseError(lineno, f"expected a keyword, found string {head!r}")
+        if head in _SINGLETONS and head in line_map:
+            raise ParseError(lineno, f"duplicate '{head}' statement")
         cur = _Cursor(tokens[1:], lineno)
-        if head.text == "platform":
+        if head == "platform":
             name = cur.string("platform name")
             if not name:
                 raise ParseError(lineno, "platform name must be non-empty")
             line_map["platform"] = lineno
-        elif head.text == "kind":
+        elif head == "kind":
             kind = cur.keyword("artificial", "natural")
             line_map["kind"] = lineno
-        elif head.text == "year":
+        elif head == "year":
             year = cur.integer("year")
             line_map["year"] = lineno
-        elif head.text == "processor":
+        elif head == "processor":
             pname = ""
             if cur.peek("string") is not None:
                 pname = cur.string("processor name")
             cur.keyword("transistors")
-            value, literal = cur.number("transistor count")
-            if value < 0 or not float(value).is_integer():
+            literal = cur.peek("word") or ""
+            if _INT_RE.match(literal):  # read exactly, not through a float
+                transistors = cur.integer("transistor count")
+            else:
+                value, literal = cur.number("transistor count")
+                scientific = True  # the literal has an exponent or a point
+                transistors = int(value) if value.is_integer() else -1
+            # The capacity in bits is the transistor count as a float.
+            if not 0 <= transistors <= sys.float_info.max:
+                shown = repr(literal[:40])
+                if len(literal) > 40:
+                    shown += f"... ({len(literal)} characters)"
                 raise ParseError(
                     lineno,
-                    f"transistor count must be a nonnegative integer, "
-                    f"found {literal!r}",
+                    f"transistor count must be an integer from 0 to "
+                    f"{sys.float_info.max!r}, found {shown}",
                 )
-            scientific = any(c in literal for c in "eE.")
-            processor = ProcessorSpec(name=pname, transistors=int(value))
+            processor = ProcessorSpec(name=pname, transistors=transistors)
             line_map["processor"] = lineno
-        elif head.text == "note":
+        elif head == "note":
             notes.append(cur.string("note text"))
             line_map[f"note[{len(notes) - 1}]"] = lineno
-        elif head.text == "group":
+        elif head == "group":
             try:
                 group = _parse_group(cur)
             except ParseError:
@@ -331,7 +335,7 @@ def parse_platform(text: str) -> PlatformDocument:
             groups.append(group)
             line_map[f"group:{group.label}"] = lineno
         else:
-            raise ParseError(lineno, f"unknown keyword {head.text!r}")
+            raise ParseError(lineno, f"unknown keyword {head!r}")
         cur.end()
 
     if name is None:
@@ -495,29 +499,34 @@ DATASET_MANIFEST = (
 )
 
 _dataset_lock = threading.Lock()
-_dataset_cache: Optional[tuple[PlatformDocument, ...]] = None
+# Bundled documents by file stem, each parsed when it is first asked for.
+_documents: dict[str, PlatformDocument] = {}
 
 
 def _read_data_file(stem: str) -> str:
-    return (
-        resources.files("mechx").joinpath("data").joinpath(f"{stem}.mechx")
-    ).read_text(encoding="utf-8")
+    # Through the package's loader, as importlib.resources would read it
+    # (from a directory or a zip archive), without that package's imports.
+    path = os.path.join(os.path.dirname(__file__), "data", f"{stem}.mechx")
+    return __loader__.get_data(path).decode("utf-8")
+
+
+def _document(stem: str) -> PlatformDocument:
+    """The bundled document ``stem``, parsed once per process.  The
+    caller holds ``_dataset_lock``; any failure is a packaging bug
+    surfaced as DatasetCorrupt."""
+    doc = _documents.get(stem)
+    if doc is None:
+        try:
+            doc = _documents[stem] = parse_platform(_read_data_file(stem))
+        except (OSError, SpecFileError) as exc:
+            raise DatasetCorrupt(f"{stem}.mechx: {exc}") from exc
+    return doc
 
 
 def load_dataset() -> list[PlatformDocument]:
-    """All bundled platform documents, in manifest order.  Parsed once per
-    process; any failure is a packaging bug surfaced as DatasetCorrupt."""
-    global _dataset_cache
+    """All bundled platform documents, in manifest order."""
     with _dataset_lock:
-        if _dataset_cache is None:
-            docs = []
-            for stem in DATASET_MANIFEST:
-                try:
-                    docs.append(parse_platform(_read_data_file(stem)))
-                except (FileNotFoundError, SpecFileError) as exc:
-                    raise DatasetCorrupt(f"{stem}.mechx: {exc}") from exc
-            _dataset_cache = tuple(docs)
-    return list(_dataset_cache)
+        return [_document(stem) for stem in DATASET_MANIFEST]
 
 
 def _normalize(name: str) -> str:
@@ -526,9 +535,16 @@ def _normalize(name: str) -> str:
 
 def dataset_lookup(name: str) -> PlatformDocument:
     """Find a bundled document by file stem or platform name (both
-    case-insensitive; punctuation folds to hyphens)."""
+    case-insensitive; punctuation folds to hyphens).
+
+    A name that is a file stem reads that one file.  No stem equals the
+    normalized platform name of a file listed before it, so this returns
+    what a scan of every file in manifest order would."""
     wanted = _normalize(name)
-    for stem, doc in zip(DATASET_MANIFEST, load_dataset()):
-        if wanted == stem or wanted == _normalize(doc.platform.name):
+    if wanted in DATASET_MANIFEST:
+        with _dataset_lock:
+            return _document(wanted)
+    for doc in load_dataset():
+        if wanted == _normalize(doc.platform.name):
             return doc
     raise KeyError(f"no bundled platform matches {name!r}")

@@ -407,3 +407,18 @@ class TestFormat:
         with pytest.raises(MachineFormatError) as info:
             parse_machine(text)
         assert "line 5" in str(info.value)
+
+
+@pytest.mark.parametrize("index", ["٣", "1_0", "３", "+٣", "3.0", "0x3"])
+def test_tape_index_takes_only_ascii_digits(index):
+    text = f"flavor computation\nstates a\nsymbols blank . x\ninit a\ntape {index} x\n"
+    with pytest.raises(MachineFormatError) as info:
+        parse_machine(text)
+    assert str(info.value) == f"line 5: cell index must be an integer, got {index!r}"
+
+
+def test_tape_index_may_carry_a_sign():
+    text = "flavor computation\nstates a\nsymbols blank . x\ninit a\ntape +3 x\n"
+    assert parse_machine(text).tape == {3: "x"}
+    with pytest.raises(MachineFormatError, match="^line 5: cell index must be >= 1$"):
+        parse_machine(text.replace("+3", "-3"))

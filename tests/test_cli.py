@@ -444,6 +444,72 @@ def test_integer_at_the_digit_limit_parses(capsys, tmp_path):
     assert out.startswith("warning: line 1: informational:")
 
 
+@pytest.mark.parametrize("transistors", ["123456789012345678901", str(2**53 + 1)])
+def test_integer_transistor_count_is_exact(capsys, tmp_path, transistors):
+    path = tmp_path / "p.mechx"
+    path.write_text(f'platform "p"\nprocessor transistors {transistors}\n', encoding="utf-8")
+    code, out, _ = run_cli(capsys, "compute", str(path))
+    assert code == 0
+    assert f"processor: (unnamed), {transistors} transistors" in out.splitlines()
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0
+    assert "notation" not in out and out.endswith("ok: 'p' parsed with 2 warnings\n")
+
+
+def test_largest_transistor_count_computes(capsys, tmp_path):
+    t = int(sys.float_info.max)
+    path = tmp_path / "p.mechx"
+    path.write_text(f'platform "p"\nprocessor transistors {t}\n', encoding="utf-8")
+    code, out, _ = run_cli(capsys, "compute", str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    ctx = Context(prec=len(str(t)) + 60)
+    assert payload["transistors"] == t
+    assert payload["computational_bits"] == sys.float_info.max
+    assert payload["computational_config_digits"] == int(ctx.multiply(Decimal(t), Decimal(2).log10(ctx))) + 1
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        (
+            "1" + "0" * 400,
+            "transistor count must be an integer from 0 to 1.7976931348623157e+308, "
+            f"found '1{'0' * 39}'... (401 characters)",
+        ),
+        ("9" * 4301, "transistor count has 4301 digits, above the limit of 4300"),
+    ],
+    ids=["401-digits", "4301-digits"],
+)
+def test_out_of_range_transistor_count_exits_2(capsys, tmp_path, literal, message):
+    path = tmp_path / "p.mechx"
+    path.write_text(f'platform "p"\nprocessor transistors {literal}\n', encoding="utf-8")
+    for command in ("compute", "validate"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out, err) == (2, "", f"error: line 2: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("count.mechx", 'platform "p"\ngroup "g" count ٣ states 2\n',
+         "line 2: expected multiplicity (an integer), found '٣'"),
+        ("tape.aem", f"{AEM_HEAD}tape 1_0 e\n", "line 5: cell index must be an integer, got '1_0'"),
+        ("tape.aem", f"{AEM_HEAD}tape ٣ e\n", "line 5: cell index must be an integer, got '٣'"),
+    ],
+    ids=["mechx-count", "aem-underscore", "aem-arabic-indic"],
+)
+def test_non_ascii_or_underscored_digits_exit_2(capsys, tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    if name.endswith(".aem"):
+        command = ["aem-run", str(path), "--max-steps", "1"]
+    else:
+        command = ["compute", str(path)]
+    code, out, err = run_cli(capsys, *command)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestAemRun:
     @pytest.fixture()
     def incrementer_file(self, tmp_path):

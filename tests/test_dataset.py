@@ -10,6 +10,7 @@ from mechx.capacity import analyze
 from mechx.model import resolve_levels
 from mechx.specfile import (
     DATASET_MANIFEST,
+    _normalize,
     dataset_lookup,
     is_computable,
     load_dataset,
@@ -314,3 +315,33 @@ def test_serialized_files_are_canonical():
                 stripped.append(body)
         canonical = serialize_platform(doc.platform)
         assert "\n".join(stripped) + "\n" == canonical, stem
+
+
+def _scan_lookup(name):
+    """The lookup as a scan of every file in manifest order: the first
+    file whose stem or normalized platform name matches."""
+    wanted = _normalize(name)
+    for stem, doc in zip(DATASET_MANIFEST, load_dataset()):
+        if wanted == stem or wanted == _normalize(doc.platform.name):
+            return doc
+    raise KeyError(name)
+
+
+def test_no_stem_is_an_earlier_files_platform_name():
+    # dataset_lookup reads the file named by a stem directly; this is
+    # what makes that agree with the scan.
+    names = [_normalize(doc.platform.name) for doc in load_dataset()]
+    for i, stem in enumerate(DATASET_MANIFEST):
+        assert stem not in names[:i], stem
+
+
+def test_lookup_returns_what_the_scan_finds():
+    queries = []
+    for stem, doc in zip(DATASET_MANIFEST, load_dataset()):
+        for name in (stem, doc.platform.name):
+            punctuated = "(" + name.replace("-", "/").replace(" ", ". ") + ")!"
+            queries += [name, name.upper(), punctuated]
+    for query in queries:
+        assert dataset_lookup(query) is _scan_lookup(query), query
+    with pytest.raises(KeyError):
+        dataset_lookup("(no such platform)")

@@ -122,6 +122,52 @@ def test_cli_leaves_figures_and_tape_machine_unloaded():
     assert not imported & {"mechx.figures", "mechx.aemachine", "csv"}
 
 
+HEAVY = ("dataclasses", "inspect", "decimal", "json")
+
+
+def test_everyday_commands_leave_heavy_modules_unloaded(tmp_path):
+    (tmp_path / "p.mechx").write_text('platform "p"\ngroup "g" count 2 states 3\n')
+    (tmp_path / "m.aem").write_text(
+        aemachine.serialize_machine(aemachine.INCREMENTER.machine, aemachine.INCREMENTER.tape)
+    )
+    proc = _run_python(
+        "import contextlib, io, os, sys\n"
+        "from mechx import cli\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        f"heavy = {HEAVY!r}\n"
+        "def main(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(list(argv)) == 0, argv\n"
+        "    print(sorted(set(heavy) & set(sys.modules)))\n"
+        "main('compute', '@nao')\n"
+        "main('compare', '@nao', '@cat')\n"
+        "main('validate', 'p.mechx')\n"
+        "main('dataset-list')\n"
+        "main('aem-run', 'm.aem', '--max-steps', '10', '--trace')\n"
+        "main('compute', '@nao', '--json')\n"
+        "main('compute', '@nao', '--exact', '--json')\n",
+        "-X",
+        "importtime",
+    )
+    assert proc.stdout.splitlines() == ["[]"] * 5 + ["['json']", "['decimal', 'json']"]
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert imported.index("json") > imported.index("mechx.capacity")
+    assert "dataclasses" not in imported and "inspect" not in imported
+
+
+def test_compute_of_a_bundled_platform_parses_one_file():
+    out = _run_python(
+        "from mechx import cli, specfile\n"
+        "texts = []\n"
+        "parse = specfile.parse_platform\n"
+        "specfile.parse_platform = lambda text: texts.append(text) or parse(text)\n"
+        "cli.main(['compute', '@nao'])\n"
+        "print(len(texts), sorted(specfile._documents))\n"
+    ).stdout.splitlines()
+    assert out[0] == "platform: NAO"
+    assert out[-1] == "1 ['nao']"
+
+
 @pytest.mark.parametrize("module", [mechx, aemachine], ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)

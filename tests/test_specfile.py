@@ -1,6 +1,7 @@
 """Parser, serializer, and validation tests for the platform file format."""
 
 import random
+import sys
 
 import pytest
 
@@ -384,3 +385,66 @@ class TestDatasetAccess:
 
     def test_dataset_corrupt_is_runtime_error(self):
         assert issubclass(DatasetCorrupt, RuntimeError)
+
+
+class TestTransistorCounts:
+    @pytest.mark.parametrize(
+        "literal",
+        [str(2**53 + 1), "123456789012345678901", "+7", str(int(sys.float_info.max))],
+        ids=["2^53+1", "21-digits", "signed", "largest-float"],
+    )
+    def test_integer_literal_is_read_exactly(self, literal):
+        doc = parse_platform(f'platform "p"\nprocessor transistors {literal}\n')
+        assert doc.platform.processor.transistors == int(literal)
+        assert not doc.scientific_transistors
+        assert all(d.line == 1 for d in validate(doc))  # informational notices only
+        again = parse_platform(serialize_platform(doc.platform))
+        assert again.platform.processor.transistors == int(literal)
+
+    def test_float_literal_is_rounded_and_flagged(self):
+        doc = parse_platform('platform "p"\nprocessor transistors 9007199254740993.0\n')
+        assert doc.platform.processor.transistors == 2**53
+        assert doc.scientific_transistors
+
+    @pytest.mark.parametrize(
+        "literal, shown",
+        [
+            ("1" + "0" * 400, "'" + "1" + "0" * 39 + "'... (401 characters)"),
+            (str(int(sys.float_info.max) + 1), f"'{str(int(sys.float_info.max))[:40]}'... (309 characters)"),
+            ("-" + "9" * 100, "'-" + "9" * 39 + "'... (101 characters)"),
+            ("-5", "'-5'"),
+            ("1.5", "'1.5'"),
+            ("1e400", "'1e400'"),
+        ],
+        ids=["401-digits", "above-largest-float", "long-negative", "negative", "fraction", "inf"],
+    )
+    def test_out_of_range_count_quotes_at_most_40_characters(self, literal, shown):
+        with pytest.raises(ParseError) as info:
+            parse_platform(f'platform "p"\nprocessor transistors {literal}\n')
+        assert str(info.value) == (
+            "line 2: transistor count must be an integer from 0 to "
+            f"1.7976931348623157e+308, found {shown}"
+        )
+
+    def test_count_over_the_digit_limit(self):
+        with pytest.raises(ParseError) as info:
+            parse_platform(f'platform "p"\nprocessor transistors {"9" * 4301}\n')
+        assert str(info.value) == "line 2: transistor count has 4301 digits, above the limit of 4300"
+
+
+@pytest.mark.parametrize(
+    "statement, what",
+    [
+        ('group "g" count ٣ states 2', "multiplicity (an integer), found '٣'"),
+        ('group "g" count 1 states ３', "state count (an integer), found '３'"),
+        ("year २०११", "year (an integer), found '२०११'"),
+        ('group "g" count 1 range ٠ 1 resolution 0.5', "range minimum (a number), found '٠'"),
+        ("processor transistors ٣", "transistor count (a number), found '٣'"),
+        ('group "g" count 1_0 states 2', "multiplicity (an integer), found '1_0'"),
+    ],
+    ids=["arabic-indic", "fullwidth", "devanagari-year", "range", "transistors", "underscore"],
+)
+def test_only_ascii_digits_make_a_number(statement, what):
+    with pytest.raises(ParseError) as info:
+        parse_platform(f'platform "p"\n{statement}\n')
+    assert str(info.value) == f"line 2: expected {what}"
