@@ -30,6 +30,8 @@ from mechx.aemachine import (
     traces_isomorphic,
 )
 
+from mechx.specfile import ParseError, parse_platform
+
 from conftest import machine_maps, random_machine, random_tape
 
 
@@ -422,3 +424,134 @@ def test_tape_index_may_carry_a_sign():
     assert parse_machine(text).tape == {3: "x"}
     with pytest.raises(MachineFormatError, match="^line 5: cell index must be >= 1$"):
         parse_machine(text.replace("+3", "-3"))
+
+
+_DECLARED = "flavor computation\nstates a\nsymbols blank . x\ninit a\n"
+
+# The exact text of every statement error the .aem reader raises.
+_ERROR_TEXTS = [
+    ("flavor computation\nflavor computation\n", "line 2: duplicate 'flavor' line"),
+    ("flavor computation\nstates a\nstates a\n", "line 3: duplicate 'states' line"),
+    (
+        "flavor computation\nsymbols blank .\nsymbols blank .\n",
+        "line 3: duplicate 'symbols' line",
+    ),
+    ("flavor computation\ninit a\ninit a\n", "line 3: duplicate 'init' line"),
+    # The duplicate check comes before the statement's shape check.
+    ("flavor computation\nflavor turing\n", "line 2: duplicate 'flavor' line"),
+    ("states a\nstates\n", "line 2: duplicate 'states' line"),
+    ("states a\nsymbols blank .\ninit a\n", "missing 'flavor' line"),
+    ("flavor computation\nsymbols blank .\ninit a\n", "missing 'states' line"),
+    ("flavor computation\nstates a\ninit a\n", "missing 'symbols' line"),
+    ("flavor computation\nstates a\nsymbols blank .\n", "missing 'init' line"),
+    # Missing statements are reported in declaration order, after the loop.
+    ("init a\n", "missing 'flavor' line"),
+    ("flavor computation\n", "missing 'states' line"),
+    ("states\n", "line 1: expected at least one state name"),
+    (
+        "flavor turing\n",
+        "line 1: expected 'flavor computation' or 'flavor mechanization'",
+    ),
+    (
+        "flavor computation extra\n",
+        "line 1: expected 'flavor computation' or 'flavor mechanization'",
+    ),
+    ("symbols . x\n", "line 1: expected 'symbols blank <name> [<name> ...]'"),
+    ("symbols blank\n", "line 1: expected 'symbols blank <name> [<name> ...]'"),
+    ("init\n", "line 1: expected 'init <state>'"),
+    ("init a b\n", "line 1: expected 'init <state>'"),
+    ("rule a . -> a .\n", "line 1: expected 'rule <state> <read> -> <state> <write> L|S|R'"),
+    ("rule a . => a . S\n", "line 1: expected 'rule <state> <read> -> <state> <write> L|S|R'"),
+    ("rule a . -> a . X\n", "line 1: expected 'rule <state> <read> -> <state> <write> L|S|R'"),
+    (
+        "rule a . -> a . S\nrule a . -> a x L\n",
+        "line 2: duplicate rule for (a, .); first on line 1",
+    ),
+    ("wibble\n", "line 1: unknown keyword 'wibble'"),
+    ("tape 1\n", "line 1: expected 'tape <cell-index> <symbol>'"),
+    ("tape 1 x y\n", "line 1: expected 'tape <cell-index> <symbol>'"),
+    ("tape one x\n", "line 1: cell index must be an integer, got 'one'"),
+    ("tape - x\n", "line 1: cell index must be an integer, got '-'"),
+    ("tape 0 x\n", "line 1: cell index must be >= 1"),
+    ("tape -3 x\n", "line 1: cell index must be >= 1"),
+    ("tape 3 x\ntape +3 x\n", "line 2: cell 3 set twice"),
+    (
+        f"tape {'1' * 4301} x\n",
+        "line 1: cell index has 4301 digits, above the limit of 4300",
+    ),
+    (
+        f"tape -{'0' * 4301} x\n",
+        "line 1: cell index has 4301 digits, above the limit of 4300",
+    ),
+    (_DECLARED + "tape 4 zz\n", "tape cell 4 holds undeclared symbol 'zz'"),
+    (
+        "flavor computation\nstates a\nsymbols blank .\ninit zz\n",
+        "initial state 'zz' not declared",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", _ERROR_TEXTS, ids=[message[:40] for _, message in _ERROR_TEXTS]
+)
+def test_machine_format_error_text(text, message):
+    with pytest.raises(MachineFormatError) as info:
+        parse_machine(text)
+    assert str(info.value) == message
+    line, _, rest = message.partition(": ")
+    if line.startswith("line "):
+        assert (info.value.line, info.value.message) == (int(line[5:]), rest)
+    else:
+        assert (info.value.line, info.value.message) == (0, message)
+
+
+def _year(literal: str):
+    """What the .mechx reader makes of ``literal`` as a year."""
+    try:
+        return parse_platform(f'platform "p"\nyear {literal}\n').platform.year
+    except ParseError as exc:
+        if exc.message == f"expected year (an integer), found {literal!r}":
+            return "not an integer"
+        assert exc.message == f"year has {len(literal)} digits, above the limit of 4300"
+        return "over the limit"
+
+
+def _tape_index(literal: str):
+    """What the .aem reader makes of ``literal`` as a tape cell index."""
+    try:
+        (index,) = parse_machine(f"{_DECLARED}tape {literal} x\n").tape
+        return index
+    except MachineFormatError as exc:
+        if exc.message == f"cell index must be an integer, got {literal!r}":
+            return "not an integer"
+        if exc.message == "cell index must be >= 1":  # an integer, out of range
+            return int(literal)
+        assert exc.message == f"cell index has {len(literal)} digits, above the limit of 4300"
+        return "over the limit"
+
+
+@pytest.mark.parametrize(
+    "literal, verdict",
+    [
+        ("7", 7),
+        ("+7", 7),
+        ("007", 7),
+        ("-0", 0),
+        ("+", "not an integer"),
+        ("-", "not an integer"),
+        ("٣", "not an integer"),
+        ("３", "not an integer"),
+        ("1_0", "not an integer"),
+        ("3.0", "not an integer"),
+        ("0x3", "not an integer"),
+        ("1e3", "not an integer"),
+        ("9" * 4300, int("9" * 4300)),
+        ("9" * 4301, "over the limit"),
+    ],
+    ids=[
+        "7", "+7", "007", "-0", "plus", "minus", "arabic-indic", "fullwidth",
+        "underscore", "point", "hex", "exponent", "4300-digits", "4301-digits",
+    ],
+)
+def test_both_readers_read_integers_alike(literal, verdict):
+    assert _year(literal) == _tape_index(literal) == verdict

@@ -105,6 +105,19 @@ def test_import_loads_submodules_on_first_use():
     assert out == ["[]", "12345", "['mechx.capacity', 'mechx.model']"]
 
 
+@pytest.mark.parametrize(
+    "reader, siblings", [("aemachine", []), ("specfile", ["mechx.model"])]
+)
+def test_readers_share_rules_through_the_package_only(reader, siblings):
+    # The line error and the integer rule both readers use live in
+    # mechx/__init__.py, so neither reader imports the other.
+    out = _run_python(
+        f"import sys, mechx.{reader}\n"
+        f"print(sorted(m for m in sys.modules if m.startswith('mechx.') and m != 'mechx.{reader}'))\n"
+    ).stdout
+    assert out == f"{siblings}\n"
+
+
 def test_cli_leaves_figures_and_tape_machine_unloaded():
     proc = _run_python(
         "import sys\n"
