@@ -22,8 +22,34 @@ __version__ = "0.1.0"
 MAX_INT_DIGITS = 4300
 
 
-# The base of the frozen value classes sits here, as MAX_INT_DIGITS does,
-# so that every submodule can import it without importing another.
+# What the .mechx and .aem readers share sits here, beside MAX_INT_DIGITS,
+# as does the base of the frozen value classes: every submodule can import
+# it without importing another.
+class _LineError(ValueError):
+    """Base of the description-file errors; carries a 1-based line number
+    (0 when the problem is not tied to a specific line)."""
+
+    def __init__(self, line: int, message: str):
+        self.line = line
+        self.message = message
+        super().__init__(f"line {line}: {message}" if line else message)
+
+    @classmethod
+    def _integer(cls, line: int, what: str, text: str):
+        """The value of ``text`` if it is an integer literal, ASCII digits
+        after an optional sign, and otherwise None.  Raises ``cls`` for a
+        literal of more than MAX_INT_DIGITS digits."""
+        # int() alone would also take underscores and other scripts' digits.
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        if len(digits) > MAX_INT_DIGITS:
+            raise cls(
+                line, f"{what} has {len(digits)} digits, above the limit of {MAX_INT_DIGITS}"
+            )
+        return int(text)
+
+
 class _Factory:
     """A record field default made afresh for each instance, as in
     ``tape: dict = _Factory(dict)``."""
@@ -130,8 +156,8 @@ _EXPORTS = {
     ),
     "aemachine": (
         "HALTED", "Machine", "MachineConfig", "MachineFile", "Outcome",
-        "RunResult", "TraceStep", "load_machine", "parse_machine", "run",
-        "serialize_machine", "step", "to_mechanization", "traces_isomorphic",
+        "RunResult", "TraceStep", "parse_machine", "run", "serialize_machine",
+        "step", "to_mechanization", "traces_isomorphic",
     ),
     "figures": (
         "FigureBundle", "TrendPoint", "build_figure", "emit_csv",

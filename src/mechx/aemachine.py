@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Union
 
-from . import MAX_INT_DIGITS, _Factory, _Record
+from . import _Factory, _LineError, _Record
 
 COMPUTATION = "computation"
 MECHANIZATION = "mechanization"
@@ -48,13 +48,8 @@ class BlankNotPreserved(ValueError):
     pass
 
 
-class MachineFormatError(ValueError):
+class MachineFormatError(_LineError):
     """Description-file problem, with a 1-based line number."""
-
-    def __init__(self, line: int, message: str):
-        self.line = line
-        self.message = message
-        super().__init__(f"line {line}: {message}" if line else message)
 
 
 Transition = tuple[str, str, int]  # (next state, written symbol, move)
@@ -496,6 +491,10 @@ def format_run(result: RunResult, out=None) -> Optional[str]:
 # Description files (".aem") -------------------------------------------------
 
 
+# Statements that appear exactly once, in the order a missing one is reported.
+_SINGLETONS = ("flavor", "states", "symbols", "init")
+
+
 class MachineFile(_Record):
     """A parsed machine description plus its optional starting tape."""
 
@@ -518,11 +517,7 @@ def parse_machine(text: str) -> MachineFile:
     "symbols blank" is the blank symbol; serialize_machine writes the
     blank first, so a round trip keeps it.
     """
-    flavor: Optional[str] = None
-    states: Optional[tuple[str, ...]] = None
-    symbols: Optional[tuple[str, ...]] = None
-    blank: Optional[str] = None
-    init: Optional[str] = None
+    declared: dict[str, list[str]] = {}  # singleton keyword -> its operands
     rules: dict[tuple[str, str], Transition] = {}
     rule_lines: dict[tuple[str, str], int] = {}
     tape: dict[int, str] = {}
@@ -533,35 +528,26 @@ def parse_machine(text: str) -> MachineFile:
             continue
         tok = body.split()
         kw = tok[0]
+        if kw in _SINGLETONS:
+            if kw in declared:
+                raise MachineFormatError(lineno, f"duplicate '{kw}' line")
+            declared[kw] = tok[1:]
         if kw == "flavor":
-            if flavor is not None:
-                raise MachineFormatError(lineno, "duplicate 'flavor' line")
             if len(tok) != 2 or tok[1] not in FLAVORS:
                 raise MachineFormatError(
                     lineno, "expected 'flavor computation' or 'flavor mechanization'"
                 )
-            flavor = tok[1]
         elif kw == "states":
-            if states is not None:
-                raise MachineFormatError(lineno, "duplicate 'states' line")
             if len(tok) < 2:
                 raise MachineFormatError(lineno, "expected at least one state name")
-            states = tuple(tok[1:])
         elif kw == "symbols":
-            if symbols is not None:
-                raise MachineFormatError(lineno, "duplicate 'symbols' line")
             if len(tok) < 3 or tok[1] != "blank":
                 raise MachineFormatError(
                     lineno, "expected 'symbols blank <name> [<name> ...]'"
                 )
-            blank = tok[2]
-            symbols = tuple(tok[2:])
         elif kw == "init":
-            if init is not None:
-                raise MachineFormatError(lineno, "duplicate 'init' line")
             if len(tok) != 2:
                 raise MachineFormatError(lineno, "expected 'init <state>'")
-            init = tok[1]
         elif kw == "rule":
             # rule <state> <read> -> <state> <write> L|S|R
             if len(tok) != 7 or tok[3] != "->" or tok[6] not in _MOVE_LETTERS:
@@ -580,18 +566,11 @@ def parse_machine(text: str) -> MachineFile:
         elif kw == "tape":
             if len(tok) != 3:
                 raise MachineFormatError(lineno, "expected 'tape <cell-index> <symbol>'")
-            # int() alone would also take underscores and other scripts' digits.
-            digits = tok[1][1:] if tok[1][0] in "+-" else tok[1]
-            if not (digits.isascii() and digits.isdigit()):
+            idx = MachineFormatError._integer(lineno, "cell index", tok[1])
+            if idx is None:
                 raise MachineFormatError(
                     lineno, f"cell index must be an integer, got {tok[1]!r}"
                 )
-            if len(digits) > MAX_INT_DIGITS:
-                raise MachineFormatError(
-                    lineno,
-                    f"cell index has {len(digits)} digits, above the limit of {MAX_INT_DIGITS}",
-                )
-            idx = int(tok[1])
             if idx < 1:
                 raise MachineFormatError(lineno, "cell index must be >= 1")
             if idx in tape:
@@ -600,22 +579,18 @@ def parse_machine(text: str) -> MachineFile:
         else:
             raise MachineFormatError(lineno, f"unknown keyword {kw!r}")
 
-    if flavor is None:
-        raise MachineFormatError(0, "missing 'flavor' line")
-    if states is None:
-        raise MachineFormatError(0, "missing 'states' line")
-    if symbols is None or blank is None:
-        raise MachineFormatError(0, "missing 'symbols' line")
-    if init is None:
-        raise MachineFormatError(0, "missing 'init' line")
+    for kw in _SINGLETONS:
+        if kw not in declared:
+            raise MachineFormatError(0, f"missing '{kw}' line")
+    flavor, states, symbols, init = (declared[kw] for kw in _SINGLETONS)
     try:
         machine = Machine(
-            flavor=flavor,
+            flavor=flavor[0],
             states=states,
-            symbols=symbols,
-            blank=blank,
+            symbols=symbols[1:],
+            blank=symbols[1],
             transitions=rules,
-            initial_state=init,
+            initial_state=init[0],
         )
     except ValueError as exc:
         raise MachineFormatError(0, str(exc)) from exc
@@ -648,11 +623,6 @@ def serialize_machine(machine: Machine, tape: Optional[Mapping[int, str]] = None
         for idx in sorted(tape):
             lines.append(f"tape {idx} {tape[idx]}")
     return "\n".join(lines) + "\n"
-
-
-def load_machine(path) -> MachineFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_machine(fh.read())
 
 
 # Unary incrementer: skip right over 1s, append one 1, halt.

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 from . import _Record
-from .model import Platform, mechanical_groups, resolve_levels
+from .model import Platform, ProcessorSpec, mechanical_groups, resolve_levels
 
 # log10(2) correctly rounded to a double, written out rather than taken
 # from libm so that every platform uses the same bits.
@@ -249,39 +249,36 @@ def _log_summary(pairs, bits: int, prec: int) -> Optional[tuple]:
     """
     one = 1 << prec
     margin = prec << (bits.bit_length() + _MARGIN_BITS)
-    ln2, ln10 = _ln(2, prec), _ln(10, prec)
     ln_c = sum(m * _ln(r, prec) for r, m in pairs)
 
     def near(frac: int) -> bool:  # is frac, in [0, 1), next to 0 or 1?
         return frac < margin or one - frac < margin
 
-    whole, frac = divmod((ln_c << prec) // ln2, one)  # log2 C
-    if near(frac):
-        whole += frac > margin
-        if not _is_product(pairs, 1, whole, 0):
+    def first(base: int, width: int) -> Optional[tuple]:
+        # (whole, lead) with log_base C = whole + frac and lead =
+        # floor(base**(width + frac)), the first width + 1 digits in base.
+        # Near a boundary it stands only if C == lead * base**(whole - width).
+        ln_base = _ln(base, prec)
+        whole, frac = divmod((ln_c << prec) // ln_base, one)
+        if near(frac):
+            whole += frac > margin
+            lead = base**width
+        else:
+            lead, rest = divmod(_exp(frac * ln_base >> prec, prec) * base**width, one)
+            if not near(rest):
+                return whole, lead
+            lead += rest > margin
+        e = whole - width  # base is 2 or 10
+        if not _is_product(pairs, lead, e, e if base == 10 else 0):
             return None
-        top = 1 << 63
-    else:
-        top, rest = divmod(_exp(frac * ln2 >> prec, prec) << 63, one)
-        if near(rest):
-            top += rest > margin
-            if not _is_product(pairs, top, whole - 63, 0):
-                return None
-    log10 = math.log10(top) + (whole - 63) * LOG10_2
+        return whole, lead
 
-    whole, frac = divmod((ln_c << prec) // ln10, one)  # log10 C
-    if near(frac):
-        whole += frac > margin
-        if not _is_product(pairs, 1, whole, whole):
-            return None
-        return log10, whole + 1, "1" + "0" * (_LEAD_DIGITS - 1)
-    lead, rest = divmod(_exp(frac * ln10 >> prec, prec) * 10 ** (_LEAD_DIGITS - 1), one)
-    if near(rest):
-        lead += rest > margin
-        skipped = whole + 1 - _LEAD_DIGITS
-        if not _is_product(pairs, lead, skipped, skipped):
-            return None
-    return log10, whole + 1, str(lead)
+    two = first(2, 63)
+    ten = None if two is None else first(10, _LEAD_DIGITS - 1)
+    if ten is None:
+        return None
+    (whole2, top), (whole10, lead) = two, ten
+    return math.log10(top) + (whole2 - 63) * LOG10_2, whole10 + 1, str(lead)
 
 
 def _summarize(pairs) -> tuple:
@@ -370,7 +367,7 @@ class BigCount:
         lead = vars(self).get("_lead")
         if lead is not None and 0 < k <= _LEAD_DIGITS:
             return lead[:k]
-        if self._factors is not None or self.exact is not None:
+        if self.exact is not None:
             return _leading(self.exact, self.digit_count, k)
         frac = self.log10 - math.floor(self.log10)
         # Rounding up to 10**k would carry into the exponent that
@@ -458,12 +455,13 @@ class ComputationalCapacity(NamedTuple):
 def computational_capacity(processor) -> ComputationalCapacity:
     """Capacity of a processor modeled as one bit per transistor.
 
-    Accepts a ProcessorSpec or a bare transistor count.  The implied
-    configuration count 2**t is formed only when it is small.
+    Accepts a ProcessorSpec or a bare transistor count, which is checked
+    as a ProcessorSpec checks it.  The implied configuration count 2**t is
+    formed only when it is small.
     """
-    t = processor if isinstance(processor, int) else processor.transistors
-    if t < 0:
-        raise ValueError("transistor count must be >= 0")
+    if isinstance(processor, int):
+        processor = ProcessorSpec("", processor)
+    t = processor.transistors
     return ComputationalCapacity(bits=float(t), config_digits=digits_of_pow2(t))
 
 

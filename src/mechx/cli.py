@@ -96,12 +96,7 @@ def _dof_total(platform: Platform) -> int:
 
 def cmd_compute(args) -> int:
     platform = _load_platform(args.platform)
-    if args.exact:
-        mode = CountMode.EXACT
-    elif args.log_space:
-        mode = CountMode.LOG_SPACE
-    else:
-        mode = CountMode.BOTH
+    mode = args.mode
     if args.mechanical_only:
         # Non-mechanical groups stay unresolved, so a non-integral range
         # on one of them cannot stop the count that is printed.
@@ -282,11 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="capacity report for one platform")
     p.add_argument("platform", help=".mechx file path or @dataset-name")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact big-int arithmetic only")
-    mode.add_argument("--log-space", action="store_true", help="log-space arithmetic only")
+    mode.add_argument(
+        "--exact", dest="mode", action="store_const", const=CountMode.EXACT,
+        help="exact big-int arithmetic only",
+    )
+    mode.add_argument(
+        "--log-space", dest="mode", action="store_const", const=CountMode.LOG_SPACE,
+        help="log-space arithmetic only",
+    )
     p.add_argument("--mechanical-only", action="store_true")
     p.add_argument("--json", action="store_true", help="one-line JSON output")
-    p.set_defaults(func=cmd_compute)
+    p.set_defaults(func=cmd_compute, mode=CountMode.BOTH)
 
     p = sub.add_parser("compare", help="compare two platforms")
     p.add_argument("left", help=".mechx file path or @dataset-name")

@@ -9,6 +9,7 @@ discrete level count is derived.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional, Union
 
 from . import _Record
@@ -118,7 +119,8 @@ class DofGroup(_Record):
 
 
 class ProcessorSpec(_Record):
-    """Onboard processor, summarized by its transistor count."""
+    """Onboard processor, summarized by its transistor count, from 0 to
+    the largest float: its capacity in bits is that count as a float."""
 
     name: str
     transistors: int
@@ -127,6 +129,10 @@ class ProcessorSpec(_Record):
         if self.transistors < 0:
             raise ValueError(
                 f"transistor count must be >= 0, got {self.transistors}"
+            )
+        if self.transistors > sys.float_info.max:
+            raise ValueError(
+                f"transistor count must be at most {sys.float_info.max!r}"
             )
 
 

@@ -24,7 +24,7 @@ import threading
 from enum import Enum
 from typing import Optional
 
-from . import MAX_INT_DIGITS, _Factory, _Record
+from . import _Factory, _LineError, _Record
 from .model import (
     Continuous,
     DiscreteStates,
@@ -36,14 +36,9 @@ from .model import (
 )
 
 
-class SpecFileError(ValueError):
+class SpecFileError(_LineError):
     """Base for description-file problems; carries a 1-based line number
     (0 when the problem is not tied to a specific line)."""
-
-    def __init__(self, line: int, message: str):
-        self.line = line
-        self.message = message
-        super().__init__(f"line {line}: {message}" if line else message)
 
 
 class ParseError(SpecFileError):
@@ -97,8 +92,6 @@ class PlatformDocument(_Record):
 _SINGLETONS = ("platform", "kind", "year", "processor")
 
 _WORD_RE = re.compile(r"[^\s\"#]+")
-# ASCII digits only: \d would also match the digits of other scripts.
-_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _NUM_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?\Z")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
@@ -197,16 +190,12 @@ class _Cursor:
 
     def integer(self, what: str) -> int:
         kind, text = self._next(what)
-        if kind != "word" or not _INT_RE.match(text):
+        value = ParseError._integer(self.lineno, what, text) if kind == "word" else None
+        if value is None:
             raise ParseError(
                 self.lineno, f"expected {what} (an integer), found {text!r}"
             )
-        digits = len(text.lstrip("+-"))
-        if digits > MAX_INT_DIGITS:
-            raise ParseError(
-                self.lineno, f"{what} has {digits} digits, above the limit of {MAX_INT_DIGITS}"
-            )
-        return int(text)
+        return value
 
     def number(self, what: str) -> tuple[float, str]:
         kind, text = self._next(what)
@@ -299,15 +288,15 @@ def parse_platform(text: str) -> PlatformDocument:
             if cur.peek("string") is not None:
                 pname = cur.string("processor name")
             cur.keyword("transistors")
-            literal = cur.peek("word") or ""
-            if _INT_RE.match(literal):  # read exactly, not through a float
-                transistors = cur.integer("transistor count")
-            else:
-                value, literal = cur.number("transistor count")
+            value, literal = cur.number("transistor count")
+            # An integer is read exactly, not through the float.
+            transistors = ParseError._integer(lineno, "transistor count", literal)
+            if transistors is None:
                 scientific = True  # the literal has an exponent or a point
                 transistors = int(value) if value.is_integer() else -1
-            # The capacity in bits is the transistor count as a float.
-            if not 0 <= transistors <= sys.float_info.max:
+            try:
+                processor = ProcessorSpec(name=pname, transistors=transistors)
+            except ValueError:
                 shown = repr(literal[:40])
                 if len(literal) > 40:
                     shown += f"... ({len(literal)} characters)"
@@ -315,8 +304,7 @@ def parse_platform(text: str) -> PlatformDocument:
                     lineno,
                     f"transistor count must be an integer from 0 to "
                     f"{sys.float_info.max!r}, found {shown}",
-                )
-            processor = ProcessorSpec(name=pname, transistors=transistors)
+                ) from None
             line_map["processor"] = lineno
         elif head == "note":
             notes.append(cur.string("note text"))

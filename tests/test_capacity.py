@@ -325,6 +325,20 @@ class TestComputational:
     def test_huge_exponent_digit_count(self):
         assert computational_capacity(10**11).config_digits - 1 == 30_102_999_566
 
+    def test_count_beyond_the_largest_float_is_a_value_error(self):
+        # The capacity in bits is the count as a float.
+        message = "^transistor count must be at most 1.7976931348623157e\\+308$"
+        with pytest.raises(ValueError, match=message):
+            computational_capacity(10**400)
+        with pytest.raises(ValueError, match=message):
+            computational_capacity(ProcessorSpec("c", 10**400))
+        largest = int(sys.float_info.max)
+        assert computational_capacity(largest).bits == sys.float_info.max
+
+    def test_negative_count_is_checked_as_a_processor_spec(self):
+        with pytest.raises(ValueError, match="^transistor count must be >= 0, got -1$"):
+            computational_capacity(-1)
+
 
 class TestReports:
     def test_analyze_rounding(self):

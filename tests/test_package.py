@@ -43,7 +43,7 @@ PUBLIC_NAMES = [
     "DuplicateGroupLabel", "MissingPlatformName", "ParseError", "PlatformDocument",
     "Severity", "SpecFileError", "dataset_lookup", "load_dataset", "parse_platform",
     "serialize_platform", "validate", "HALTED", "Machine", "MachineConfig",
-    "MachineFile", "Outcome", "RunResult", "TraceStep", "load_machine",
+    "MachineFile", "Outcome", "RunResult", "TraceStep",
     "parse_machine", "run", "serialize_machine", "step", "to_mechanization",
     "traces_isomorphic", "FigureBundle", "TrendPoint", "build_figure", "emit_csv",
     "emit_svg_scatter", "trend_table",
