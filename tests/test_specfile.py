@@ -22,6 +22,7 @@ from mechx.specfile import (
     serialize_platform,
     validate,
 )
+from mechx.specfile import _tokenize
 
 from conftest import SIMPLE_ROBOT, random_document
 
@@ -227,6 +228,45 @@ class TestParseErrors:
         with pytest.raises(ParseError) as info:
             parse_platform(text)
         assert str(info.value) == message
+
+
+# Each entry: one line and either its exact tokens or the exact str() of
+# the error it raises when read as line 7.
+TOKEN_LINES = [
+    (r'"back\\slash"', [("string", "back\\slash")]),
+    (r'"say \"hi\""', [("string", 'say "hi"')]),
+    (r'"n\nt\t"', [("string", "n\nt\t")]),
+    (r'"\q then" "unterminated', "line 7: unknown escape sequence '\\q'"),
+    (r'"ok" "bad \x', "line 7: unknown escape sequence '\\x'"),
+    ('"dangling \\', "line 7: dangling backslash in string"),
+    ('"\\', "line 7: dangling backslash in string"),
+    (r'"escaped backslash at the end \\', "line 7: unterminated string literal"),
+    ('"no end', "line 7: unterminated string literal"),
+    ('"a" "', "line 7: unterminated string literal"),
+    ('""', [("string", "")]),
+    ('"" ""', [("string", ""), ("string", "")]),
+    ('word"str"word', [("word", "word"), ("string", "str"), ("word", "word")]),
+    ('"s"w', [("string", "s"), ("word", "w")]),
+    ('"a # b" # c "d', [("string", "a # b")]),
+    ('"a"# c', [("string", "a")]),
+    ("a#b c", [("word", "a")]),
+    ("# only", []),
+    ("", []),
+    (" \t\r ", []),
+    ('\ta\r b\t"c"\r', [("word", "a"), ("word", "b"), ("string", "c")]),
+    ("count 1e3 -2 tag", [("word", "count"), ("word", "1e3"), ("word", "-2"), ("word", "tag")]),
+    ("a\\b", [("word", "a\\b")]),
+]
+
+
+@pytest.mark.parametrize("line,expected", TOKEN_LINES)
+def test_tokens_of_a_line(line, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as info:
+            _tokenize(line, 7)
+        assert str(info.value) == expected
+    else:
+        assert _tokenize(line, 7) == expected
 
 
 class TestSerialize:
