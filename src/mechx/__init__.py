@@ -50,6 +50,13 @@ class _LineError(ValueError):
         return int(text)
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of a description file, split at LF, CRLF and CR only,
+    as text-mode open() reads them; form feeds, U+2028 and the other
+    breaks str.splitlines() knows stay inside their line."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 class _Factory:
     """A record field default made afresh for each instance, as in
     ``tape: dict = _Factory(dict)``."""

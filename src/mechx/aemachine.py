@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Union
 
-from . import _Factory, _LineError, _Record
+from . import _Factory, _LineError, _Record, _lines
 
 COMPUTATION = "computation"
 MECHANIZATION = "mechanization"
@@ -76,9 +76,10 @@ class Machine(_Record):
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.states:
             raise ValueError("machine needs at least one state")
-        if len(set(self.states)) != len(self.states):
+        states, symbols = set(self.states), set(self.symbols)
+        if len(states) != len(self.states):
             raise ValueError("duplicate state names")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(symbols) != len(self.symbols):
             raise ValueError("duplicate symbol names")
         if self.blank not in self.symbols:
             raise ValueError(f"blank {self.blank!r} is not a declared symbol")
@@ -86,9 +87,9 @@ class Machine(_Record):
             raise ValueError(f"initial state {self.initial_state!r} not declared")
         table = dict(self.transitions)
         for (q, s), (q2, w, move) in table.items():
-            if q not in self.states or q2 not in self.states:
+            if q not in states or q2 not in states:
                 raise ValueError(f"transition ({q!r},{s!r}) references unknown state")
-            if s not in self.symbols or w not in self.symbols:
+            if s not in symbols or w not in symbols:
                 raise ValueError(f"transition ({q!r},{s!r}) references unknown symbol")
             if move not in (-1, 0, 1):
                 raise ValueError(f"move must be -1, 0, or +1, got {move!r}")
@@ -522,7 +523,7 @@ def parse_machine(text: str) -> MachineFile:
     rule_lines: dict[tuple[str, str], int] = {}
     tape: dict[int, str] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
@@ -594,8 +595,9 @@ def parse_machine(text: str) -> MachineFile:
         )
     except ValueError as exc:
         raise MachineFormatError(0, str(exc)) from exc
+    symbols = set(machine.symbols)
     for idx, sym in tape.items():
-        if sym not in machine.symbols:
+        if sym not in symbols:
             raise MachineFormatError(
                 0, f"tape cell {idx} holds undeclared symbol {sym!r}"
             )

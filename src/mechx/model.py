@@ -39,12 +39,23 @@ class NonIntegralSpan(ValueError):
         )
 
 
+def _require_int(record: _Record, field: str) -> None:
+    # The counting core needs an exact int: a float, NaN included, would
+    # pass the range checks and then fail deep inside the count.
+    value = getattr(record, field)
+    if not isinstance(value, int):
+        raise ValueError(
+            f"{type(record).__name__}.{field} must be an int, got {value!r}"
+        )
+
+
 class DiscreteStates(_Record):
     """An explicitly enumerated number of states per degree of freedom."""
 
     count: int
 
     def __post_init__(self):
+        _require_int(self, "count")
         if self.count < 1:
             raise ValueError(f"state count must be >= 1, got {self.count}")
 
@@ -101,6 +112,7 @@ class DofGroup(_Record):
     def __post_init__(self):
         if not self.label:
             raise ValueError("group label must be non-empty")
+        _require_int(self, "multiplicity")
         if self.multiplicity < 1:
             raise ValueError(
                 f"group {self.label!r}: multiplicity must be >= 1, "
@@ -126,6 +138,7 @@ class ProcessorSpec(_Record):
     transistors: int
 
     def __post_init__(self):
+        _require_int(self, "transistors")
         if self.transistors < 0:
             raise ValueError(
                 f"transistor count must be >= 0, got {self.transistors}"

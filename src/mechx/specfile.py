@@ -1,6 +1,6 @@
 """Platform description file format (".mechx").
 
-Line-oriented, whitespace-tokenized, one statement per line:
+Line-oriented (LF, CRLF or CR), blank-separated, one statement per line:
 
     platform "simple-robot"
     kind artificial
@@ -24,7 +24,7 @@ import threading
 from enum import Enum
 from typing import Optional
 
-from . import _Factory, _LineError, _Record
+from . import _Factory, _LineError, _Record, _lines
 from .model import (
     Continuous,
     DiscreteStates,
@@ -91,9 +91,20 @@ class PlatformDocument(_Record):
 # document's source_line_map.
 _SINGLETONS = ("platform", "kind", "year", "processor")
 
-_WORD_RE = re.compile(r"[^\s\"#]+")
 _NUM_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?\Z")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+# Blanks separate tokens; every other character, NBSP and form feed
+# included, belongs to a word or a string.
+_BLANKS = " \t\r"
+# After any blanks, a word or a string.  A string body holds no bare quote,
+# backslash or unknown escape; the closing quote is empty where the body
+# stops short of one.  A comment or the end of the line matches neither.
+_TOKEN_RE = re.compile(
+    rf'[{_BLANKS}]*(?:([^{_BLANKS}"#]+)'
+    rf'|"([^"\\]*(?:\\[{re.escape("".join(_ESCAPES))}][^"\\]*)*)("?))'
+)
 
 # A token is a (kind, text) pair, kind being "word" or "string".
 _Token = tuple[str, str]
@@ -101,43 +112,24 @@ _Token = tuple[str, str]
 
 def _tokenize(line: str, lineno: int) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(line)
-    while i < n:
-        ch = line[i]
-        if ch in " \t\r":
-            i += 1
+    pos = 0
+    while m := _TOKEN_RE.match(line, pos):
+        word, body, close = m.groups()
+        pos = m.end()
+        if word:
+            tokens.append(("word", word))
             continue
-        if ch == "#":
-            break
-        if ch == '"':
-            i += 1
-            out: list[str] = []
-            while True:
-                if i >= n:
-                    raise ParseError(lineno, "unterminated string literal")
-                ch = line[i]
-                if ch == '"':
-                    i += 1
-                    break
-                if ch == "\\":
-                    if i + 1 >= n:
-                        raise ParseError(lineno, "dangling backslash in string")
-                    esc = line[i + 1]
-                    if esc not in _ESCAPES:
-                        raise ParseError(
-                            lineno, f"unknown escape sequence '\\{esc}'"
-                        )
-                    out.append(_ESCAPES[esc])
-                    i += 2
-                    continue
-                out.append(ch)
-                i += 1
-            tokens.append(("string", "".join(out)))
-            continue
-        m = _WORD_RE.match(line, i)
-        assert m is not None
-        tokens.append(("word", m.group()))
-        i = m.end()
+        if not close:
+            # The body stopped at the end of the line or at a backslash
+            # that starts no known escape.
+            if pos == len(line):
+                raise ParseError(lineno, "unterminated string literal")
+            if pos == len(line) - 1:
+                raise ParseError(lineno, "dangling backslash in string")
+            raise ParseError(lineno, f"unknown escape sequence '\\{line[pos + 1]}'")
+        if "\\" in body:
+            body = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], body)
+        tokens.append(("string", body))
     return tokens
 
 
@@ -223,20 +215,14 @@ def _parse_group(cur: _Cursor) -> DofGroup:
     label = cur.string("group label")
     cur.keyword("count")
     count = cur.integer("multiplicity")
-    kw = cur.peek("word")
-    if kw == "states":
-        cur.keyword("states")
+    if cur.keyword("states", "range") == "states":
         levels: object = DiscreteStates(cur.integer("state count"))
-    elif kw == "range":
-        cur.keyword("range")
+    else:
         lo, _ = cur.number("range minimum")
         hi, _ = cur.number("range maximum")
         cur.keyword("resolution")
         res, _ = cur.number("resolution")
         levels = Continuous(minimum=lo, maximum=hi, resolution=res)
-    else:
-        found = repr(kw) if kw is not None else "end of line"
-        raise ParseError(cur.lineno, f"expected 'states' or 'range', found {found}")
     tags: list[str] = []
     while not cur.done():
         cur.keyword("tag")
@@ -253,36 +239,32 @@ def parse_platform(text: str) -> PlatformDocument:
     DuplicateGroupLabel for repeated group labels, MissingPlatformName
     when no platform statement is present.
     """
-    name: Optional[str] = None
-    kind: Optional[str] = None
-    year: Optional[int] = None
-    processor: Optional[ProcessorSpec] = None
+    values: dict[str, object] = dict.fromkeys(_SINGLETONS)  # None until read
     notes: list[str] = []
     groups: list[DofGroup] = []
     line_map: dict[str, int] = {}
     scientific = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         tokens = _tokenize(raw, lineno)
         if not tokens:
             continue
         head_kind, head = tokens[0]
         if head_kind != "word":
             raise ParseError(lineno, f"expected a keyword, found string {head!r}")
-        if head in _SINGLETONS and head in line_map:
-            raise ParseError(lineno, f"duplicate '{head}' statement")
+        if head in _SINGLETONS:
+            if head in line_map:
+                raise ParseError(lineno, f"duplicate '{head}' statement")
+            line_map[head] = lineno
         cur = _Cursor(tokens[1:], lineno)
         if head == "platform":
-            name = cur.string("platform name")
-            if not name:
+            values[head] = cur.string("platform name")
+            if not values[head]:
                 raise ParseError(lineno, "platform name must be non-empty")
-            line_map["platform"] = lineno
         elif head == "kind":
-            kind = cur.keyword("artificial", "natural")
-            line_map["kind"] = lineno
+            values[head] = cur.keyword("artificial", "natural")
         elif head == "year":
-            year = cur.integer("year")
-            line_map["year"] = lineno
+            values[head] = cur.integer("year")
         elif head == "processor":
             pname = ""
             if cur.peek("string") is not None:
@@ -295,7 +277,7 @@ def parse_platform(text: str) -> PlatformDocument:
                 scientific = True  # the literal has an exponent or a point
                 transistors = int(value) if value.is_integer() else -1
             try:
-                processor = ProcessorSpec(name=pname, transistors=transistors)
+                values[head] = ProcessorSpec(name=pname, transistors=transistors)
             except ValueError:
                 shown = repr(literal[:40])
                 if len(literal) > 40:
@@ -305,7 +287,6 @@ def parse_platform(text: str) -> PlatformDocument:
                     f"transistor count must be an integer from 0 to "
                     f"{sys.float_info.max!r}, found {shown}",
                 ) from None
-            line_map["processor"] = lineno
         elif head == "note":
             notes.append(cur.string("note text"))
             line_map[f"note[{len(notes) - 1}]"] = lineno
@@ -316,19 +297,20 @@ def parse_platform(text: str) -> PlatformDocument:
                 raise
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from exc
-            if any(g.label == group.label for g in groups):
+            key = f"group:{group.label}"
+            if key in line_map:
                 raise DuplicateGroupLabel(
                     lineno, f"duplicate group label {group.label!r}"
                 )
             groups.append(group)
-            line_map[f"group:{group.label}"] = lineno
+            line_map[key] = lineno
         else:
             raise ParseError(lineno, f"unknown keyword {head!r}")
         cur.end()
 
+    name, kind, year, processor = values.values()
     if name is None:
         raise MissingPlatformName()
-    kind_defaulted = kind is None
     try:
         platform = Platform(
             name=name,
@@ -344,7 +326,7 @@ def parse_platform(text: str) -> PlatformDocument:
         platform=platform,
         source_line_map=line_map,
         scientific_transistors=scientific,
-        kind_defaulted=kind_defaulted,
+        kind_defaulted=kind is None,
     )
 
 

@@ -238,6 +238,20 @@ class TestCompute:
         assert (code, out) == (2, "")
         assert err == f"error: cannot read {str(path)!r}: line 3: invalid UTF-8 byte 0xff\n"
 
+    @pytest.mark.parametrize(
+        "tail, error",
+        [
+            (b"kind robot\n", "line 3: expected 'artificial' or 'natural', found 'robot'"),
+            (b"\xff\n", "cannot read {path!r}: line 3: invalid UTF-8 byte 0xff"),
+        ],
+    )
+    def test_reader_and_utf8_check_number_lines_alike(self, capsys, tmp_path, tail, error):
+        # A form feed or U+2028 ends no line, for the reader or the UTF-8 check.
+        path = tmp_path / "f.mechx"
+        path.write_bytes('platform "x"\r\n# form\x0cfeed\u2028\r'.encode() + tail)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert (code, out, err) == (2, "", f"error: {error.format(path=str(path))}\n")
+
     def test_processor_digit_count_for_huge_transistor_count(self, capsys, tmp_path):
         path = tmp_path / "p.mechx"
         path.write_text('platform "p"\nprocessor transistors 1e100\n', encoding="utf-8")

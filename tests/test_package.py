@@ -33,6 +33,18 @@ def test_package_imports_only_stdlib():
     assert outside == []
 
 
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so none may guard input.
+    src = pathlib.Path(mechx.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 PUBLIC_NAMES = [
     "ARTIFICIAL", "NATURAL", "NON_MECHANICAL_TAG", "Continuous", "DiscreteStates",
     "DofGroup", "NonIntegralSpan", "Platform", "ProcessorSpec", "mechanical_groups",

@@ -287,6 +287,30 @@ def test_post_init_checks_still_fire(build, error, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DiscreteStates(2.5), "DiscreteStates.count must be an int, got 2.5"),
+        (lambda: DiscreteStates(math.nan), "DiscreteStates.count must be an int, got nan"),
+        (
+            lambda: DofGroup("g", 1.5, DiscreteStates(3)),
+            "DofGroup.multiplicity must be an int, got 1.5",
+        ),
+        (
+            lambda: DofGroup("g", math.nan, DiscreteStates(3)),
+            "DofGroup.multiplicity must be an int, got nan",
+        ),
+        (lambda: ProcessorSpec("c", 1.5), "ProcessorSpec.transistors must be an int, got 1.5"),
+        (lambda: ProcessorSpec("c", math.nan), "ProcessorSpec.transistors must be an int, got nan"),
+    ],
+    ids=["states", "states-nan", "group", "group-nan", "processor", "processor-nan"],
+)
+def test_counts_must_be_ints(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_default_factories_give_each_instance_its_own_dict():
     first, second = PlatformDocument(_platform()), PlatformDocument(_platform())
     assert first.source_line_map == second.source_line_map == {}

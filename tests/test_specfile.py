@@ -488,3 +488,32 @@ def test_only_ascii_digits_make_a_number(statement, what):
     with pytest.raises(ParseError) as info:
         parse_platform(f'platform "p"\n{statement}\n')
     assert str(info.value) == f"line 2: expected {what}"
+
+
+@pytest.mark.parametrize(
+    "statement, message",
+    [
+        ("\xa0", "unknown keyword '\\xa0'"),
+        ("\x1f", "unknown keyword '\\x1f'"),
+        ("year\xa01", "unknown keyword 'year\\xa01'"),
+        ("kind　natural", "unknown keyword 'kind\\u3000natural'"),
+        ("kind natural\xa0", "expected 'artificial' or 'natural', found 'natural\\xa0'"),
+        ("note \x0c", "expected note text (a quoted string), found '\\x0c'"),
+    ],
+    ids=["nbsp", "unit-separator", "nbsp-in-word", "ideographic-space", "trailing-nbsp", "form-feed"],
+)
+def test_only_space_tab_and_cr_separate_tokens(statement, message):
+    with pytest.raises(ParseError) as info:
+        parse_platform(f'platform "p"\n{statement}\n')
+    assert str(info.value) == f"line 2: {message}"
+    assert parse_platform('platform "a\xa0b\x1f"\n').platform.name == "a\xa0b\x1f"
+
+
+@pytest.mark.parametrize(
+    "after, found",
+    [('"x"', "'x'"), ("x", "'x'"), ("", "end of line"), ('"" states 2', "''")],
+)
+def test_group_names_the_token_after_count(after, found):
+    with pytest.raises(ParseError) as info:
+        parse_platform(f'platform "p"\ngroup "g" count 1 {after}\n')
+    assert str(info.value) == f"line 2: expected 'states' or 'range', found {found}"
