@@ -496,7 +496,7 @@ def test_only_ascii_digits_make_a_number(statement, what):
         ("\xa0", "unknown keyword '\\xa0'"),
         ("\x1f", "unknown keyword '\\x1f'"),
         ("year\xa01", "unknown keyword 'year\\xa01'"),
-        ("kind　natural", "unknown keyword 'kind\\u3000natural'"),
+        ("kind\u3000natural", "unknown keyword 'kind\\u3000natural'"),
         ("kind natural\xa0", "expected 'artificial' or 'natural', found 'natural\\xa0'"),
         ("note \x0c", "expected note text (a quoted string), found '\\x0c'"),
     ],
