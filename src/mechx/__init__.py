@@ -50,6 +50,11 @@ class _LineError(ValueError):
         return int(text)
 
 
+# Blanks separate tokens in both readers; every other character, NBSP and
+# form feed included, belongs to a word or a string.
+_BLANKS = " \t\r"
+
+
 def _lines(text: str) -> list[str]:
     """The lines of a description file, split at LF, CRLF and CR only,
     as text-mode open() reads them; form feeds, U+2028 and the other

@@ -21,11 +21,12 @@ once per machine; traces are kept as integer columns.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Union
 
-from . import _Factory, _LineError, _Record, _lines
+from . import _BLANKS, _Factory, _LineError, _Record, _lines
 
 COMPUTATION = "computation"
 MECHANIZATION = "mechanization"
@@ -85,15 +86,10 @@ class Machine(_Record):
             raise ValueError(f"blank {self.blank!r} is not a declared symbol")
         if self.initial_state not in self.states:
             raise ValueError(f"initial state {self.initial_state!r} not declared")
-        table = dict(self.transitions)
-        for (q, s), (q2, w, move) in table.items():
-            if q not in states or q2 not in states:
-                raise ValueError(f"transition ({q!r},{s!r}) references unknown state")
-            if s not in symbols or w not in symbols:
-                raise ValueError(f"transition ({q!r},{s!r}) references unknown symbol")
-            if move not in (-1, 0, 1):
-                raise ValueError(f"move must be -1, 0, or +1, got {move!r}")
-        object.__setattr__(self, "transitions", table)
+        object.__setattr__(self, "transitions", dict(self.transitions))
+        # Compiled once, in the instance __dict__ but outside the record
+        # fields, so equality and repr do not see it.
+        self.__dict__["_tables"] = _Tables(self)
 
 
 class MachineConfig(_Record):
@@ -147,7 +143,8 @@ class Outcome(str, Enum):
 
 
 class _Tables:
-    """A Machine compiled to integer tables.
+    """A Machine compiled to integer tables, checking each transition as
+    it fills the transition's slot.
 
     Symbol code 0 is the blank; the other symbols follow in declaration
     order.  State i owns the slots ``i * nsym`` to ``i * nsym + nsym - 1``,
@@ -172,6 +169,12 @@ class _Tables:
         self.table: list = [None] * (len(self.states) * self.nsym)
         self.rules: list[tuple[str, str, str, int]] = []
         for (q, s), (q2, w, move) in machine.transitions.items():
+            if q not in self.base or q2 not in self.base:
+                raise ValueError(f"transition ({q!r},{s!r}) references unknown state")
+            if s not in self.code or w not in self.code:
+                raise ValueError(f"transition ({q!r},{s!r}) references unknown symbol")
+            if move not in (-1, 0, 1):
+                raise ValueError(f"move must be -1, 0, or +1, got {move!r}")
             slot = self.base[q] + self.code[s]
             self.table[slot] = (self.base[q2], self.code[w], move, len(self.rules))
             self.rules.append((q, s, w, move))
@@ -180,15 +183,6 @@ class _Tables:
 
     def state_of(self, base: int) -> str:
         return self.states[base // self.nsym]
-
-
-def _tables(machine: Machine) -> _Tables:
-    # Compiled on first use and kept in the instance __dict__, outside the
-    # record fields, so equality and repr do not see it.
-    tables = machine.__dict__.get("_tables")
-    if tables is None:
-        tables = machine.__dict__["_tables"] = _Tables(machine)
-    return tables
 
 
 class Trace(Sequence):
@@ -297,9 +291,9 @@ def _kernel(
 def step(machine: Machine, config: MachineConfig) -> Union[MachineConfig, _HaltedType]:
     """One transition.  Returns the successor configuration, or HALTED
     when the table has no entry for (state, read symbol)."""
-    if config.state not in machine.states:
+    tables = machine._tables
+    if config.state not in tables.base:
         raise ValueError(f"state {config.state!r} not declared by the machine")
-    tables = _tables(machine)
     read = config.cells.get(config.head, machine.blank)
     if read not in tables.code:
         raise UndeclaredSymbolInTape(
@@ -344,7 +338,7 @@ def run(
     the machine halts or ``max_steps`` transitions have been taken."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    tables = _tables(machine)
+    tables = machine._tables
     tape = [0] * _DENSE_CELLS
     far = []
     for idx, sym in initial_cells.items():
@@ -492,6 +486,9 @@ def format_run(result: RunResult, out=None) -> Optional[str]:
 # Description files (".aem") -------------------------------------------------
 
 
+# A word runs up to a blank, the blanks being those of .mechx files.
+_WORD_RE = re.compile(f"[^{_BLANKS}]+")
+
 # Statements that appear exactly once, in the order a missing one is reported.
 _SINGLETONS = ("flavor", "states", "symbols", "init")
 
@@ -524,10 +521,9 @@ def parse_machine(text: str) -> MachineFile:
     tape: dict[int, str] = {}
 
     for lineno, raw in enumerate(_lines(text), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
+        tok = _WORD_RE.findall(raw.split("#", 1)[0])
+        if not tok:
             continue
-        tok = body.split()
         kw = tok[0]
         if kw in _SINGLETONS:
             if kw in declared:
@@ -595,9 +591,8 @@ def parse_machine(text: str) -> MachineFile:
         )
     except ValueError as exc:
         raise MachineFormatError(0, str(exc)) from exc
-    symbols = set(machine.symbols)
     for idx, sym in tape.items():
-        if sym not in symbols:
+        if sym not in machine._tables.code:
             raise MachineFormatError(
                 0, f"tape cell {idx} holds undeclared symbol {sym!r}"
             )
@@ -608,19 +603,18 @@ def serialize_machine(machine: Machine, tape: Optional[Mapping[int, str]] = None
     """Canonical ".aem" text: declarations with the blank as the first
     symbol, rules in that declaration order of (state, symbol), then tape
     cells in index order."""
-    symbols = (machine.blank,) + tuple(s for s in machine.symbols if s != machine.blank)
+    tables = machine._tables
     lines = [
         f"flavor {machine.flavor}",
         "states " + " ".join(machine.states),
-        "symbols blank " + " ".join(symbols),
+        "symbols blank " + " ".join(tables.symbols),
         f"init {machine.initial_state}",
     ]
-    order = {name: i for i, name in enumerate(machine.states)}
-    sorder = {name: i for i, name in enumerate(symbols)}
-    for (q, s), (q2, w, move) in sorted(
-        machine.transitions.items(), key=lambda kv: (order[kv[0][0]], sorder[kv[0][1]])
-    ):
-        lines.append(f"rule {q} {s} -> {q2} {w} {_LETTER_OF_MOVE[move]}")
+    for entry in tables.table:  # slot order: by state, then by symbol code
+        if entry is not None:
+            q, s, w, move = tables.rules[entry[3]]
+            q2 = tables.state_of(entry[0])
+            lines.append(f"rule {q} {s} -> {q2} {w} {_LETTER_OF_MOVE[move]}")
     if tape:
         for idx in sorted(tape):
             lines.append(f"tape {idx} {tape[idx]}")

@@ -75,6 +75,38 @@ def _write_text(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path!r}: {exc}") from exc
 
 
+def _guarded(write) -> None:
+    """Call ``write``, which writes to stdout, then flush.  If the reader has
+    gone (say, `| head`), the first failed write ends it quietly, and stdout
+    points at the null device so the flush at exit cannot fail again."""
+    try:
+        write()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+
+
+def _emit(lines, payload: Optional[dict] = None) -> int:
+    """Write ``lines``, or a ``payload`` as one sorted-key JSON line, to
+    stdout in 64 KiB pieces: an exact count can run to a million digits,
+    and a single write would encode a second copy of all of them at once."""
+    if payload is None:
+        text = "\n".join(lines)
+    else:
+        import json
+
+        text = json.dumps(payload, sort_keys=True)
+
+    def write():
+        for i in range(0, len(text), 1 << 16):
+            sys.stdout.write(text[i : i + (1 << 16)])
+        sys.stdout.write("\n")
+
+    _guarded(write)
+    return EXIT_OK
+
+
 def _load_platform(ref: str) -> Platform:
     if ref.startswith("@"):
         try:
@@ -82,10 +114,6 @@ def _load_platform(ref: str) -> Platform:
         except KeyError as exc:
             raise specfile.SpecFileError(0, exc.args[0]) from exc
     return specfile.parse_platform(_read_text(ref)).platform
-
-
-def _dof_total(platform: Platform) -> int:
-    return sum(g.multiplicity for g in platform.groups)
 
 
 def cmd_compute(args) -> int:
@@ -111,14 +139,14 @@ def cmd_compute(args) -> int:
                     f"exact count has {c.digit_count} digits, "
                     f"above the limit of {EXACT_DIGITS_LIMIT}"
                 )
-    exact_json = args.json and mode is CountMode.EXACT
     rendered: dict = {}  # id(count) -> decimal string; a shared count renders once
 
     payload = {"platform": platform.name, "kind": platform.kind, "mode": mode.value}
+    dof = sum(g.multiplicity for g in platform.groups)
     lines = [
         f"platform: {platform.name}",
         f"kind: {platform.kind}",
-        f"degrees of freedom: {_dof_total(platform)} ({len(platform.groups)} groups)",
+        f"degrees of freedom: {dof} ({len(platform.groups)} groups)",
     ]
     for label, c in counts:
         bits = c.log2
@@ -127,7 +155,7 @@ def cmd_compute(args) -> int:
             payload[f"k_bits_{label}_rounded"] = round(bits)
             payload[f"log10_c_{label}"] = c.log10
             payload[f"c_digits_{label}"] = c.digit_count
-            if exact_json:
+            if mode is CountMode.EXACT:
                 if id(c) not in rendered:
                     rendered[id(c)] = decimal_string(c.exact)
                 payload[f"c_exact_{label}"] = rendered[id(c)]
@@ -148,56 +176,38 @@ def cmd_compute(args) -> int:
             f"computational capacity = {cap.bits!r} bits "
             f"({cap.config_digits} digits as a configuration count)",
         ]
-    if args.json:
-        import json
-
-        text = json.dumps(payload, sort_keys=True)
-    else:
-        text = "\n".join(lines)
-    # Written in pieces: an exact count can run to a million digits, and a
-    # single write would encode a second copy of all of them at once.
-    for i in range(0, len(text), 1 << 16):
-        sys.stdout.write(text[i : i + (1 << 16)])
-    sys.stdout.write("\n")
-    return EXIT_OK
+    return _emit(lines, payload if args.json else None)
 
 
 def cmd_compare(args) -> int:
-    left = _load_platform(args.left)
-    right = _load_platform(args.right)
-    rep = compare(left, right)
-    if args.json:
-        import json
-
-        payload = {
-            "left": rep.left.name,
-            "right": rep.right.name,
-            "k_bits_left": rep.left.bits_mechanical,
-            "k_bits_right": rep.right.bits_mechanical,
-            "bits_difference": rep.bits_difference,
-            "log10_ratio": rep.log10_ratio,
-            # JSON has no infinity: a right-hand count of 0 bits gives null.
-            "bits_ratio": rep.bits_ratio if math.isfinite(rep.bits_ratio) else None,
-            "larger": rep.larger,
-        }
-        print(json.dumps(payload, sort_keys=True))
-        return EXIT_OK
-    print(f"left: {rep.left.name}, K(mechanical) = {rep.left.bits_mechanical!r} bits")
-    print(
-        f"right: {rep.right.name}, K(mechanical) = {rep.right.bits_mechanical!r} bits"
-    )
-    print(f"difference (left - right) = {rep.bits_difference!r} bits")
-    print(f"log10 configuration ratio = {rep.log10_ratio!r}")
-    print(f"bits ratio = {rep.bits_ratio!r}")
-    print(f"larger: {rep.larger if rep.larger else '(equal)'}")
-    return EXIT_OK
+    rep = compare(_load_platform(args.left), _load_platform(args.right))
+    payload = {
+        "left": rep.left.name,
+        "right": rep.right.name,
+        "k_bits_left": rep.left.bits_mechanical,
+        "k_bits_right": rep.right.bits_mechanical,
+        "bits_difference": rep.bits_difference,
+        "log10_ratio": rep.log10_ratio,
+        # JSON has no infinity: a right-hand count of 0 bits gives null.
+        "bits_ratio": rep.bits_ratio if math.isfinite(rep.bits_ratio) else None,
+        "larger": rep.larger,
+    }
+    lines = [
+        f"left: {rep.left.name}, K(mechanical) = {rep.left.bits_mechanical!r} bits",
+        f"right: {rep.right.name}, K(mechanical) = {rep.right.bits_mechanical!r} bits",
+        f"difference (left - right) = {rep.bits_difference!r} bits",
+        f"log10 configuration ratio = {rep.log10_ratio!r}",
+        f"bits ratio = {rep.bits_ratio!r}",
+        f"larger: {rep.larger if rep.larger else '(equal)'}",
+    ]
+    return _emit(lines, payload if args.json else None)
 
 
 def cmd_dataset_list(args) -> int:
-    for stem, doc in zip(specfile.DATASET_MANIFEST, specfile.load_dataset()):
-        p = doc.platform
-        print(f"@{stem:24s} {p.kind:10s} {p.name}")
-    return EXIT_OK
+    return _emit(
+        f"@{stem:24s} {doc.platform.kind:10s} {doc.platform.name}"
+        for stem, doc in zip(specfile.DATASET_MANIFEST, specfile.load_dataset())
+    )
 
 
 def cmd_plot(args) -> int:
@@ -217,17 +227,15 @@ def cmd_plot(args) -> int:
         print(str(diag), file=sys.stderr)
     _write_text(args.out_csv, bundle.csv)
     _write_text(args.out_svg, bundle.svg)
-    print(f"{figure_id}: {len(bundle.points)} points -> {args.out_csv}, {args.out_svg}")
-    return EXIT_OK
+    npoints = len(bundle.points)
+    return _emit([f"{figure_id}: {npoints} points -> {args.out_csv}, {args.out_svg}"])
 
 
 def cmd_validate(args) -> int:
     doc = specfile.parse_platform(_read_text(args.file))
     diags = specfile.validate(doc)
-    for d in diags:
-        print(str(d))
-    print(f"ok: {doc.platform.name!r} parsed with {len(diags)} warnings")
-    return EXIT_OK
+    ok = f"ok: {doc.platform.name!r} parsed with {len(diags)} warnings"
+    return _emit([*map(str, diags), ok])
 
 
 def cmd_aem_run(args) -> int:
@@ -237,18 +245,8 @@ def cmd_aem_run(args) -> int:
     result = aemachine.run(
         mf.machine, mf.tape, max_steps=args.max_steps, trace=args.trace
     )
-    try:
-        aemachine.format_run(result, sys.stdout)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader stopped early (say, `| head`).  Drop the rest of the
-        # listing quietly, and point stdout at the null device so the
-        # flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    if (
-        args.strict_halt
-        and result.outcome is aemachine.Outcome.BUDGET_EXHAUSTED
-    ):
+    _guarded(lambda: aemachine.format_run(result, sys.stdout))
+    if args.strict_halt and result.outcome is aemachine.Outcome.BUDGET_EXHAUSTED:
         print(
             f"error: budget of {args.max_steps} steps exhausted before halting",
             file=sys.stderr,

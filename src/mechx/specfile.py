@@ -24,7 +24,7 @@ import threading
 from enum import Enum
 from typing import Optional
 
-from . import _Factory, _LineError, _Record, _lines
+from . import _BLANKS, _Factory, _LineError, _Record, _lines
 from .model import (
     Continuous,
     DiscreteStates,
@@ -95,9 +95,6 @@ _NUM_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?\Z")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 _ESCAPE_RE = re.compile(r"\\(.)")
 
-# Blanks separate tokens; every other character, NBSP and form feed
-# included, belongs to a word or a string.
-_BLANKS = " \t\r"
 # After any blanks, a word or a string.  A string body holds no bare quote,
 # backslash or unknown escape; the closing quote is empty where the body
 # stops short of one.  A comment or the end of the line matches neither.
@@ -311,17 +308,15 @@ def parse_platform(text: str) -> PlatformDocument:
     name, kind, year, processor = values.values()
     if name is None:
         raise MissingPlatformName()
-    try:
-        platform = Platform(
-            name=name,
-            kind=kind if kind is not None else "artificial",
-            groups=tuple(groups),
-            year=year,
-            processor=processor,
-            notes=tuple(notes),
-        )
-    except ValueError as exc:
-        raise ParseError(0, str(exc)) from exc
+    # The statements above have made all of Platform's checks.
+    platform = Platform(
+        name=name,
+        kind=kind if kind is not None else "artificial",
+        groups=tuple(groups),
+        year=year,
+        processor=processor,
+        notes=tuple(notes),
+    )
     return PlatformDocument(
         platform=platform,
         source_line_map=line_map,
@@ -333,7 +328,9 @@ def parse_platform(text: str) -> PlatformDocument:
 def serialize_platform(platform: Platform) -> str:
     """Canonical text form: metadata first, groups in stored order, LF
     line endings, shortest round-trip numbers.  parse(serialize(p)) is
-    semantically equal to p."""
+    semantically equal to p, except that ``Continuous.units`` has no
+    syntax: the round trip resets it to "", so the platforms compare
+    unequal."""
     lines = [f"platform {_escape(platform.name)}"]
     lines.append(f"kind {platform.kind}")
     if platform.year is not None:

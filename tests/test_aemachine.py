@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mechx.aemachine import (
     COMPUTATION,
+    FLAVORS,
     HALTED,
     INCREMENTER,
     MECHANIZATION,
@@ -80,6 +82,15 @@ class TestStep:
         m = mk({})
         with pytest.raises(UndeclaredSymbolInTape):
             run(m, {1: "zz"}, max_steps=1)
+
+    def test_step_refuses_an_undeclared_state_or_symbol(self):
+        m = mk({})
+        with pytest.raises(ValueError, match="^state 'zz' not declared by the machine$"):
+            step(m, MachineConfig(cells={}, head=1, state="zz"))
+        with pytest.raises(
+            UndeclaredSymbolInTape, match="^cell 2 holds undeclared symbol 'zz'$"
+        ):
+            step(m, MachineConfig(cells={2: "zz"}, head=2, state="q0"))
 
     def test_bad_cell_index_rejected(self):
         m = mk({})
@@ -338,6 +349,39 @@ class TestFormat:
             assert doc.tape == tape
             assert serialize_machine(doc.machine, doc.tape) == text
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_machine_and_tape_round_trip(self, data):
+        # Names hold any character but the blanks, "#" and the line ends;
+        # the blank may sit anywhere among the declared symbols.  The text
+        # declares the blank first, so the symbols come back in that order.
+        chars = st.sampled_from("ab01_.->*\xa0\u3000\x0c\u2028\xe9")
+        name = st.text(chars, min_size=1, max_size=3)
+        states = data.draw(st.lists(name, min_size=1, max_size=4, unique=True))
+        symbols = data.draw(st.lists(name, min_size=1, max_size=4, unique=True))
+        state, symbol = st.sampled_from(states), st.sampled_from(symbols)
+        blank = data.draw(symbol)
+        keys = data.draw(st.lists(st.tuples(state, symbol), unique=True))
+        rule = st.tuples(state, symbol, st.sampled_from((-1, 0, 1)))
+        machine = Machine(
+            flavor=data.draw(st.sampled_from(FLAVORS)),
+            states=states,
+            symbols=symbols,
+            blank=blank,
+            transitions={key: data.draw(rule) for key in keys},
+            initial_state=data.draw(state),
+        )
+        tape = data.draw(st.dictionaries(st.integers(1, 10**30), symbol, max_size=6))
+        text = serialize_machine(machine, tape)
+        doc = parse_machine(text)
+        blank_first = (blank, *(s for s in symbols if s != blank))
+        assert doc.machine == Machine(
+            machine.flavor, machine.states, blank_first, blank,
+            machine.transitions, machine.initial_state,
+        )
+        assert doc.tape == tape
+        assert serialize_machine(doc.machine, doc.tape) == text
+
     @pytest.mark.parametrize(
         "text,line",
         [
@@ -487,6 +531,17 @@ _ERROR_TEXTS = [
     (
         "flavor computation\nstates a\nsymbols blank .\ninit zz\n",
         "initial state 'zz' not declared",
+    ),
+    (_DECLARED.replace("states a", "states a a"), "duplicate state names"),
+    (_DECLARED.replace(". x", ". x ."), "duplicate symbol names"),
+    (_DECLARED + "rule a . -> b . S\n", "transition ('a','.') references unknown state"),
+    (_DECLARED + "rule a y -> a . S\n", "transition ('a','y') references unknown symbol"),
+    # A rule is checked for its states before its symbols, and rules in
+    # file order.
+    (_DECLARED + "rule a y -> b . S\n", "transition ('a','y') references unknown state"),
+    (
+        _DECLARED + "rule a x -> a y S\nrule a . -> b . S\n",
+        "transition ('a','x') references unknown symbol",
     ),
 ]
 

@@ -94,6 +94,20 @@ class TestIntHelpers:
             expected = int(ctx.multiply(Decimal(t), Decimal(2).log10(ctx))) + 1
         assert digits_of_pow2(t) == expected
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: ilog10(0), "ilog10 requires a positive integer"),
+            (lambda: ndigits(-1), "ndigits requires a nonnegative integer"),
+            (lambda: leading_digits(0), "leading_digits requires a positive integer"),
+            (lambda: BigCount(0.0, exact=0), "exact count must be >= 1"),
+        ],
+        ids=["ilog10", "ndigits", "leading_digits", "BigCount"],
+    )
+    def test_input_checks(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
     def test_digits_of_pow2_rejects_negative(self):
         with pytest.raises(ValueError):
             digits_of_pow2(-1)

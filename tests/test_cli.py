@@ -1,5 +1,7 @@
 """End-to-end command tests, driving cli.main() in process."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from decimal import Context, Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mechx import cli, specfile
 from mechx.aemachine import INCREMENTER, serialize_machine
@@ -618,6 +621,125 @@ class TestAemRun:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert err == b""
+
+
+_MOVER = "flavor computation\nstates a\nsymbols blank b\ninit a\nrule a b -> a b R\n"
+
+
+@pytest.fixture()
+def reader_files(tmp_path):
+    """Inputs for every command: a platform whose exact count has 71,127
+    digits (more than one 64 KiB piece), a small platform and a machine
+    that never halts."""
+    (tmp_path / "big.mechx").write_text('platform "big"\ngroup "g" count 20000 states 3600\n')
+    (tmp_path / "robot.mechx").write_text(SIMPLE_ROBOT)
+    (tmp_path / "mover.aem").write_text(_MOVER)
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["dataset-list"], 0),
+        (["compute", "@nao"], 0),
+        (["compute", "@nao", "--json"], 0),
+        (["compute", "{dir}/big.mechx", "--exact", "--json"], 0),
+        (["compare", "@nao", "@cat"], 0),
+        (["compare", "@nao", "@cat", "--json"], 0),
+        (["validate", "{dir}/robot.mechx"], 0),
+        (["plot", "--figure", "3", "--out-csv", "{dir}/f.csv", "--out-svg", "{dir}/f.svg"], 0),
+        (["aem-run", "{dir}/mover.aem", "--max-steps", "20000", "--trace"], 0),
+        (["aem-run", "{dir}/mover.aem", "--max-steps", "5", "--strict-halt"], 3),
+    ],
+    ids=[
+        "dataset-list", "compute", "compute-json", "compute-exact-json", "compare",
+        "compare-json", "validate", "plot", "aem-run-trace", "aem-run-strict-halt",
+    ],
+)
+def test_a_reader_gone_before_the_start_ends_each_command_quietly(
+    reader_files, argv, code
+):
+    # `mechx ... | true`: the first write fails, and the command still
+    # exits with the code and the stderr it has with an open reader.
+    def run(stdout):
+        return subprocess.run(
+            [sys.executable, "-m", "mechx.cli", *(a.format(dir=reader_files) for a in argv)],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+            timeout=120,
+        )
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        gone = run(write_end)
+    finally:
+        os.close(write_end)
+    open_reader = run(subprocess.PIPE)
+    assert open_reader.stdout and open_reader.returncode == code
+    assert (gone.returncode, gone.stderr) == (code, open_reader.stderr)
+
+
+# What may follow each subcommand, most of it well formed; an argv also
+# draws from the other subcommands' words and from short arbitrary text.
+_OPERANDS = {
+    "compute": [
+        "@nao", "@nope", "robot.mechx", "uneven.mechx", "bad.mechx", "--json",
+        "--exact", "--log-space", "--mechanical-only",
+    ],
+    "compare": ["@nao", "@cat", "@nope", "robot.mechx", "uneven.mechx", "bad.mechx", "--json"],
+    "dataset-list": ["--help"],
+    "plot": [
+        "--figure", "1", "3", "5", "6", "--out-csv", "out.csv", "--out-svg", "out.svg",
+        "--width", "--height", "100", "640", "0", "-1", "1e3", "nan", "inf", ".",
+    ],
+    "validate": ["robot.mechx", "uneven.mechx", "bad.mechx", "gone.mechx", "-"],
+    "aem-run": [
+        "inc.aem", "mover.aem", "bad.aem", "gone.aem", "--max-steps", "0", "1",
+        "100", "2000", "--trace", "--strict-halt",
+    ],
+}
+_WORDS = sorted({word for words in _OPERANDS.values() for word in words} | {"--", "-h"})
+
+
+def _argv(command):
+    word = st.sampled_from(_OPERANDS[command])
+    other = st.one_of(st.sampled_from(_WORDS), st.text(max_size=4))
+    return st.lists(st.one_of(word, word, other), max_size=8).map(
+        lambda rest: [command, *rest]
+    )
+
+
+def test_any_argv_ends_with_a_documented_exit_code(tmp_path):
+    # Every argv a user can type gives exit code 0, 1, 2 or 3 and never a
+    # traceback.  Arbitrary text is at most four characters, so a step
+    # budget stays below 10,000.
+    (tmp_path / "robot.mechx").write_text(SIMPLE_ROBOT)
+    (tmp_path / "bad.mechx").write_text('platform "p"\ngroup "g" count x\n')
+    (tmp_path / "uneven.mechx").write_text(
+        'platform "p"\ngroup "g" count 1 range 0 1 resolution 0.3\n'
+    )
+    (tmp_path / "inc.aem").write_text(serialize_machine(INCREMENTER.machine, INCREMENTER.tape))
+    (tmp_path / "mover.aem").write_text(_MOVER)
+    (tmp_path / "bad.aem").write_text("flavor computation\nrule\n")
+
+    @given(st.sampled_from(sorted(_OPERANDS)).flatmap(_argv))
+    @settings(max_examples=300, deadline=None)
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue()
+
+    # Relative names, and any text given as an output path, stay in tmp_path.
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        check()
+    finally:
+        os.chdir(cwd)
 
 
 class TestUsage:

@@ -156,6 +156,23 @@ def test_huge_counts_never_form_the_product(paths, levels, count, digits, sci, k
     assert paths["product"] == 0 and "exact" not in vars(c)
 
 
+@pytest.mark.parametrize(
+    "pairs, n, e2, e5",
+    [
+        ([(3, 5)], 7, 0, 0),  # 3**5 has more bits than n: no product formed
+        ([(3, 2)], 5, 0, 0),  # the part prime to 10 exceeds n
+        ([(2, 3)], 1, 1, 0),  # 2**2 left over, more than n has bits
+        ([(3, 1)], 3, 1, 0),  # an exponent of 2 nothing supplies
+        ([(2, 1), (5, 2)], 1, 0, 3),  # an exponent of 5 nothing supplies
+        ([(6, 2), (5, 1)], 9, 2, 1),  # 180 == 9 * 4 * 5
+        ([(10, 4), (7, 1)], 7, 4, 4),
+    ],
+)
+def test_identity_check_agrees_with_the_product(pairs, n, e2, e5):
+    product = math.prod(r**m for r, m in pairs)
+    assert capacity._is_product(pairs, n, e2, e5) == (product == n * 2**e2 * 5**e5)
+
+
 def test_exact_is_formed_on_demand_and_kept():
     pairs = [(3600, 3000), (7, 2)]
     c = count_configurations(platform_of(pairs))

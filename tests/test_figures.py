@@ -239,6 +239,19 @@ class TestSvg:
         assert len(tick_texts) >= 4
         assert all(t[2:].lstrip("-").isdigit() for t in tick_texts)
 
+    def test_log_axis_within_one_decade_labels_its_ends(self):
+        # 2 to 5, padded by 5% of the span in log space each side: no power
+        # of ten lies inside, so the two ends are the ticks.
+        points = [TrendPoint("a", 2.0, 1.0, "s"), TrendPoint("b", 5.0, 2.0, "s")]
+        svg = emit_svg_scatter(points, AxisSpec("x", "y", x_log=True))
+        root = ET.fromstring(svg)
+        x_ticks = [
+            el.text
+            for el in root.iter("{http://www.w3.org/2000/svg}text")
+            if el.get("font-size") == "11" and el.get("text-anchor") == "middle"
+        ]
+        assert x_ticks == ["1.91", "5.23"]
+
     def test_label_suppression(self):
         spec = AxisSpec("x", "y", x_log=False, y_log=False)
         near = [

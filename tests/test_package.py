@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import mechx
-from mechx import aemachine, capacity, figures, model, specfile
+from mechx import aemachine, capacity, cli, figures, model, specfile
 
 
 def test_package_imports_only_stdlib():
@@ -43,6 +43,24 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_cli_writes_stdout_only_through_its_guard_and_writer():
+    # A reader that leaves early ends a command quietly only when the
+    # command writes through cli._emit or cli._guarded.
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    bare_prints, writers = [], set()
+    for statement in tree.body:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "print":
+                files = [ast.unparse(k.value) for k in node.keywords if k.arg == "file"]
+                if files != ["sys.stderr"]:
+                    bare_prints.append(node.lineno)
+            elif isinstance(node, ast.Attribute) and node.attr in ("write", "flush"):
+                if ast.unparse(node.value) == "sys.stdout":
+                    writers.add(getattr(statement, "name", None))
+    assert bare_prints == []
+    assert writers == {"_guarded", "_emit"}
 
 
 PUBLIC_NAMES = [

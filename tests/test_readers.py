@@ -60,6 +60,35 @@ def test_only_lf_crlf_and_cr_end_a_line(sep):
     assert str(info.value) == "line 5: unknown keyword 'bogus'"
 
 
+@pytest.mark.parametrize(
+    "sep, blank",
+    [
+        (" ", True), ("\t", True), (" \t  ", True), ("\xa0", False), ("\u3000", False),
+        ("\u2003", False), ("\x1f", False), *((brk, False) for brk in OTHER_BREAKS),
+    ],
+    ids=lambda s: "-".join(f"U+{ord(c):04X}" for c in s) if isinstance(s, str) else None,
+)
+def test_both_readers_split_words_at_the_same_blanks(sep, blank):
+    # Space, tab and CR are the blanks of both formats (CR also ends a
+    # line); any other character belongs to the word it stands in.
+    platform_text = f'platform "p"\nkind{sep}natural\n'
+    machine_text = f"flavor computation\nstates a\nsymbols blank e\ninit{sep}a\n"
+    if blank:
+        assert parse_platform(platform_text).platform.kind == "natural"
+        assert parse_machine(machine_text).machine.initial_state == "a"
+        return
+    with pytest.raises(ParseError) as info:
+        parse_platform(platform_text)
+    assert str(info.value) == f"line 2: unknown keyword {f'kind{sep}natural'!r}"
+    with pytest.raises(MachineFormatError) as info:
+        parse_machine(machine_text)
+    assert str(info.value) == f"line 4: unknown keyword {f'init{sep}a'!r}"
+    machine = parse_machine(
+        f"flavor computation\nstates a{sep}b\nsymbols blank e{sep}x\ninit a{sep}b\n"
+    ).machine
+    assert (machine.states, machine.symbols) == ((f"a{sep}b",), (f"e{sep}x",))
+
+
 def test_lines_splits_like_text_mode_open():
     assert _lines("a\nb\r\nc\rd\x0ce\u2028f") == ["a", "b", "c", "d\x0ce\u2028f"]
     assert _lines("a\r\r\n\n") == ["a", "", "", ""]

@@ -272,6 +272,36 @@ def test_post_init_normalizes_fields():
         (lambda: TrendPoint("p", math.inf, 1.0, "s"), ValueError, "non-finite coordinates"),
         (lambda: Machine("x", ("q",), ("e",), "e", {}, "q"), ValueError, "flavor must be"),
         (lambda: Machine("computation", ("q",), ("e",), "b", {}, "q"), ValueError, "blank"),
+        (
+            lambda: Machine("computation", (), ("e",), "e", {}, "q"),
+            ValueError,
+            "^machine needs at least one state$",
+        ),
+        (
+            lambda: Machine("computation", ("q", "q"), ("e",), "e", {}, "q"),
+            ValueError,
+            "^duplicate state names$",
+        ),
+        (
+            lambda: Machine("computation", ("q",), ("e", "e"), "e", {}, "q"),
+            ValueError,
+            "^duplicate symbol names$",
+        ),
+        (
+            lambda: Machine("computation", ("q",), ("e",), "e", {("q", "e"): ("r", "e", 0)}, "q"),
+            ValueError,
+            r"^transition \('q','e'\) references unknown state$",
+        ),
+        (
+            lambda: Machine("computation", ("q",), ("e",), "e", {("q", "e"): ("q", "x", 0)}, "q"),
+            ValueError,
+            r"^transition \('q','e'\) references unknown symbol$",
+        ),
+        (
+            lambda: Machine("computation", ("q",), ("e",), "e", {("q", "e"): ("q", "e", 2)}, "q"),
+            ValueError,
+            r"^move must be -1, 0, or \+1, got 2$",
+        ),
         (lambda: MachineConfig({0: "e"}, 1, "q"), ValueError, "cell index must be"),
         (lambda: MachineConfig({}, 0, "q"), ValueError, "head must be >= 1"),
         (lambda: MachineConfig({}, 1, "q", -1), ValueError, "step_count must be >= 0"),

@@ -222,6 +222,11 @@ class TestParseErrors:
                 'platform "a"\nprocessor "p"\n',
                 "line 2: expected 'transistors', found end of line",
             ),
+            (
+                'platform "a"\nprocessor\n',
+                "line 2: expected 'transistors', found end of line",
+            ),
+            ('platform ""\n', "line 1: platform name must be non-empty"),
         ],
     )
     def test_statement_messages(self, text, message):
