@@ -1,6 +1,8 @@
 """Trend tables, CSV emission, and deterministic SVG rendering."""
 
+import hashlib
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -297,3 +299,91 @@ class TestSvg:
     def test_empty_dataset_renders(self):
         svg = emit_svg_scatter([], SQUARE)
         ET.fromstring(svg)
+
+
+def _points(series_of, *rows):
+    return [TrendPoint(label, x, y, series_of) for label, x, y in rows]
+
+
+LINEAR = AxisSpec("x", "y")
+_NINE_SERIES = ["artificial", "natural-anatomy", "natural-behavior"] + [
+    f"extra-{i}" for i in range(1, 7)
+]
+
+# Synthetic inputs beyond the five bundled figures, each with the SHA-256
+# of its SVG and the warnings it gives.  The digests were recorded from
+# the emitter as it stood before it was rewritten around one text writer
+# and one pixel mapping per axis, so they pin every byte of that output.
+PINNED_SVGS = {
+    "fallback-colors": (
+        [TrendPoint(f"p{i}", float(i), float(i * i), s) for i, s in enumerate(_NINE_SERIES)],
+        LINEAR,
+        {},
+        "b6e6df209e5c5054e6e95dfb5e133677eb6af51035c3980d99117f850f548ebe",
+        (),
+    ),
+    "escaped-text": (
+        _points("<s&t>", ("a<b & c>", 1.0, 10.0), ("&amp;", 100.0, 1000.0)),
+        AxisSpec("x <&> axis", "y & <y>", x_log=True, y_log=True),
+        {},
+        "bf1c7712f85d23996b09b66598d53ff487d6d2a8f857d1f8bf45b211eefb6118",
+        (),
+    ),
+    "fractional-negative-ticks": (
+        _points("s", ("lo", -0.37, -1250.0), ("mid", -0.05, -400.5), ("hi", 0.021, -3.0)),
+        LINEAR,
+        {},
+        "4a0f9cbafe092ed249ac4952859868fea422bca2f9ca753a4f337808d85f6aa8",
+        (),
+    ),
+    "log-x-linear-y": (
+        _points("s", ("a", 0.002, -7.5), ("b", 3.0, 0.25), ("c", 4.0e9, 12.0)),
+        AxisSpec("x", "y", x_log=True),
+        {},
+        "0ab788d5285a86fce15c01789f3a28d0afb33277c42a37a97925c172dbf5e95c",
+        (),
+    ),
+    "crowded-labels": (
+        [TrendPoint(f"p{i}", i * 0.01, (i % 3) * 0.01, "s") for i in range(30)]
+        + _points("t", ("far", 5.0, 5.0), ("near-far", 5.001, 5.0)),
+        LINEAR,
+        {},
+        "0cd5fc82b3acac42137de13a2790cfb0119067b56cf161924e01b03676b10112",
+        (),
+    ),
+    "empty": ([], SQUARE, {}, "ce8ff43c462fdebec7895d170f105c8e8ab2704db25d2aac7bb1e2ed9636d49c", ()),
+    "odd-size": (
+        _points("s", ("a", 1.5, 2.5), ("b", 7.25, 9.125)),
+        LINEAR,
+        {"width": 333.3, "height": 217},
+        "5ba19be21984825ca79932abba72c2d687a964ccffdc6ad29662c146a304460c",
+        (),
+    ),
+    "single-point-log": (
+        _points("s", ("only", 100.0, 10.0)),
+        SQUARE,
+        {"width": 500, "height": 500},
+        "f436b74e9b4230015d77aa59f8f359350d3d0b975ad63c580b1d9d124ea8b5e9",
+        ("x axis has zero span; padding by half a decade",
+         "y axis has zero span; padding by half a decade"),
+    ),
+    "single-point-linear": (
+        _points("s", ("only", 3.0, -2.0)),
+        LINEAR,
+        {},
+        "bdc2f5993ad2228560d7ed07ae80542f14703109cd96ff386e52f2ef86bb8bd8",
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SVGS)
+def test_svg_bytes_are_pinned(name):
+    points, spec, size, digest, expected_warnings = PINNED_SVGS[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        svg = emit_svg_scatter(points, spec, **size)
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
+    assert [(w.category, str(w.message), w.filename) for w in caught] == [
+        (DegenerateAxisWarning, message, __file__) for message in expected_warnings
+    ]
