@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import sys
 import warnings
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -269,20 +271,39 @@ MAX_SIZE_PX = 1_000_000
 
 
 def _esc(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _text(x, y: float, size: int, body: str, anchor: str = "", extra: str = "") -> str:
+    """Every label of a figure: the attribute order, the font and the
+    escaping live here.  An x given as a str is written as is, a number
+    to two decimals."""
+    x = x if isinstance(x, str) else f"{x:.2f}"
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
     return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        f'<text x="{x}" y="{y:.2f}" font-size="{size}"{anchor} '
+        f'font-family="sans-serif"{extra}>{_esc(body)}</text>'
     )
 
 
-def _axis_range(values: list[float], log: bool, axis_name: str) -> tuple[float, float]:
-    """Data range in plot coordinates (log10 space for log axes), padded."""
-    if log:
-        for v in values:
-            if v <= 0:
-                raise ValueError(f"log-scaled {axis_name} axis requires positive values")
-        coords = [math.log10(v) for v in values]
-    else:
-        coords = values
+# A tick mark on either axis.
+_LINE = (
+    '<line x1="{:.2f}" y1="{:.2f}" x2="{:.2f}" y2="{:.2f}" '
+    'stroke="black" stroke-width="1"/>'
+)
+
+
+def _coords(values: list[float], log: bool, axis_name: str) -> list[float]:
+    """Plot coordinates of one axis: the values, or their log10 on a log axis."""
+    if not log:
+        return values
+    if any(v <= 0 for v in values):
+        raise ValueError(f"log-scaled {axis_name} axis requires positive values")
+    return [math.log10(v) for v in values]
+
+
+def _axis_range(coords: list[float], log: bool, axis_name: str) -> tuple[float, float]:
+    """The range of plot coordinates, padded."""
     lo, hi = min(coords), max(coords)
     if lo == hi:
         if log:
@@ -294,23 +315,27 @@ def _axis_range(values: list[float], log: bool, axis_name: str) -> tuple[float, 
         pad = 0.5
     else:
         pad = 0.05 * (hi - lo)
-    return lo - pad, hi + pad
+    lo, hi = lo - pad, hi + pad
+    # A span of 0, inf or below the smallest normal float has no tick step.
+    if not sys.float_info.min <= hi - lo < math.inf:
+        raise ValueError(f"{axis_name} axis cannot be drawn: padded span {hi - lo!r}")
+    return lo, hi
 
 
 def _linear_ticks(lo: float, hi: float) -> list[float]:
     # Standard 1-2-5 tick spacing, about five ticks across the span.
-    span = hi - lo
-    raw = span / 5
+    raw = (hi - lo) / 5
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 5, 10):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-12 * abs(step):
         ticks.append(round(t, 12))
+        if t + step == t:  # a step below the float spacing at t
+            break
         t += step
     return ticks
 
@@ -336,13 +361,13 @@ def emit_svg_scatter(
     axis_spec: AxisSpec,
     width: float = 640,
     height: float = 480,
-    label_min_gap: float = LABEL_SUPPRESS_PX,
 ) -> str:
     """Self-contained SVG 1.1 scatter plot.
 
     Log axes get power-of-10 ticks.  Point labels are drawn unless the
-    marker sits within ``label_min_gap`` pixels of an already drawn
-    marker.  Output is a pure function of the inputs.
+    marker sits within LABEL_SUPPRESS_PX pixels of an already drawn
+    marker.  An axis whose padded span is zero or not finite raises
+    ValueError.  Output is a pure function of the inputs.
     """
     if not (width > 0 and height > 0):  # NaN fails this too
         raise ValueError("width and height must be positive")
@@ -354,113 +379,62 @@ def emit_svg_scatter(
     if plot_w <= 0 or plot_h <= 0:
         raise ValueError("figure too small for its margins")
 
-    if pts:
-        x_lo, x_hi = _axis_range([p.x for p in pts], axis_spec.x_log, "x")
-        y_lo, y_hi = _axis_range([p.y for p in pts], axis_spec.y_log, "y")
-    else:
-        x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
+    x_log, y_log = axis_spec.x_log, axis_spec.y_log
+    xs = _coords([p.x for p in pts], x_log, "x")
+    x_lo, x_hi = _axis_range(xs, x_log, "x") if pts else (0.0, 1.0)
+    ys = _coords([p.y for p in pts], y_log, "y")
+    y_lo, y_hi = _axis_range(ys, y_log, "y") if pts else (0.0, 1.0)
 
-    def xc(v: float) -> float:
-        c = math.log10(v) if axis_spec.x_log else v
+    def px(c: float) -> float:
         return _MARGIN_LEFT + (c - x_lo) / (x_hi - x_lo) * plot_w
 
-    def yc(v: float) -> float:
-        c = math.log10(v) if axis_spec.y_log else v
+    def py(c: float) -> float:
         return _MARGIN_TOP + plot_h - (c - y_lo) / (y_hi - y_lo) * plot_h
 
-    out: list[str] = []
-    out.append(
+    ax_b = _MARGIN_TOP + plot_h
+    mid_x, mid_y = _MARGIN_LEFT + plot_w / 2, _MARGIN_TOP + plot_h / 2
+    out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt_num(width)}" height="{_fmt_num(height)}" '
-        f'viewBox="0 0 {_fmt_num(width)} {_fmt_num(height)}">'
-    )
-    out.append(
+        f'viewBox="0 0 {_fmt_num(width)} {_fmt_num(height)}">',
         f'<rect x="0" y="0" width="{_fmt_num(width)}" height="{_fmt_num(height)}" '
-        f'fill="white"/>'
-    )
-    ax_b = _MARGIN_TOP + plot_h
-    ax_r = _MARGIN_LEFT + plot_w
-    out.append(
+        f'fill="white"/>',
         f'<rect x="{_MARGIN_LEFT:.2f}" y="{_MARGIN_TOP:.2f}" '
         f'width="{plot_w:.2f}" height="{plot_h:.2f}" '
-        f'fill="none" stroke="black" stroke-width="1"/>'
-    )
-
-    x_ticks = (_log_ticks if axis_spec.x_log else _linear_ticks)(x_lo, x_hi)
-    y_ticks = (_log_ticks if axis_spec.y_log else _linear_ticks)(y_lo, y_hi)
-    for t in x_ticks:
-        px = _MARGIN_LEFT + (t - x_lo) / (x_hi - x_lo) * plot_w
-        out.append(
-            f'<line x1="{px:.2f}" y1="{ax_b:.2f}" x2="{px:.2f}" '
-            f'y2="{ax_b + 5:.2f}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{px:.2f}" y="{ax_b + 18:.2f}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">'
-            f"{_esc(_tick_label(t, axis_spec.x_log))}</text>"
-        )
-    for t in y_ticks:
-        py = _MARGIN_TOP + plot_h - (t - y_lo) / (y_hi - y_lo) * plot_h
-        out.append(
-            f'<line x1="{_MARGIN_LEFT - 5:.2f}" y1="{py:.2f}" '
-            f'x2="{_MARGIN_LEFT:.2f}" y2="{py:.2f}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_MARGIN_LEFT - 8:.2f}" y="{py + 4:.2f}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif">'
-            f"{_esc(_tick_label(t, axis_spec.y_log))}</text>"
-        )
-
-    out.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{height - 8:.2f}" '
-        f'font-size="12" text-anchor="middle" font-family="sans-serif">'
-        f"{_esc(axis_spec.x_label)}</text>"
-    )
-    out.append(
-        f'<text x="14" y="{_MARGIN_TOP + plot_h / 2:.2f}" font-size="12" '
-        f'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(-90 14 {_MARGIN_TOP + plot_h / 2:.2f})">'
-        f"{_esc(axis_spec.y_label)}</text>"
-    )
+        f'fill="none" stroke="black" stroke-width="1"/>',
+    ]
+    for t in (_log_ticks if x_log else _linear_ticks)(x_lo, x_hi):
+        x = px(t)
+        out.append(_LINE.format(x, ax_b, x, ax_b + 5))
+        out.append(_text(x, ax_b + 18, 11, _tick_label(t, x_log), "middle"))
+    for t in (_log_ticks if y_log else _linear_ticks)(y_lo, y_hi):
+        y = py(t)
+        out.append(_LINE.format(_MARGIN_LEFT - 5, y, _MARGIN_LEFT, y))
+        out.append(_text(_MARGIN_LEFT - 8, y + 4, 11, _tick_label(t, y_log), "end"))
+    rotate = f' transform="rotate(-90 14 {mid_y:.2f})"'
+    out.append(_text(mid_x, height - 8, 12, axis_spec.x_label, "middle"))
+    out.append(_text("14", mid_y, 12, axis_spec.y_label, "middle", rotate))
 
     series_names = sorted({p.series for p in pts})
-    colors = {}
-    fallback = 0
-    for name in series_names:
-        if name in _PALETTE:
-            colors[name] = _PALETTE[name]
-        else:
-            colors[name] = _FALLBACK_COLORS[fallback % len(_FALLBACK_COLORS)]
-            fallback += 1
+    fallback = itertools.cycle(_FALLBACK_COLORS)
+    colors = {s: _PALETTE[s] if s in _PALETTE else next(fallback) for s in series_names}
 
     placed: list[tuple[float, float]] = []
-    for p in pts:
-        px, py = xc(p.x), yc(p.y)
-        out.append(
-            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" '
-            f'fill="{colors[p.series]}" class="marker"/>'
-        )
-        crowded = any(
-            (px - qx) ** 2 + (py - qy) ** 2 < label_min_gap ** 2
-            for qx, qy in placed
-        )
-        if not crowded:
-            out.append(
-                f'<text x="{px + 5:.2f}" y="{py - 5:.2f}" font-size="10" '
-                f'font-family="sans-serif">{_esc(p.label)}</text>'
-            )
-        placed.append((px, py))
+    gap2 = LABEL_SUPPRESS_PX ** 2
+    for p, cx, cy in zip(pts, xs, ys):
+        x, y = px(cx), py(cy)
+        color = colors[p.series]
+        out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}" class="marker"/>')
+        if not any((x - qx) ** 2 + (y - qy) ** 2 < gap2 for qx, qy in placed):
+            out.append(_text(x + 5, y - 5, 10, p.label))
+        placed.append((x, y))
 
+    lx = _MARGIN_LEFT + plot_w - 150
     for i, name in enumerate(series_names):
         ly = _MARGIN_TOP + 14 + 16 * i
-        lx = ax_r - 150
-        out.append(
-            f'<circle cx="{lx:.2f}" cy="{ly - 4:.2f}" r="4" fill="{colors[name]}"/>'
-        )
-        out.append(
-            f'<text x="{lx + 10:.2f}" y="{ly:.2f}" font-size="11" '
-            f'font-family="sans-serif">{_esc(name)}</text>'
-        )
+        color = colors[name]
+        out.append(f'<circle cx="{lx:.2f}" cy="{ly - 4:.2f}" r="4" fill="{color}"/>')
+        out.append(_text(lx + 10, ly, 11, name))
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -2,11 +2,16 @@
 
 import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from mechx import figures
 from mechx.figures import (
     FIGURE_IDS,
     NEURON_COUNTS,
@@ -387,3 +392,48 @@ def test_svg_bytes_are_pinned(name):
     assert [(w.category, str(w.message), w.filename) for w in caught] == [
         (DegenerateAxisWarning, message, __file__) for message in expected_warnings
     ]
+
+
+@pytest.mark.parametrize(
+    "axis, values, message",
+    [
+        ("x", (1e16,), "x axis cannot be drawn: padded span 0.0"),
+        ("x", (-1e308, 1e308), "x axis cannot be drawn: padded span inf"),
+        ("y", (1.7e308, -1e308), "y axis cannot be drawn: padded span inf"),
+        ("y", (0.0, 5e-324), "y axis cannot be drawn: padded span 5e-324"),
+    ],
+    ids=["point-at-1e16", "x-past-float-range", "y-past-float-range", "subnormal-span"],
+)
+def test_axis_that_cannot_be_drawn_raises(axis, values, message):
+    # One point at 1e16 pads by 0.5, which rounds away; 2e308 overflows.
+    points = [
+        TrendPoint(f"p{i}", *((v, 1.0 + i) if axis == "x" else (1.0 + i, v)), "s")
+        for i, v in enumerate(values)
+    ]
+    with pytest.raises(ValueError) as info:
+        emit_svg_scatter(points, LINEAR)
+    assert str(info.value) == message
+
+
+def test_tick_step_below_the_float_spacing_ends():
+    # Near 1e16 floats are 2 apart, so a tick step of 1 leaves a tick
+    # where it is; the loop must end instead of spinning.
+    code = (
+        "from mechx.figures import AxisSpec, TrendPoint, emit_svg_scatter\n"
+        "points = [TrendPoint('a', 1e16, 0.0, 's'), TrendPoint('b', 1e16 + 4, 1.0, 's')]\n"
+        "svg = emit_svg_scatter(points, AxisSpec('x', 'y'))\n"
+        "print([line for line in svg.splitlines() if 'y=\"448.00\"' in line])\n"
+    )
+    src = pathlib.Path(figures.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "['<text x=\"70.00\" y=\"448.00\" font-size=\"11\" text-anchor=\"middle\" "
+        "font-family=\"sans-serif\">1e+16</text>']\n"
+    )

@@ -63,6 +63,13 @@ def test_cli_writes_stdout_only_through_its_guard_and_writer():
     assert writers == {"_guarded", "_emit"}
 
 
+def test_figures_spells_out_the_svg_text_element_once():
+    # Every label of a figure goes through figures._text, which owns the
+    # element, its attribute order, the font and the escaping.
+    source = pathlib.Path(figures.__file__).read_text(encoding="utf-8")
+    assert (source.count("<text"), source.count("font-family")) == (1, 1)
+
+
 PUBLIC_NAMES = [
     "ARTIFICIAL", "NATURAL", "NON_MECHANICAL_TAG", "Continuous", "DiscreteStates",
     "DofGroup", "NonIntegralSpan", "Platform", "ProcessorSpec", "mechanical_groups",
