@@ -145,6 +145,17 @@ class _Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _require_int(record: _Record, field: str) -> None:
+    # Counts, heads and step numbers must be exact ints: a float, NaN
+    # included, would pass the range checks and then fail deep inside a
+    # count or a tape lookup.
+    value = getattr(record, field)
+    if not isinstance(value, int):
+        raise ValueError(
+            f"{type(record).__name__}.{field} must be an int, got {value!r}"
+        )
+
+
 # The public names, by the submodule that defines them.  Importing the
 # package imports none of these submodules: each is imported when one of
 # its names, or the submodule itself, is first looked up here.

@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Union
 
-from . import _BLANKS, _Factory, _LineError, _Record, _lines
+from . import _BLANKS, _Factory, _LineError, _Record, _lines, _require_int
 
 COMPUTATION = "computation"
 MECHANIZATION = "mechanization"
@@ -60,7 +60,9 @@ class Machine(_Record):
     """Immutable machine definition.
 
     ``transitions`` maps (state, read symbol) to (next state, written
-    symbol, move); pairs with no entry halt the machine.
+    symbol, move); pairs with no entry halt the machine.  ``symbols``
+    keeps the declared order with the blank moved first, as the .aem
+    format declares it, so a machine equals its own round trip.
     """
 
     flavor: str
@@ -82,8 +84,10 @@ class Machine(_Record):
             raise ValueError("duplicate state names")
         if len(symbols) != len(self.symbols):
             raise ValueError("duplicate symbol names")
-        if self.blank not in self.symbols:
+        if self.blank not in symbols:
             raise ValueError(f"blank {self.blank!r} is not a declared symbol")
+        blank_first = (self.blank, *(s for s in self.symbols if s != self.blank))
+        object.__setattr__(self, "symbols", blank_first)
         if self.initial_state not in self.states:
             raise ValueError(f"initial state {self.initial_state!r} not declared")
         object.__setattr__(self, "transitions", dict(self.transitions))
@@ -105,6 +109,8 @@ class MachineConfig(_Record):
         for idx in cells:
             if not isinstance(idx, int) or idx < 1:
                 raise ValueError(f"cell index must be an integer >= 1, got {idx!r}")
+        _require_int(self, "head")
+        _require_int(self, "step_count")
         if self.head < 1:
             raise ValueError(f"head must be >= 1, got {self.head}")
         if self.step_count < 0:
@@ -146,11 +152,11 @@ class _Tables:
     """A Machine compiled to integer tables, checking each transition as
     it fills the transition's slot.
 
-    Symbol code 0 is the blank; the other symbols follow in declaration
-    order.  State i owns the slots ``i * nsym`` to ``i * nsym + nsym - 1``,
-    so the kernel carries a state as that slot base.  ``table[base +
-    read]`` is None (halt) or (next base, written code, move, rule id),
-    and ``rules[rule id]`` is (state, read, written, move) by name.
+    Symbol code i is ``machine.symbols[i]``, so code 0 is the blank.
+    State i owns the slots ``i * nsym`` to ``i * nsym + nsym - 1``, so
+    the kernel carries a state as that slot base.  ``table[base + read]``
+    is None (halt) or (next base, written code, move, rule id), and
+    ``rules[rule id]`` is (state, read, written, move) by name.
     A trace line is its step number, ``before[rule id]``, its head and
     ``after[rule id]``.
     """
@@ -160,8 +166,7 @@ class _Tables:
     )
 
     def __init__(self, machine: Machine):
-        blank = machine.blank
-        self.symbols = (blank,) + tuple(s for s in machine.symbols if s != blank)
+        self.symbols = machine.symbols
         self.code = {s: i for i, s in enumerate(self.symbols)}
         self.nsym = len(self.symbols)
         self.states = machine.states

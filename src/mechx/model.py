@@ -12,7 +12,7 @@ import math
 import sys
 from typing import Optional, Union
 
-from . import _Record
+from . import _Record, _require_int
 
 # Relative tolerance for deciding that span/resolution is an integer.
 INTEGRALITY_REL_TOL = 1e-9
@@ -36,16 +36,6 @@ class NonIntegralSpan(ValueError):
         super().__init__(
             f"group {label!r}: span/resolution = {ratio!r} deviates from "
             f"{nearest} by more than {INTEGRALITY_REL_TOL:g} (relative)"
-        )
-
-
-def _require_int(record: _Record, field: str) -> None:
-    # The counting core needs an exact int: a float, NaN included, would
-    # pass the range checks and then fail deep inside the count.
-    value = getattr(record, field)
-    if not isinstance(value, int):
-        raise ValueError(
-            f"{type(record).__name__}.{field} must be an int, got {value!r}"
         )
 
 

@@ -320,6 +320,12 @@ class TestFormat:
             "tape 3 1\n"
         )
 
+    def test_blank_declared_last_comes_first_and_round_trips(self):
+        m = Machine("computation", ("q",), ("x", "e"), "e", {}, "q")
+        assert m.symbols == ("e", "x")
+        assert m == Machine("computation", ("q",), ("e", "x"), "e", {}, "q")
+        assert parse_machine(serialize_machine(m)).machine == m
+
     def test_comments_and_blanks_ignored(self):
         text = (
             "# header\n"
@@ -343,7 +349,7 @@ class TestFormat:
             assert doc.machine.flavor == m.flavor
             assert doc.machine.states == m.states
             assert doc.machine.blank == m.blank
-            assert set(doc.machine.symbols) == set(m.symbols)
+            assert doc.machine.symbols == m.symbols
             assert doc.machine.transitions == m.transitions
             assert doc.machine.initial_state == m.initial_state
             assert doc.tape == tape
@@ -353,8 +359,7 @@ class TestFormat:
     @settings(max_examples=100, deadline=None)
     def test_any_machine_and_tape_round_trip(self, data):
         # Names hold any character but the blanks, "#" and the line ends;
-        # the blank may sit anywhere among the declared symbols.  The text
-        # declares the blank first, so the symbols come back in that order.
+        # the blank may sit anywhere among the declared symbols.
         chars = st.sampled_from("ab01_.->*\xa0\u3000\x0c\u2028\xe9")
         name = st.text(chars, min_size=1, max_size=3)
         states = data.draw(st.lists(name, min_size=1, max_size=4, unique=True))
@@ -374,11 +379,7 @@ class TestFormat:
         tape = data.draw(st.dictionaries(st.integers(1, 10**30), symbol, max_size=6))
         text = serialize_machine(machine, tape)
         doc = parse_machine(text)
-        blank_first = (blank, *(s for s in symbols if s != blank))
-        assert doc.machine == Machine(
-            machine.flavor, machine.states, blank_first, blank,
-            machine.transitions, machine.initial_state,
-        )
+        assert doc.machine == machine
         assert doc.tape == tape
         assert serialize_machine(doc.machine, doc.tape) == text
 

@@ -332,8 +332,17 @@ def test_post_init_checks_still_fire(build, error, message):
         ),
         (lambda: ProcessorSpec("c", 1.5), "ProcessorSpec.transistors must be an int, got 1.5"),
         (lambda: ProcessorSpec("c", math.nan), "ProcessorSpec.transistors must be an int, got nan"),
+        (lambda: MachineConfig({}, 1.5, "q"), "MachineConfig.head must be an int, got 1.5"),
+        (lambda: MachineConfig({}, math.nan, "q"), "MachineConfig.head must be an int, got nan"),
+        (
+            lambda: MachineConfig({}, 1, "q", 2.0),
+            "MachineConfig.step_count must be an int, got 2.0",
+        ),
     ],
-    ids=["states", "states-nan", "group", "group-nan", "processor", "processor-nan"],
+    ids=[
+        "states", "states-nan", "group", "group-nan", "processor", "processor-nan",
+        "head", "head-nan", "step-count",
+    ],
 )
 def test_counts_must_be_ints(build, message):
     with pytest.raises(ValueError) as info:
