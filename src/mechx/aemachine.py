@@ -60,9 +60,9 @@ class Machine(_Record):
     """Immutable machine definition.
 
     ``transitions`` maps (state, read symbol) to (next state, written
-    symbol, move); pairs with no entry halt the machine.  ``symbols``
-    keeps the declared order with the blank moved first, as the .aem
-    format declares it, so a machine equals its own round trip.
+    symbol, move); pairs with no entry halt the machine.  ``symbols`` is
+    stored with the blank first, as .aem files list it, and the others in
+    the given order, so a machine equals its own round trip.
     """
 
     flavor: str

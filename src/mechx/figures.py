@@ -19,7 +19,6 @@ import csv
 import io
 import itertools
 import math
-import sys
 import warnings
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -274,10 +273,11 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _text(x, y: float, size: int, body: str, anchor: str = "", extra: str = "") -> str:
-    """Every label of a figure: the attribute order, the font and the
-    escaping live here.  An x given as a str is written as is, a number
-    to two decimals."""
+def _text(
+    x: float | str, y: float, size: int, body: str, anchor: str = "", extra: str = ""
+) -> str:
+    """Every label of a figure goes through here.  An x given as a str is
+    written as is, a number to two decimals."""
     x = x if isinstance(x, str) else f"{x:.2f}"
     anchor = f' text-anchor="{anchor}"' if anchor else ""
     return (
@@ -316,8 +316,7 @@ def _axis_range(coords: list[float], log: bool, axis_name: str) -> tuple[float, 
     else:
         pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
-    # A span of 0, inf or below the smallest normal float has no tick step.
-    if not sys.float_info.min <= hi - lo < math.inf:
+    if not 0 < hi - lo < math.inf:
         raise ValueError(f"{axis_name} axis cannot be drawn: padded span {hi - lo!r}")
     return lo, hi
 
@@ -366,7 +365,7 @@ def emit_svg_scatter(
 
     Log axes get power-of-10 ticks.  Point labels are drawn unless the
     marker sits within LABEL_SUPPRESS_PX pixels of an already drawn
-    marker.  An axis whose padded span is zero or not finite raises
+    marker.  An axis whose padded span is zero or infinite raises
     ValueError.  Output is a pure function of the inputs.
     """
     if not (width > 0 and height > 0):  # NaN fails this too
