@@ -356,7 +356,13 @@ PINNED_SVGS = {
         "0cd5fc82b3acac42137de13a2790cfb0119067b56cf161924e01b03676b10112",
         (),
     ),
-    "empty": ([], SQUARE, {}, "ce8ff43c462fdebec7895d170f105c8e8ab2704db25d2aac7bb1e2ed9636d49c", ()),
+    "empty": (
+        [],
+        SQUARE,
+        {},
+        "ce8ff43c462fdebec7895d170f105c8e8ab2704db25d2aac7bb1e2ed9636d49c",
+        (),
+    ),
     "odd-size": (
         _points("s", ("a", 1.5, 2.5), ("b", 7.25, 9.125)),
         LINEAR,
