@@ -123,7 +123,7 @@ class _Record:
         return tuple(self.__dict__[f] for f in self._fields)
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):

@@ -11,7 +11,9 @@ Tape cells are indexed from 1 and given and returned sparsely (blanks
 implicit).  The head clamps at cell 1; a left move at the edge stays
 put.  The transition table may be partial: a missing entry means the
 machine halts.  Runs go through one kernel over integer tables compiled
-once per machine; traces are kept as integer columns.
+once per machine.  A trace keeps one column, the rule id of each step;
+the heads follow from the rules' moves.  A run's final configuration is
+built from the kernel's tape only when it is read.
 
     >>> m, tape = INCREMENTER.machine, {1: "1", 2: "1", 3: "1"}
     >>> result = run(m, tape, max_steps=100)
@@ -24,6 +26,7 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from enum import Enum
+from itertools import accumulate, islice
 from typing import Mapping, NamedTuple, Optional, Union
 
 from . import _BLANKS, _Factory, _LineError, _Record, _lines, _require_int
@@ -117,6 +120,14 @@ class MachineConfig(_Record):
             raise ValueError("step_count must be >= 0")
         object.__setattr__(self, "cells", cells)
 
+    @classmethod
+    def _trusted(cls, cells: dict, head: int, state: str, step_count: int):
+        """A configuration from values the kernel made, taken as they are:
+        no copy of ``cells`` and no checks."""
+        config = object.__new__(cls)
+        config.__dict__.update(cells=cells, head=head, state=state, step_count=step_count)
+        return config
+
 
 class _HaltedType:
     """Singleton returned by step() when no transition applies."""
@@ -156,13 +167,14 @@ class _Tables:
     State i owns the slots ``i * nsym`` to ``i * nsym + nsym - 1``, so
     the kernel carries a state as that slot base.  ``table[base + read]``
     is None (halt) or (next base, written code, move, rule id), and
-    ``rules[rule id]`` is (state, read, written, move) by name.
-    A trace line is its step number, ``before[rule id]``, its head and
-    ``after[rule id]``.
+    ``rules[rule id]`` is (state, read, written, move) by name and
+    ``moves[rule id]`` its move.  A trace line is its step number,
+    ``before[rule id]``, its head and ``after[rule id]``.
     """
 
     __slots__ = (
-        "symbols", "code", "nsym", "states", "base", "table", "rules", "before", "after"
+        "symbols", "code", "nsym", "states", "base", "table", "rules", "moves",
+        "before", "after",
     )
 
     def __init__(self, machine: Machine):
@@ -183,6 +195,7 @@ class _Tables:
             slot = self.base[q] + self.code[s]
             self.table[slot] = (self.base[q2], self.code[w], move, len(self.rules))
             self.rules.append((q, s, w, move))
+        self.moves = [m for _, _, _, m in self.rules]
         self.before = [f" {q} " for q, _, _, _ in self.rules]
         self.after = [f" {s} {w} {_LETTER_OF_MOVE[m]}\n" for _, s, w, m in self.rules]
 
@@ -193,36 +206,79 @@ class _Tables:
 class Trace(Sequence):
     """The steps of a traced run as a read-only sequence of TraceStep.
 
-    Stored as two integer columns, the rule id and the head of each step,
-    so a step costs a few bytes instead of a tuple of five objects.
+    Stored as one column, the rule id of each step: one byte a step for
+    up to 256 rules, two for up to 65,536, four beyond.  Heads are not
+    stored.  Every run starts at cell 1 and each step moves the head by
+    its rule's move, clamped at cell 1, so the heads follow from the ids.
     """
 
-    __slots__ = ("_tables", "_ids", "_heads")
+    __slots__ = ("_tables", "_ids")
 
-    def __init__(self, tables: _Tables, max_steps: int):
+    def __init__(self, tables: _Tables):
         # array is an extension module loaded from disk; importing it here
         # keeps it off the start-up path of commands that never trace.
         from array import array
 
         self._tables = tables
-        self._ids = array("i")
-        # A head never exceeds max_steps + 1.
-        self._heads = array("i" if max_steps < 2**31 - 1 else "q")
+        n = len(tables.rules)
+        self._ids = array("B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "i")
 
     def __len__(self) -> int:
         return len(self._ids)
 
+    def _chunks(self, stop: int, first: int = 0, head: int = 1):
+        """(first step, rule ids, heads) for each run of up to
+        _LINES_PER_WRITE steps from step ``first``, whose head is
+        ``head``, to ``stop``.  ``heads`` holds the head at each of those
+        steps, then the head after the last of them."""
+        ids, moves = self._ids, self._tables.moves
+        for start in range(first, stop, _LINES_PER_WRITE):
+            chunk = ids[start : min(start + _LINES_PER_WRITE, stop)]
+            heads = list(accumulate(map(moves.__getitem__, chunk), initial=head))
+            if min(heads) < 1:  # a left move at cell 1 stayed put
+                heads = [head]
+                for move in map(moves.__getitem__, chunk):
+                    head = head + move or 1
+                    heads.append(head)
+            head = heads[-1]
+            yield start, chunk, heads
+
+    def _steps(self, stop: int, first: int = 0, head: int = 1):
+        rules = self._tables.rules
+        for _, chunk, heads in self._chunks(stop, first, head):
+            for r, h in zip(chunk, heads):
+                q, s, w, m = rules[r]
+                yield TraceStep(q, h, s, w, m)
+
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        q, s, w, m = self._tables.rules[self._ids[i]]
-        return TraceStep(q, self._heads[i], s, w, m)
+        # Each lookup walks the steps once from the first.
+        wanted = range(len(self))[i]  # an index or a range, checked as a tuple would
+        if isinstance(wanted, int):
+            return next(islice(self._steps(wanted + 1), wanted, None))
+        if not wanted:
+            return ()
+        up = wanted if wanted.step > 0 else wanted[::-1]
+        steps = tuple(islice(self._steps(up[-1] + 1), up[0], None, up.step))
+        return steps if wanted.step > 0 else steps[::-1]
 
     def __iter__(self):
-        rules = self._tables.rules
-        for r, h in zip(self._ids, self._heads):
-            q, s, w, m = rules[r]
-            yield TraceStep(q, h, s, w, m)
+        return self._steps(len(self))
+
+    def __reversed__(self):
+        # One walk finds the head each chunk starts at; then each chunk is
+        # walked again, from the last.
+        n = len(self)
+        firsts = [(start, heads[0]) for start, _, heads in self._chunks(n)]
+        for start, head in reversed(firsts):
+            stop = min(start + _LINES_PER_WRITE, n)
+            yield from reversed(tuple(self._steps(stop, start, head)))
+
+    def index(self, value, start: int = 0, stop: Optional[int] = None) -> int:
+        start, stop, _ = slice(start, stop).indices(len(self))
+        for i, step in enumerate(islice(self, start, stop), start):
+            if step == value:
+                return i
+        raise ValueError(f"{value!r} is not in the trace")
 
     def __eq__(self, other):
         # Compares like a tuple of TraceSteps: equal to a Trace or tuple
@@ -253,6 +309,36 @@ class RunResult(_Record):
                 f"got {type(self.trace).__name__}"
             )
 
+    # run() leaves ``final`` unset and keeps what the kernel left in
+    # ``_end``, outside the record fields: (symbols, codes, far, head,
+    # state, steps), the tape as in _kernel.  ``final`` is built from it
+    # on first read; format_run writes the final line from it directly.
+    @classmethod
+    def _from_kernel(cls, outcome: Outcome, trace: Optional[Trace], end: tuple):
+        result = object.__new__(cls)
+        result.__dict__.update(outcome=outcome, trace=trace, _end=end)
+        return result
+
+    def __getattr__(self, name):
+        end = self.__dict__.get("_end")
+        if name != "final" or end is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        symbols, codes, far, head, state, steps = end
+        cells = {i: symbols[c] for i, c in enumerate(codes) if c}
+        cells.update((i, symbols[c]) for i, c in reversed(far))
+        self.__dict__["final"] = final = MachineConfig._trusted(cells, head, state, steps)
+        return final
+
+    def _values(self) -> tuple:
+        # Read through getattr, so ``==``, hash and repr build ``final``.
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __getstate__(self):
+        # Pickles and copies hold the fields only, as an eager one does.
+        return dict(zip(self._fields, self._values()))
+
 
 def _kernel(
     tables: _Tables,
@@ -272,15 +358,14 @@ def _kernel(
     table = tables.table
     size = len(tape)
     if trace is not None:
-        log_rule, log_head = trace._ids.append, trace._heads.append
+        log = trace._ids.append
     for n in range(limit):
         rule = table[base + tape[head]]
         if rule is None:
             return True, head, base, n
         base, tape[head], move, rid = rule
         if trace is not None:
-            log_rule(rid)
-            log_head(head)
+            log(rid)
         head += move
         if head < 1:
             head = 1
@@ -321,11 +406,8 @@ def step(machine: Machine, config: MachineConfig) -> Union[MachineConfig, _Halte
         cells[config.head] = tables.symbols[written]
     else:
         cells.pop(config.head, None)
-    return MachineConfig(
-        cells=cells,
-        head=head + shift,
-        state=tables.state_of(base),
-        step_count=config.step_count + 1,
+    return MachineConfig._trusted(
+        cells, head + shift, tables.state_of(base), config.step_count + 1
     )
 
 
@@ -358,20 +440,14 @@ def run(
             far.append((idx, code))
     far.sort(reverse=True)
 
-    log = Trace(tables, max_steps) if trace else None
+    log = Trace(tables) if trace else None
     halted, head, base, steps = _kernel(
         tables, tape, far, 1, tables.base[machine.initial_state], max_steps, log
     )
-    symbols = tables.symbols
-    cells = {i: symbols[c] for i, c in enumerate(tape) if c}
-    cells.update((i, symbols[c]) for i, c in reversed(far))
-    final = MachineConfig(
-        cells=cells, head=head, state=tables.state_of(base), step_count=steps
-    )
-    return RunResult(
-        outcome=Outcome.HALTED if halted else Outcome.BUDGET_EXHAUSTED,
-        final=final,
-        trace=log,
+    return RunResult._from_kernel(
+        Outcome.HALTED if halted else Outcome.BUDGET_EXHAUSTED,
+        log,
+        (tables.symbols, tape, far, head, tables.state_of(base), steps),
     )
 
 
@@ -440,7 +516,11 @@ def traces_isomorphic(
     state_map: Mapping[str, str],
 ) -> bool:
     """True iff the two traced runs are the same computation up to the
-    given renamings (heads and moves must match verbatim)."""
+    given renamings (heads and moves must match verbatim).
+
+    Only the rule ids are compared: a rule maps only to a rule with the
+    same move, and both runs start at cell 1, so equal ids give equal
+    heads."""
     if a.trace is None or b.trace is None:
         raise ValueError("both runs must be produced with tracing enabled")
     ta, tb = a.trace, b.trace
@@ -454,12 +534,21 @@ def traces_isomorphic(
         ids_b.get((qmap(q), smap(s), smap(w), m), -1)
         for q, s, w, m in ta._tables.rules
     ]
-    ids_a = list(map(to_b.__getitem__, ta._ids))
-    return ta._heads == tb._heads and ids_a == tb._ids.tolist()
+    return list(map(to_b.__getitem__, ta._ids)) == tb._ids.tolist()
 
 
-# Trace lines per write when format_run streams.
-_LINES_PER_WRITE = 4096
+# Trace lines, or tape cells of the final line, per write when format_run
+# streams; a power of ten, which format_run's step numbers rely on.
+_LINES_PER_WRITE = 1000
+
+
+def _cell_chunks(symbols: tuple, codes: list[int], far: list[tuple[int, int]]):
+    """The cells the kernel left as lists of "index:symbol", by index, a
+    bounded number at a time."""
+    for start in range(0, len(codes), _LINES_PER_WRITE):
+        chunk = codes[start : start + _LINES_PER_WRITE]
+        yield [f"{i}:{symbols[c]}" for i, c in enumerate(chunk, start) if c]
+    yield [f"{i}:{symbols[c]}" for i, c in reversed(far)]
 
 
 def format_run(result: RunResult, out=None) -> Optional[str]:
@@ -471,20 +560,44 @@ def format_run(result: RunResult, out=None) -> Optional[str]:
     returns None, so a long listing is never held whole."""
     parts: list[str] = []
     write = parts.append if out is None else out.write
-    f = result.final
-    cells = " ".join(f"{i}:{s}" for i, s in sorted(f.cells.items()))
+    end = result.__dict__.get("_end")
+    if end is None:
+        f = result.final
+        state, head, steps = f.state, f.head, f.step_count
+        chunks = [[f"{i}:{s}" for i, s in sorted(f.cells.items())]]
+    else:
+        symbols, codes, far, head, state, steps = end
+        chunks = _cell_chunks(symbols, codes, far)
     write(
         f"outcome {result.outcome.value}\n"
-        f"final state={f.state} head={f.head} steps={f.step_count} cells=[{cells}]\n"
+        f"final state={state} head={head} steps={steps} cells=["
     )
+    sep = ""
+    for cells in chunks:
+        if cells:
+            write(sep + " ".join(cells))
+            sep = " "
+    write("]\n")
     trace = result.trace
     if trace is not None:
         before, after = trace._tables.before, trace._tables.after
-        ids, heads = trace._ids, trace._heads
-        for start in range(0, len(ids), _LINES_PER_WRITE):
-            stop = start + _LINES_PER_WRITE
-            lines = zip(range(start, stop), ids[start:stop], heads[start:stop])
-            write("".join([f"{n}{before[r]}{h}{after[r]}" for n, r, h in lines]))
+        # Each chunk starts at a multiple of _LINES_PER_WRITE, a power of
+        # ten, so past the first a step number is the chunk's number, then
+        # a zero-padded remainder.  A chunk's heads lie within that many
+        # cells of each other and mostly repeat.  Each text is made once.
+        numbers = range(_LINES_PER_WRITE)
+        for start, ids, heads in trace._chunks(len(trace)):
+            if start == _LINES_PER_WRITE:
+                numbers = [str(_LINES_PER_WRITE + j)[1:] for j in range(_LINES_PER_WRITE)]
+            prefix = str(start // _LINES_PER_WRITE) if start else ""
+            low = min(heads)
+            text = [str(h) for h in range(low, max(heads) + 1)]
+            lines = zip(numbers, ids, heads)
+            write(
+                "".join(
+                    [f"{prefix}{n}{before[r]}{text[h - low]}{after[r]}" for n, r, h in lines]
+                )
+            )
     return "".join(parts) if out is None else None
 
 

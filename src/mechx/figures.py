@@ -321,14 +321,13 @@ def _axis_range(coords: list[float], log: bool, axis_name: str) -> tuple[float, 
     return lo, hi
 
 
-def _linear_ticks(lo: float, hi: float) -> list[float]:
+def _linear_ticks(lo: float, hi: float, axis_name: str) -> list[float]:
     # Standard 1-2-5 tick spacing, about five ticks across the span.
     raw = (hi - lo) / 5
-    mag = 10 ** math.floor(math.log10(raw))
-    for mult in (1, 2, 5, 10):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
+    mag = 10 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
+    if mag == 0:  # a span of a few subnormals has no tick step above 0
+        raise ValueError(f"{axis_name} axis cannot be drawn: padded span {hi - lo!r}")
+    step = next((m * mag for m in (1, 2, 5) if raw <= m * mag), 10 * mag)
     ticks = []
     t = math.ceil(lo / step) * step
     while t <= hi + 1e-12 * abs(step):
@@ -365,8 +364,8 @@ def emit_svg_scatter(
 
     Log axes get power-of-10 ticks.  Point labels are drawn unless the
     marker sits within LABEL_SUPPRESS_PX pixels of an already drawn
-    marker.  An axis whose padded span is zero or infinite raises
-    ValueError.  Output is a pure function of the inputs.
+    marker.  An axis whose padded span is zero, infinite or too small for
+    a tick step raises ValueError.  Output is a pure function of the inputs.
     """
     if not (width > 0 and height > 0):  # NaN fails this too
         raise ValueError("width and height must be positive")
@@ -402,11 +401,11 @@ def emit_svg_scatter(
         f'width="{plot_w:.2f}" height="{plot_h:.2f}" '
         f'fill="none" stroke="black" stroke-width="1"/>',
     ]
-    for t in (_log_ticks if x_log else _linear_ticks)(x_lo, x_hi):
+    for t in _log_ticks(x_lo, x_hi) if x_log else _linear_ticks(x_lo, x_hi, "x"):
         x = px(t)
         out.append(_LINE.format(x, ax_b, x, ax_b + 5))
         out.append(_text(x, ax_b + 18, 11, _tick_label(t, x_log), "middle"))
-    for t in (_log_ticks if y_log else _linear_ticks)(y_lo, y_hi):
+    for t in _log_ticks(y_lo, y_hi) if y_log else _linear_ticks(y_lo, y_hi, "y"):
         y = py(t)
         out.append(_LINE.format(_MARGIN_LEFT - 5, y, _MARGIN_LEFT, y))
         out.append(_text(_MARGIN_LEFT - 8, y + 4, 11, _tick_label(t, y_log), "end"))

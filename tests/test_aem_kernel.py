@@ -7,7 +7,10 @@ final configuration, every trace step and the listing text.
 """
 
 import contextlib
+import copy
+import hashlib
 import io
+import pickle
 import random
 import tracemalloc
 
@@ -15,6 +18,7 @@ import pytest
 
 from mechx import cli
 from mechx.aemachine import (
+    _LINES_PER_WRITE,
     COMPUTATION,
     HALTED,
     INCREMENTER,
@@ -328,3 +332,189 @@ def test_traced_listing_streams_in_little_memory(tmp_path):
             tracemalloc.stop()
     assert code == 0
     assert peak < 24 * steps
+
+
+def test_traced_counter_costs_a_few_bytes_a_step(tmp_path):
+    # The trace keeps one byte of rule id a step; the listing derives the
+    # heads a chunk at a time as it writes.  Two columns took 10.8 bytes.
+    steps = 200_000
+    path = tmp_path / "counter.aem"
+    path.write_text(COUNTER)
+    argv = ["aem-run", str(path), "--max-steps", str(steps), "--trace"]
+    with contextlib.redirect_stdout(_Discard()):
+        cli.main(argv[:3] + ["10"])  # imports and first-use work, untraced
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 6 * steps
+
+
+class _Digest:
+    """A stdout that keeps only the SHA-256 of what it is given."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_final_line_costs_little_per_cell(tmp_path):
+    # A runner leaves a mark on every cell it passes.  The final line is
+    # written from the kernel's tape of codes, with no dict of cells, no
+    # copy of it and no string per cell; those took 208 bytes a cell.
+    cells = 100_000
+    path = tmp_path / "runner.aem"
+    path.write_text(
+        "flavor computation\nstates r\nsymbols blank b x\ninit r\nrule r b -> r x R\n"
+    )
+    argv = ["aem-run", str(path), "--max-steps", str(cells)]
+    out = _Digest()
+    with contextlib.redirect_stdout(_Discard()):
+        cli.main(argv[:3] + ["10"])
+    with contextlib.redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    marks = " ".join(f"{i}:x" for i in range(1, cells + 1))
+    want = (
+        "outcome budget_exhausted\n"
+        f"final state=r head={cells + 1} steps={cells} cells=[{marks}]\n"
+    )
+    assert code == 0
+    assert out.sha.hexdigest() == hashlib.sha256(want.encode()).hexdigest()
+    assert peak < 48 * cells
+
+
+def test_derived_heads_across_chunks_match_reference():
+    # Long runs that clamp at cell 1 again and again, or run far to the
+    # right, across several chunks of the listing; far cells and the blank
+    # at any declared index.  Every head comes from the rule ids alone.
+    rng = random.Random(1313)
+    late_clamps = late_steps = 0
+    for moves in ((-1, -1, 0, 1), (1, 1, 0, -1)) * 15:
+        size = rng.randint(1, 4), rng.randint(2, 4)
+        m = wide_machine(rng, *size, moves=moves, fill=1.0)  # never halts
+        budget = 3 * _LINES_PER_WRITE + rng.randint(0, _LINES_PER_WRITE)
+        _, trace = assert_agrees(m, spread_tape(rng, m, 600), budget)
+        late = trace[_LINES_PER_WRITE:]
+        late_steps += len(late)
+        late_clamps += sum(t.head == 1 and t.move == -1 for t in late)
+    assert late_steps > 60 * _LINES_PER_WRITE
+    assert late_clamps > 5000
+
+
+@pytest.mark.parametrize("n_rules, typecode", [(255, "B"), (256, "B"), (257, "H")])
+def test_rule_counts_at_the_column_width_edge(n_rules, typecode):
+    # 16 states by 16 symbols that the run can reach, and a 17th state that
+    # no rule enters.  The rule for the initial state on a blank is
+    # declared last, so the first step from a blank cell 1 logs the largest
+    # rule id; the other rule ids are shuffled over the slots.
+    rng = random.Random(n_rules)
+    states = tuple(f"q{i}" for i in range(17))
+    symbols = tuple(f"s{i}" for i in range(16))
+    blank = rng.choice(symbols)
+    start = (states[0], blank)
+    reached = [(q, s) for q in states[:16] for s in symbols if (q, s) != start]
+    rng.shuffle(reached)
+    keys = (reached + [(states[16], s) for s in symbols])[: n_rules - 1] + [start]
+    m = Machine(
+        flavor=COMPUTATION,
+        states=states,
+        symbols=symbols,
+        blank=blank,
+        transitions={
+            key: (rng.choice(states[:16]), rng.choice(symbols), rng.choice((-1, 0, 1)))
+            for key in keys
+        },
+        initial_state=states[0],
+    )
+    seen = set()
+    for _ in range(4):
+        tape = spread_tape(rng, m, 300)
+        tape.pop(1, None)
+        assert_agrees(m, tape, 3 * _LINES_PER_WRITE)
+        trace = run(m, tape, 3 * _LINES_PER_WRITE, trace=True).trace
+        assert trace._ids.typecode == typecode and trace._ids[0] == n_rules - 1
+        seen.update(trace._ids)
+    assert len(seen) > 100
+
+
+def test_trace_indexing_matches_its_tuple():
+    rng = random.Random(606)
+    for _ in range(30):
+        m = wide_machine(rng, 3, 3, moves=(-1, -1, 0, 1), fill=1.0)
+        budget = rng.choice((1, 7, 2 * _LINES_PER_WRITE + 5))
+        trace = run(m, random_tape(rng, m), budget, trace=True).trace
+        steps = tuple(trace)
+        n = len(steps)
+        for i in {0, n // 2, n - 1, -1, -n, rng.randrange(-n, n)}:
+            assert trace[i] == steps[i]
+        slices = (
+            slice(None), slice(3, None), slice(None, -2), slice(1, n, 3),
+            slice(None, None, -1), slice(-5, 2, -2), slice(n - 1, 0, 1 - _LINES_PER_WRITE),
+            slice(5, 5), slice(n + 10, None), slice(-n - 10, 3), slice(None, None, 7),
+        )
+        for s in slices:
+            assert trace[s] == steps[s]
+        assert tuple(reversed(trace)) == steps[::-1]
+        for k in {0, n // 3, n - 1}:
+            assert trace.index(steps[k]) == steps.index(steps[k])
+            assert trace.index(steps[k], k) == steps.index(steps[k], k)
+            assert trace.index(steps[k], -n, k + 1) == steps.index(steps[k], -n, k + 1)
+        assert trace.count(steps[0]) == steps.count(steps[0])
+        with pytest.raises(ValueError, match="is not in the trace"):
+            trace.index(TraceStep("nowhere", 1, "s0", "s0", 0))
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                trace[bad]
+        with pytest.raises(TypeError):
+            trace[1.0]
+
+
+def test_final_built_on_first_read_is_the_eager_one():
+    # run() keeps the kernel's tape and builds ``final`` when it is read;
+    # the result must equal, print, pickle and copy as one built from the
+    # reference's cells in index order, as run() used to build it.
+    rng = random.Random(5150)
+    for i in range(80):
+        m = random_machine(rng)
+        tape = spread_tape(rng, m, 600) if i % 2 else random_tape(rng, m)
+        budget, traced = rng.choice((1, 40, 3000)), bool(i % 3)
+        outcome, ref, _ = reference_run(m, tape, budget)
+
+        def fresh():
+            return run(m, tape, budget, trace=traced)
+
+        lazy = fresh()
+        final = MachineConfig(
+            dict(sorted(ref.cells.items())), ref.head, ref.state, ref.step_count
+        )
+        eager = RunResult(outcome, final, lazy.trace)
+        assert format_run(lazy) == format_run(eager)
+        assert "final" not in vars(lazy)  # the final line came from the tape
+        assert lazy == eager and eager == lazy and fresh() == eager
+        assert lazy.final is lazy.final
+        assert repr(fresh()) == repr(eager)
+        assert fresh().final == final and repr(fresh().final) == repr(final)
+        assert pickle.dumps(fresh().final) == pickle.dumps(final)
+        assert pickle.dumps(fresh()) == pickle.dumps(eager)
+        twin = pickle.loads(pickle.dumps(fresh()))
+        assert twin == eager and list(vars(twin)) == ["outcome", "final", "trace"]
+        assert copy.copy(fresh()) == eager and copy.deepcopy(fresh()) == eager
+        for record in (fresh(), fresh().final):
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(record)
+        with pytest.raises(AttributeError, match="no attribute 'cells'"):
+            fresh().cells

@@ -421,6 +421,21 @@ def test_axis_that_cannot_be_drawn_raises(axis, values, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("k", range(1, 11))
+@pytest.mark.parametrize("axis", "xy")
+def test_subnormal_span_raises_naming_the_axis(axis, k):
+    # Points at 0 and k subnormal steps leave a span whose tick step
+    # rounds to zero; that used to be a bare math domain error (k <= 2)
+    # or an UnboundLocalError.
+    values = (0.0, k * 5e-324)
+    points = [
+        TrendPoint(f"p{i}", *((v, 1.0 + i) if axis == "x" else (1.0 + i, v)), "s")
+        for i, v in enumerate(values)
+    ]
+    with pytest.raises(ValueError, match=f"^{axis} axis cannot be drawn: padded span "):
+        emit_svg_scatter(points, LINEAR)
+
+
 def test_tick_step_below_the_float_spacing_ends():
     # Near 1e16 floats are 2 apart, so a tick step of 1 leaves a tick
     # where it is; the loop must end instead of spinning.
