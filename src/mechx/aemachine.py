@@ -11,8 +11,13 @@ Tape cells are indexed from 1 and given and returned sparsely (blanks
 implicit).  The head clamps at cell 1; a left move at the edge stays
 put.  The transition table may be partial: a missing entry means the
 machine halts.  Runs go through one kernel over integer tables compiled
-once per machine.  A trace keeps one column, the rule id of each step;
-the heads follow from the rules' moves.  A run's final configuration is
+once per machine, a loop that returns when the head leaves a window of
+cells.  run() takes memoized macro steps over blocks of 8 cells:
+the steps from a block's state, head offset and codes until the head
+leaves it are cached and replayed on later visits, while a credit of
+steps saved against lookups made falls back to the plain loop when they
+do not pay.  A trace keeps one column, the rule id of each step; the
+heads follow from the rules' moves.  A run's final configuration is
 built from the kernel's tape only when it is read.
 
     >>> m, tape = INCREMENTER.machine, {1: "1", 2: "1", 3: "1"}
@@ -27,6 +32,7 @@ import re
 from collections.abc import Sequence
 from enum import Enum
 from itertools import accumulate, islice
+from operator import eq
 from typing import Mapping, NamedTuple, Optional, Union
 
 from . import _BLANKS, _Factory, _LineError, _Record, _lines, _require_int
@@ -282,10 +288,17 @@ class Trace(Sequence):
 
     def __eq__(self, other):
         # Compares like a tuple of TraceSteps: equal to a Trace or tuple
-        # with the same steps, never to a list.
-        if isinstance(other, (Trace, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
+        # with the same steps, never to a list.  The rules of a machine are
+        # distinct and the heads follow from the ids, so over equal rule
+        # lists equal id columns mean equal steps.  Otherwise the steps are
+        # walked side by side, a chunk at a time.
+        if not isinstance(other, (Trace, tuple)):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        if isinstance(other, Trace) and self._tables.rules == other._tables.rules:
+            return self._ids == other._ids
+        return all(map(eq, self, other))
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -343,20 +356,20 @@ class RunResult(_Record):
 def _kernel(
     tables: _Tables,
     tape: list[int],
-    far: list[tuple[int, int]],
     head: int,
     base: int,
+    lo: int,
+    hi: int,
     limit: int,
     trace: Optional[Trace],
 ) -> tuple[bool, int, int, int]:
     """The transition loop behind step() and run(): takes up to ``limit``
     transitions on ``tape``, a list of symbol codes indexed by cell
-    (index 0 unused), and logs each step to ``trace`` when given.
-    ``far`` holds (cell, code) pairs beyond the list, by descending cell;
-    they move in as the list doubles.  Returns (halted, head, base,
-    steps taken)."""
+    (index 0 unused), while the head stays in the window [lo, hi), and
+    logs each step to ``trace`` when given.  A left move at cell 1 stays
+    put.  Returns (halted, head, base, steps taken); the head is outside
+    the window only when the last step moved it out."""
     table = tables.table
-    size = len(tape)
     if trace is not None:
         log = trace._ids.append
     for n in range(limit):
@@ -367,14 +380,12 @@ def _kernel(
         if trace is not None:
             log(rid)
         head += move
-        if head < 1:
+        if head < lo:
+            if head:
+                return False, head, base, n + 1
             head = 1
-        elif head >= size:
-            tape.extend([0] * size)
-            size += size
-            while far and far[-1][0] < size:
-                idx, code = far.pop()
-                tape[idx] = code
+        elif head >= hi:
+            return False, head, base, n + 1
     return False, head, base, limit
 
 
@@ -396,7 +407,7 @@ def step(machine: Machine, config: MachineConfig) -> Union[MachineConfig, _Halte
     window = [0, 0, 0, 0]
     window[config.head - shift] = tables.code[read]
     halted, head, base, _ = _kernel(
-        tables, window, [], config.head - shift, tables.base[config.state], 1, None
+        tables, window, config.head - shift, tables.base[config.state], 1, 4, 1, None
     )
     if halted:
         return HALTED
@@ -413,6 +424,17 @@ def step(machine: Machine, config: MachineConfig) -> Union[MachineConfig, _Halte
 
 # Cells the dense tape of a run starts with; it doubles as the head moves on.
 _DENSE_CELLS = 256
+# Cells per block of a macro step: block k is cells 1 + kB to (k + 1)B.
+_BLOCK = 8
+# What a cache hit costs, in plain steps; a miss costs twice as much.
+_LOOKUP_STEPS = 12
+# Steps of plain loop over the whole tape while macro steps do not pay.
+_PLAIN_STEPS = 1024
+# The credit macro steps start from, and try again with after a plain
+# stretch: room for two misses, then one more lookup.
+_PROBE_CREDIT = 4 * _LOOKUP_STEPS
+# Macro steps cached at most; a full cache is cleared.
+_CACHE_ENTRIES = 1024
 
 
 def run(
@@ -422,7 +444,17 @@ def run(
     trace: bool = False,
 ) -> RunResult:
     """Iterate step() from (initial_cells, head 1, initial state) until
-    the machine halts or ``max_steps`` transitions have been taken."""
+    the machine halts or ``max_steps`` transitions have been taken.
+
+    Runs in memoized macro steps: from the block the head is in, the run
+    of steps until the head leaves it depends only on the state, the
+    head's place in the block, whether it is block 0 (where a left move
+    clamps) and the block's codes, so it is cached under those and
+    replayed on the next visit.  A credit tracks whether that pays: each
+    hit earns the steps it saves, its length less _LOOKUP_STEPS, and each
+    miss costs twice _LOOKUP_STEPS.  When the credit is negative the plain
+    loop runs over the whole tape for _PLAIN_STEPS steps, and then macro
+    steps are tried again."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     tables = machine._tables
@@ -441,9 +473,50 @@ def run(
     far.sort(reverse=True)
 
     log = Trace(tables) if trace else None
-    halted, head, base, steps = _kernel(
-        tables, tape, far, 1, tables.base[machine.initial_state], max_steps, log
-    )
+    ids = log._ids if trace else None
+    head, base, steps, halted = 1, tables.base[machine.initial_state], 0, False
+    cache: dict = {}
+    credit = _PROBE_CREDIT
+    while steps < max_steps:
+        size = len(tape)
+        if head + _BLOCK > size:  # grow so the head's block fits
+            tape.extend(bytes(size))
+            size += size
+            while far and far[-1][0] < size:
+                idx, code = far.pop()
+                tape[idx] = code
+        left = max_steps - steps
+        if credit < 0:  # macro steps do not pay for now: a plain stretch
+            lo, hi, limit, key = 1, size, min(left, _PLAIN_STEPS), None
+        else:
+            lo = head - (head - 1) % _BLOCK
+            hi = lo + _BLOCK
+            key = (base, head - lo, lo == 1, *tape[lo:hi])
+            hit = cache.get(key)
+            if hit is not None and hit[3] <= left:
+                exit_offset, base, tape[lo:hi], n, first = hit
+                head = lo + exit_offset
+                steps += n
+                if ids is not None:  # the rule ids the first visit logged
+                    ids += ids[first : first + n]
+                credit += n - _LOOKUP_STEPS
+                continue
+            limit = left
+        halted, head, base, n = _kernel(tables, tape, head, base, lo, hi, limit, log)
+        steps += n
+        if halted:
+            break
+        if key is None:
+            credit = _PROBE_CREDIT
+            continue
+        # Cache a whole macro step if it is longer than a lookup; a shorter
+        # one would save nothing when replayed.
+        if n > _LOOKUP_STEPS and not lo <= head < hi:
+            if len(cache) >= _CACHE_ENTRIES:
+                cache.clear()
+            first = steps - n  # where a trace logged its rule ids
+            cache[key] = (head - lo, base, tuple(tape[lo:hi]), n, first)
+        credit -= 2 * _LOOKUP_STEPS
     return RunResult._from_kernel(
         Outcome.HALTED if halted else Outcome.BUDGET_EXHAUSTED,
         log,

@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from mechx import cli
+from mechx import aemachine, cli
 from mechx.aemachine import (
     _LINES_PER_WRITE,
     COMPUTATION,
@@ -29,6 +29,7 @@ from mechx.aemachine import (
     TraceStep,
     format_run,
     map_tape,
+    parse_machine,
     run,
     step,
     to_mechanization,
@@ -518,3 +519,374 @@ def test_final_built_on_first_read_is_the_eager_one():
                 hash(record)
         with pytest.raises(AttributeError, match="no attribute 'cells'"):
             fresh().cells
+
+
+def test_tape_grows_without_a_temporary_list(tmp_path):
+    # Doubling the dense tape with a list of zeros as long as the tape
+    # peaked at 16.1 bytes a cell; zeros from a bytes object add one byte
+    # a cell while the list grows.
+    cells = 100_000
+    path = tmp_path / "runner.aem"
+    path.write_text(
+        "flavor computation\nstates r\nsymbols blank b x\ninit r\nrule r b -> r x R\n"
+    )
+    argv = ["aem-run", str(path), "--max-steps", str(cells)]
+    with contextlib.redirect_stdout(_Discard()):
+        cli.main(argv[:3] + ["10"])
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 14 * cells
+
+
+def test_trace_equality_walks_no_tuples():
+    # Comparing two long traces held a tuple of every step on both sides,
+    # 192 bytes a step.  Over equal rule lists the id columns are compared;
+    # over a reordered twin's rules the steps are walked a chunk at a time.
+    steps = 200_000
+    mf = parse_machine(COUNTER)
+    reordered = Machine(
+        flavor=mf.machine.flavor,
+        states=mf.machine.states,
+        symbols=mf.machine.symbols,
+        blank=mf.machine.blank,
+        transitions=dict(reversed(mf.machine.transitions.items())),
+        initial_state=mf.machine.initial_state,
+    )
+    a = run(mf.machine, mf.tape, steps, trace=True)
+    others = (
+        run(mf.machine, mf.tape, steps, trace=True),
+        run(reordered, mf.tape, steps, trace=True),
+    )
+    for other in others:
+        tracemalloc.start()
+        try:
+            same = a == other  # the results' traces compare as above
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert same
+        assert peak < 4 * steps
+    assert a.trace != run(mf.machine, mf.tape, steps - 1, trace=True).trace
+
+
+def test_trace_equality_agrees_with_tuples():
+    rng = random.Random(6464)
+    verdicts = set()
+    for _ in range(200):
+        m = random_machine(rng)
+        # The same rules in another order give the same steps.
+        twin = Machine(
+            flavor=m.flavor,
+            states=m.states,
+            symbols=m.symbols,
+            blank=m.blank,
+            transitions=dict(rng.sample(list(m.transitions.items()), len(m.transitions))),
+            initial_state=m.initial_state,
+        )
+        tape = random_tape(rng, m)
+        budget = rng.choice((1, 20, 300))
+        a = run(m, tape, budget, trace=True).trace
+        for other_machine, other_tape, other_budget in (
+            (m, tape, budget),
+            (twin, tape, budget),
+            (m, random_tape(rng, m), budget),
+            (twin, tape, rng.choice((1, 20, 300))),
+        ):
+            b = run(other_machine, other_tape, other_budget, trace=True).trace
+            want = tuple(a) == tuple(b)
+            assert (a == b) == (b == a) == want
+            assert (a == tuple(b)) == (tuple(a) == b) == want
+            assert (a != b) == (not want)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+# Macro steps: run() replays the steps from a block of cells it has seen
+# in the same state and place, and falls back to the plain loop while
+# that does not pay.  These machines make it do both.
+
+
+def counter(base, digits=()):
+    """A never-halting little-endian counter in ``base``: marker "m" in
+    cell 1, the digits from cell 2, blank "b"; "inc" carries rightwards and
+    "ret" walks back to the marker."""
+    ds = [str(d) for d in range(base)]
+    lines = [
+        "flavor computation",
+        "states ret inc",
+        "symbols blank b m " + " ".join(ds),
+        "init ret",
+        "rule ret m -> inc m R",
+    ]
+    lines += [f"rule ret {d} -> ret {d} L" for d in ds]
+    lines += [f"rule inc {d} -> ret {int(d) + 1} L" for d in ds[:-1]]
+    lines += [f"rule inc {ds[-1]} -> inc 0 R", "rule inc b -> ret 1 L", "tape 1 m"]
+    lines += [f"tape {i} {d}" for i, d in enumerate(digits, start=2)]
+    return parse_machine("\n".join(lines) + "\n")
+
+
+def dwelling_runner(symbols, dwell):
+    """Stays ``dwell`` steps on each cell, then writes the next symbol of
+    ``symbols`` (the first is the blank) and moves right, so each block
+    of cells holds the head for many steps."""
+    states = tuple(f"d{i}" for i in range(dwell))
+    transitions = {}
+    for i, q in enumerate(states):
+        for j, s in enumerate(symbols):
+            if i < dwell - 1:
+                transitions[(q, s)] = (states[i + 1], s, 0)
+            else:
+                transitions[(q, s)] = (states[0], symbols[(j + 1) % len(symbols)], 1)
+    return Machine(
+        flavor=COMPUTATION,
+        states=states,
+        symbols=tuple(symbols),
+        blank=symbols[0],
+        transitions=transitions,
+        initial_state=states[0],
+    )
+
+
+def shifting_sweeper(rng, cells, dwell):
+    """Sweeps between a marker in cell 1 and a wall after ``cells`` random
+    cells of six symbols, staying ``dwell`` steps on each.  Each rightward
+    pass shifts the cells one to the right, so a block rarely shows the
+    same content twice.  Returns (machine, tape)."""
+    content = "stuvxy"
+    transitions = {("l0", "m"): ("rs0", "m", 1)}
+    for i in range(dwell):
+        last = i == dwell - 1
+        for c in content:
+            for d in content:
+                stay = (f"r{c}{i + 1}", d, 0)
+                transitions[(f"r{c}{i}", d)] = (f"r{d}0", c, 1) if last else stay
+            transitions[(f"l{i}", c)] = ("l0", c, -1) if last else (f"l{i + 1}", c, 0)
+    for c in content:
+        transitions[(f"r{c}0", "w")] = ("l0", "w", -1)
+    states = ["l0", *(f"l{i}" for i in range(1, dwell))]
+    states += [f"r{c}{i}" for c in content for i in range(dwell)]
+    machine = Machine(
+        flavor=COMPUTATION,
+        states=tuple(states),
+        symbols=("b", "m", "w", *content),
+        blank="b",
+        transitions=transitions,
+        initial_state="l0",
+    )
+    tape = {i: rng.choice(content) for i in range(2, cells + 2)}
+    tape.update({1: "m", cells + 2: "w"})
+    return machine, tape
+
+
+# Crosses between cells 8 and 9, the edge of blocks 0 and 1, for ever.
+EDGE_BOUNCER = Machine(
+    flavor=COMPUTATION,
+    states=("a", "c", "d"),
+    symbols=("b", "x", "y"),
+    blank="b",
+    transitions={
+        ("a", "b"): ("a", "b", 1),
+        ("a", "x"): ("c", "x", 1),
+        ("c", "b"): ("d", "y", -1),
+        ("c", "y"): ("d", "y", -1),
+        ("d", "x"): ("c", "x", 1),
+    },
+    initial_state="a",
+)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The (lo, hi, limit) window of each call run() and step() make to
+    the transition loop."""
+    calls = []
+    real = aemachine._kernel
+
+    def counting(tables, tape, head, base, lo, hi, limit, trace):
+        calls.append((lo, hi, limit))
+        return real(tables, tape, head, base, lo, hi, limit, trace)
+
+    monkeypatch.setattr(aemachine, "_kernel", counting)
+    return calls
+
+
+def test_counters_in_macro_steps_match_reference(kernel_calls):
+    # Budgets anywhere, mostly inside a macro step whose first visit is
+    # cached by then, so the last stretch runs through the plain loop.
+    rng = random.Random(210)
+    counters = (
+        (2, ()), (2, (1, 0, 1)), (3, ()), (3, (2,) * 7 + (1,)), (10, (9,) * 9),
+    )
+    for base, digits in counters:
+        mf = counter(base, digits)
+        for budget in [rng.randint(1, 12_000) for _ in range(3)] + [20_000]:
+            assert_agrees(mf.machine, mf.tape, budget)
+    # The binary counter's 10^5 steps take a few hundred loop calls.
+    del kernel_calls[:]
+    mf = counter(2)
+    final = run(mf.machine, mf.tape, 100_000).final
+    assert final == reference_run(mf.machine, mf.tape, 100_000)[1]
+    assert len(kernel_calls) < 400
+
+
+def test_budget_ends_at_every_step_of_a_cached_macro_step():
+    # From step 2,000 the binary counter replays cached macro steps; a
+    # budget that ends at any step inside one must stop there.
+    mf = counter(2)
+    _, _, trace = reference_run(mf.machine, mf.tape, 2_600)
+    for budget in range(2_000, 2_600, 7):
+        got = run(mf.machine, mf.tape, budget, trace=True)
+        want = reference_run(mf.machine, mf.tape, budget)
+        assert got.outcome is want[0] and got.final == want[1]
+        assert got.trace == tuple(trace[:budget])
+
+
+# Sweeps block 0 back and forth in 37 steps and leaves it in state A for
+# cell 9, where block 1 holds the same codes as block 0 did.  In block 0
+# A's left move clamps at cell 1; in block 1 it leaves the block, reads
+# "e" in cell 8 and halts.  Replaying block 0's macro step would be wrong.
+BLOCK_ZERO = parse_machine(
+    """\
+flavor computation
+states A A2 W V U T S
+symbols blank b m e x
+init A
+rule A m -> A2 m L
+rule A2 m -> W m R
+rule W b -> W x R
+rule W e -> V e L
+rule V x -> V x L
+rule V m -> U m R
+rule U x -> U x R
+rule U e -> T e L
+rule T x -> T x L
+rule T m -> S m R
+rule S x -> S x R
+rule S e -> A e R
+tape 1 m
+tape 8 e
+tape 9 m
+tape 16 e
+"""
+)
+
+
+def test_block_zero_clamps_where_a_later_block_leaves(kernel_calls):
+    m, tape = BLOCK_ZERO.machine, BLOCK_ZERO.tape
+    outcome, _ = assert_agrees(m, tape, 100)
+    final = run(m, tape, 100).final
+    assert outcome is Outcome.HALTED
+    assert (final.head, final.state, final.step_count) == (8, "A2", 38)
+    # Block 1 was looked up as a macro step, not run by a plain stretch.
+    assert (9, 17, 100 - 37) in kernel_calls
+
+
+def test_far_cells_pulled_in_at_block_edges(kernel_calls):
+    # A runner that stays four steps on each cell takes 32-step macro
+    # steps.  Cells that start beyond the dense tape sit at and next to
+    # the block edges where it doubles; each must be read where it was.
+    rng = random.Random(1024)
+    m = dwelling_runner(("b", "x", "y"), 4)
+    edges = {c + d for c in (256, 512, 1024, 2048) for d in (-8, -1, 0, 1, 8)}
+    tape = {c: rng.choice("xy") for c in edges | {10**12}}
+    budget = 4 * 2060
+    _, trace = assert_agrees(m, tape, budget)
+    read = {t.head: t.read for t in trace if t.read != "b"}
+    assert {c: read[c] for c in edges} == {c: tape[c] for c in edges}
+    # Every step was taken in a macro step: no plain stretch ran.
+    assert all(hi - lo == 8 for lo, hi, _ in kernel_calls)
+
+
+def test_three_hundred_symbols_in_macro_steps():
+    # Codes past one byte in the cached blocks; rule ids past one byte in
+    # the replayed trace.  Every block of the first 400 cells holds the
+    # same codes, the next 200 cells are random.
+    rng = random.Random(3000)
+    symbols = tuple(f"s{i}" for i in range(300))
+    m = dwelling_runner(symbols, 4)
+    tape = {i: symbols[292 + (i - 1) % 8] for i in range(1, 401)}
+    tape.update({i: rng.choice(symbols) for i in range(401, 601)})
+    for budget in (2_800, 3_001, 1_633):
+        assert_agrees(m, tape, budget)
+    assert run(m, tape, 100, trace=True).trace._ids.typecode == "H"
+
+
+def test_cache_fills_and_clears(monkeypatch, kernel_calls):
+    # Three block contents in turn, each followed by four blank blocks.
+    # With room for two macro steps the cache is full at every third
+    # lookup and is cleared; the run must still agree with the reference.
+    m = dwelling_runner(("b", "x", "y"), 4)
+    patterns = ("xxxxyyyy", "xyxyxyxy", "yyxxyyxx")
+    blocks = 300
+    tape = {
+        1 + 8 * k + i: c
+        for k in range(0, blocks, 5)
+        for i, c in enumerate(patterns[k // 5 % 3])
+    }
+    budget = 32 * blocks
+    assert_agrees(m, tape, budget)
+    roomy = len(kernel_calls)
+    del kernel_calls[:]
+    monkeypatch.setattr(aemachine, "_CACHE_ENTRIES", 2)
+    assert_agrees(m, tape, budget)
+    # assert_agrees runs twice, traced and not.  A roomy cache misses on
+    # the four contents once; a small one on a pattern and the blank block
+    # after it, two in every five blocks.
+    assert roomy <= 2 * 5
+    assert len(kernel_calls) >= 2 * 2 * blocks // 5
+
+
+def test_macro_steps_keep_traces_isomorphic():
+    rng = random.Random(1414)
+    cases = [(counter(2).machine, counter(2).tape, 20_000),
+             (counter(3).machine, counter(3).tape, 20_000),
+             (BLOCK_ZERO.machine, BLOCK_ZERO.tape, 100),
+             (dwelling_runner(("b", "x", "y"), 4), {}, 5_000)]
+    for m, tape, budget in cases:
+        smap, qmap = machine_maps(rng, m)
+        twin = to_mechanization(m, smap, qmap)
+        a = run(m, tape, budget, trace=True)
+        b = run(twin, map_tape(tape, smap), budget, trace=True)
+        assert traces_isomorphic(a, b, smap, qmap)
+        assert reference_isomorphic(a, b, smap, qmap)
+        wrong_q = dict(zip(qmap, reversed(list(qmap.values()))))
+        assert traces_isomorphic(a, b, smap, wrong_q) == reference_isomorphic(
+            a, b, smap, wrong_q
+        )
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_macro_steps_that_do_not_pay_fall_back_to_the_plain_loop(kernel_calls, traced):
+    # A bouncer across a block edge takes one-step macro steps, a sweeper
+    # over fresh content eight-step ones that are never seen again.  Once
+    # the credit runs out, the plain loop takes 1,024 steps a call.
+    steps = 100_000
+    sweeper, sweep_tape = shifting_sweeper(random.Random(77), 700, 1)
+    for m, tape in ((EDGE_BOUNCER, {8: "x"}), (sweeper, sweep_tape)):
+        del kernel_calls[:]
+        result = run(m, tape, steps, trace=traced)
+        assert len(kernel_calls) <= steps / 64
+        assert result.final == reference_run(m, tape, steps)[1]
+
+
+def test_macro_step_cache_stays_bounded():
+    # A sweeper that stays four steps on each cell over fresh content
+    # misses at nearly every lookup and caches each 32-step macro step:
+    # about 7,000 of them in 10^6 steps, enough to fill the cache six
+    # times.  A full cache is cleared, so it never holds more than about
+    # 400 KB, whatever the length of the run.
+    sweeper, tape = shifting_sweeper(random.Random(78), 700, 4)
+    run(sweeper, tape, 1000)
+    tracemalloc.start()
+    try:
+        result = run(sweeper, tape, 1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.final.step_count == 1_000_000
+    assert peak < 512 * 1024
