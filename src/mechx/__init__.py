@@ -82,16 +82,32 @@ class _Record:
     are read once per class from ``__annotations__``, so no code is
     generated and ``dataclasses`` is imported only to raise that error.
     Instances keep a ``__dict__``, which pickling and ``copy`` use.
+
+    ``_trusted(**fields)`` makes an instance of values the package made,
+    with no copies and no checks.  A field it leaves out is built on first
+    read by the subclass's ``_build(name)`` and kept; equality, hashing and
+    repr build it too.  Defaults live in ``_defaults``, off the class, so a
+    missing field never reads as its class default.
     """
 
     _fields: tuple = ()
     _defaults: dict = {}
+    _build = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = tuple(vars(cls).get("__annotations__", ()))
         cls._fields = cls.__match_args__ = cls._fields + own
-        cls._defaults = {**cls._defaults, **{f: vars(cls)[f] for f in own if f in vars(cls)}}
+        defaults = {f: vars(cls)[f] for f in own if f in vars(cls)}
+        cls._defaults = {**cls._defaults, **defaults}
+        for name in defaults:
+            delattr(cls, name)
+
+    @classmethod
+    def _trusted(cls, **fields):
+        record = object.__new__(cls)
+        record.__dict__.update(fields)
+        return record
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
@@ -119,8 +135,16 @@ class _Record:
     def __post_init__(self):
         pass
 
+    def __getattr__(self, name):
+        # Reached only for a name missing from the instance dict.
+        if name in self._fields and self._build is not None:
+            value = self.__dict__[name] = self._build(name)
+            return value
+        message = f"{type(self).__name__!r} object has no attribute {name!r}"
+        raise AttributeError(message, name=name, obj=self)
+
     def _values(self) -> tuple:
-        return tuple(self.__dict__[f] for f in self._fields)
+        return tuple(getattr(self, f) for f in self._fields)
 
     def __repr__(self):
         fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))

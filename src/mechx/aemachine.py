@@ -126,14 +126,6 @@ class MachineConfig(_Record):
             raise ValueError("step_count must be >= 0")
         object.__setattr__(self, "cells", cells)
 
-    @classmethod
-    def _trusted(cls, cells: dict, head: int, state: str, step_count: int):
-        """A configuration from values the kernel made, taken as they are:
-        no copy of ``cells`` and no checks."""
-        config = object.__new__(cls)
-        config.__dict__.update(cells=cells, head=head, state=state, step_count=step_count)
-        return config
-
 
 class _HaltedType:
     """Singleton returned by step() when no transition applies."""
@@ -326,27 +318,11 @@ class RunResult(_Record):
     # ``_end``, outside the record fields: (symbols, codes, far, head,
     # state, steps), the tape as in _kernel.  ``final`` is built from it
     # on first read; format_run writes the final line from it directly.
-    @classmethod
-    def _from_kernel(cls, outcome: Outcome, trace: Optional[Trace], end: tuple):
-        result = object.__new__(cls)
-        result.__dict__.update(outcome=outcome, trace=trace, _end=end)
-        return result
-
-    def __getattr__(self, name):
-        end = self.__dict__.get("_end")
-        if name != "final" or end is None:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        symbols, codes, far, head, state, steps = end
+    def _build(self, name: str) -> MachineConfig:
+        symbols, codes, far, head, state, steps = self._end
         cells = {i: symbols[c] for i, c in enumerate(codes) if c}
         cells.update((i, symbols[c]) for i, c in reversed(far))
-        self.__dict__["final"] = final = MachineConfig._trusted(cells, head, state, steps)
-        return final
-
-    def _values(self) -> tuple:
-        # Read through getattr, so ``==``, hash and repr build ``final``.
-        return tuple(getattr(self, f) for f in self._fields)
+        return MachineConfig._trusted(cells=cells, head=head, state=state, step_count=steps)
 
     def __getstate__(self):
         # Pickles and copies hold the fields only, as an eager one does.
@@ -417,9 +393,8 @@ def step(machine: Machine, config: MachineConfig) -> Union[MachineConfig, _Halte
         cells[config.head] = tables.symbols[written]
     else:
         cells.pop(config.head, None)
-    return MachineConfig._trusted(
-        cells, head + shift, tables.state_of(base), config.step_count + 1
-    )
+    state, steps = tables.state_of(base), config.step_count + 1
+    return MachineConfig._trusted(cells=cells, head=head + shift, state=state, step_count=steps)
 
 
 # Cells the dense tape of a run starts with; it doubles as the head moves on.
@@ -517,10 +492,10 @@ def run(
             first = steps - n  # where a trace logged its rule ids
             cache[key] = (head - lo, base, tuple(tape[lo:hi]), n, first)
         credit -= 2 * _LOOKUP_STEPS
-    return RunResult._from_kernel(
-        Outcome.HALTED if halted else Outcome.BUDGET_EXHAUSTED,
-        log,
-        (tables.symbols, tape, far, head, tables.state_of(base), steps),
+    return RunResult._trusted(
+        outcome=Outcome.HALTED if halted else Outcome.BUDGET_EXHAUSTED,
+        trace=log,
+        _end=(tables.symbols, tape, far, head, tables.state_of(base), steps),
     )
 
 
@@ -607,7 +582,12 @@ def traces_isomorphic(
         ids_b.get((qmap(q), smap(s), smap(w), m), -1)
         for q, s, w, m in ta._tables.rules
     ]
-    return list(map(to_b.__getitem__, ta._ids)) == tb._ids.tolist()
+    # A chunk at a time, so no list as long as the trace is made.
+    ids_a, ids_b, n = ta._ids, tb._ids, _LINES_PER_WRITE
+    return all(
+        list(map(to_b.__getitem__, ids_a[i : i + n])) == ids_b[i : i + n].tolist()
+        for i in range(0, len(ids_a), n)
+    )
 
 
 # Trace lines, or tape cells of the final line, per write when format_run

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import _Record
@@ -295,7 +295,7 @@ def _summarize(pairs) -> tuple:
     return summary
 
 
-class BigCount:
+class BigCount(_Record):
     """A configuration count: log10 always, the exact int when known.
 
     ``exact`` is None for a count computed in log space only.  A count
@@ -307,12 +307,12 @@ class BigCount:
     hashing go by (log10, exact).
     """
 
-    _factors: Optional[tuple] = None  # (levels, multiplicity) pairs
+    log10: float
+    exact: Optional[int] = None
 
-    def __init__(self, log10: float, exact: Optional[int] = None):
-        if exact is not None and exact < 1:
+    def __post_init__(self):
+        if self.exact is not None and self.exact < 1:
             raise ValueError("exact count must be >= 1")
-        vars(self).update(log10=log10, exact=exact)
 
     @classmethod
     def from_exact(cls, n: int) -> "BigCount":
@@ -323,29 +323,11 @@ class BigCount:
         """The count prod(r ** m) over (r, m) pairs, not yet formed."""
         pairs = tuple((r, m) for r, m in pairs if r > 1)
         log10, digits, lead = _summarize(pairs)
-        self = cls.__new__(cls)
-        vars(self).update(log10=log10, _factors=pairs, _digit_count=digits, _lead=lead)
-        return self
+        return cls._trusted(log10=log10, _factors=pairs, _digit_count=digits, _lead=lead)
 
-    @cached_property
-    def exact(self) -> int:
-        # Reached only by counts made from factors: every other count
-        # holds ``exact`` in its instance dict from the start.
+    def _build(self, name: str) -> int:
+        # Only ``exact`` of a count made from factors is left to build.
         return _product(self._factors)
-
-    __setattr__ = _Record.__setattr__
-    __delattr__ = _Record.__delattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.log10 == other.log10 and self.exact == other.exact
-
-    def __hash__(self):
-        return hash((self.log10, self.exact))
-
-    def __repr__(self):
-        return f"BigCount(log10={self.log10!r}, exact={self.exact!r})"
 
     @property
     def log2(self) -> float:

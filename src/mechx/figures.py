@@ -321,37 +321,42 @@ def _axis_range(coords: list[float], log: bool, axis_name: str) -> tuple[float, 
     return lo, hi
 
 
-def _linear_ticks(lo: float, hi: float, axis_name: str) -> list[float]:
-    # Standard 1-2-5 tick spacing, about five ticks across the span.
+def _linear_ticks(lo: float, hi: float, axis_name: str) -> list[tuple[float, str]]:
+    """(coordinate, label) of each tick, about five at 1-2-5 spacing; rounded
+    to 12 decimals and labelled to 6 digits unless two labels would be equal,
+    and then both carried down to the place of the tick step's leading digit."""
     raw = (hi - lo) / 5
     mag = 10 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
     if mag == 0:  # a span of a few subnormals has no tick step above 0
         raise ValueError(f"{axis_name} axis cannot be drawn: padded span {hi - lo!r}")
     step = next((m * mag for m in (1, 2, 5) if raw <= m * mag), 10 * mag)
-    ticks = []
+    unrounded = []
     t = math.ceil(lo / step) * step
     while t <= hi + 1e-12 * abs(step):
-        ticks.append(round(t, 12))
+        unrounded.append(t)
         if t + step == t:  # a step below the float spacing at t
             break
         t += step
-    return ticks
+    ticks = [round(t, 12) for t in unrounded]
+    labels = list(map(_tick_label, ticks))
+    if len(set(labels)) < len(labels):
+        place = math.floor(math.log10(mag))
+        ticks = [round(t, max(12, -place)) for t in unrounded]
+        top = math.floor(math.log10(max(map(abs, ticks))))
+        labels = [_tick_label(t, top - place + 1) for t in ticks]
+    return list(zip(ticks, labels))
 
 
-def _log_ticks(lo: float, hi: float) -> list[float]:
-    # Integer powers of 10 inside the (log10-space) range.
-    ticks = [float(e) for e in range(math.ceil(lo - 1e-12), math.floor(hi + 1e-12) + 1)]
-    return ticks if ticks else [lo, hi]
+def _log_ticks(lo: float, hi: float) -> list[tuple[float, str]]:
+    # Integer powers of 10 inside the (log10-space) range, or else its ends.
+    powers = range(math.ceil(lo - 1e-12), math.floor(hi + 1e-12) + 1)
+    return [(float(e), f"1e{e}") for e in powers] or [(t, f"{10 ** t:.3g}") for t in (lo, hi)]
 
 
-def _tick_label(coord: float, log: bool) -> str:
-    if log:
-        if coord == int(coord):
-            return f"1e{int(coord)}"
-        return f"{10 ** coord:.3g}"
+def _tick_label(coord: float, digits: int = 6) -> str:
     if coord == int(coord) and abs(coord) < 1e16:
         return str(int(coord))
-    return f"{coord:.6g}"
+    return f"{coord:.{digits}g}"
 
 
 def emit_svg_scatter(
@@ -401,14 +406,14 @@ def emit_svg_scatter(
         f'width="{plot_w:.2f}" height="{plot_h:.2f}" '
         f'fill="none" stroke="black" stroke-width="1"/>',
     ]
-    for t in _log_ticks(x_lo, x_hi) if x_log else _linear_ticks(x_lo, x_hi, "x"):
+    for t, label in _log_ticks(x_lo, x_hi) if x_log else _linear_ticks(x_lo, x_hi, "x"):
         x = px(t)
         out.append(_LINE.format(x, ax_b, x, ax_b + 5))
-        out.append(_text(x, ax_b + 18, 11, _tick_label(t, x_log), "middle"))
-    for t in _log_ticks(y_lo, y_hi) if y_log else _linear_ticks(y_lo, y_hi, "y"):
+        out.append(_text(x, ax_b + 18, 11, label, "middle"))
+    for t, label in _log_ticks(y_lo, y_hi) if y_log else _linear_ticks(y_lo, y_hi, "y"):
         y = py(t)
         out.append(_LINE.format(_MARGIN_LEFT - 5, y, _MARGIN_LEFT, y))
-        out.append(_text(_MARGIN_LEFT - 8, y + 4, 11, _tick_label(t, y_log), "end"))
+        out.append(_text(_MARGIN_LEFT - 8, y + 4, 11, label, "end"))
     rotate = f' transform="rotate(-90 14 {mid_y:.2f})"'
     out.append(_text(mid_x, height - 8, 12, axis_spec.x_label, "middle"))
     out.append(_text("14", mid_y, 12, axis_spec.y_label, "middle", rotate))

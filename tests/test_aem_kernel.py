@@ -574,6 +574,27 @@ def test_trace_equality_walks_no_tuples():
     assert a.trace != run(mf.machine, mf.tape, steps - 1, trace=True).trace
 
 
+def test_traces_isomorphic_compares_a_chunk_at_a_time():
+    # Mapping a's whole id column and listing b's peaked at 16.1 bytes a
+    # step; a chunk of _LINES_PER_WRITE ids at a time costs a few KB.
+    steps = 200_000
+    mf = parse_machine(COUNTER)
+    smap, qmap = machine_maps(random.Random(88), mf.machine)
+    twin = to_mechanization(mf.machine, smap, qmap)
+    a = run(mf.machine, mf.tape, steps, trace=True)
+    b = run(twin, map_tape(mf.tape, smap), steps, trace=True)
+    wrong_q = dict(zip(qmap, reversed(list(qmap.values()))))
+    for q, want in ((qmap, True), (wrong_q, False)):
+        tracemalloc.start()
+        try:
+            verdict = traces_isomorphic(a, b, smap, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict is want
+        assert peak < 2 * steps
+
+
 def test_trace_equality_agrees_with_tuples():
     rng = random.Random(6464)
     verdicts = set()

@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import warnings
@@ -458,3 +459,70 @@ def test_tick_step_below_the_float_spacing_ends():
         "['<text x=\"70.00\" y=\"448.00\" font-size=\"11\" text-anchor=\"middle\" "
         "font-family=\"sans-serif\">1e+16</text>']\n"
     )
+
+
+def _frozen_linear_ticks(lo, hi):
+    # _linear_ticks and _tick_label as they were before a tick step that
+    # the labels could not show got labels of its own: the reference the
+    # labels must still match wherever its labels are distinct.
+    raw = (hi - lo) / 5
+    mag = 10 ** math.floor(math.log10(raw))
+    step = next((m * mag for m in (1, 2, 5) if raw <= m * mag), 10 * mag)
+    ticks = []
+    t = math.ceil(lo / step) * step
+    while t <= hi + 1e-12 * abs(step):
+        ticks.append(round(t, 12))
+        if t + step == t:
+            break
+        t += step
+    return ticks
+
+
+def _frozen_tick_label(coord):
+    if coord == int(coord) and abs(coord) < 1e16:
+        return str(int(coord))
+    return f"{coord:.6g}"
+
+
+def _x_tick_labels(svg):
+    return [
+        el.text
+        for el in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")
+        if el.get("font-size") == "11" and el.get("text-anchor") == "middle"
+    ]
+
+
+@pytest.mark.parametrize(
+    "xs, labels",
+    [
+        ((1.0, 1.000000001), ["1", "1.0000000005", "1.000000001"]),
+        ((1e-13, 3e-13), ["1e-13", "1.5e-13", "2e-13", "2.5e-13", "3e-13"]),
+    ],
+    ids=["near-one", "near-zero"],
+)
+def test_narrow_linear_axis_gets_distinct_tick_labels(xs, labels):
+    # Rounded to 12 decimals and printed to 6 digits, these ticks read
+    # "1 1 1" and "0 0 0 0 0".
+    points = [TrendPoint(f"p{i}", x, 1.0 + i, "s") for i, x in enumerate(xs)]
+    assert _x_tick_labels(emit_svg_scatter(points, LINEAR)) == labels
+
+
+def test_tick_labels_keep_their_old_text_wherever_it_was_distinct():
+    rng = random.Random(4242)
+    verdicts = set()
+    for _ in range(4000):
+        center = rng.choice((1, -1)) * 10 ** rng.uniform(-20, 20) * rng.choice((0, 1))
+        width = 10 ** rng.uniform(-15, 1) * max(abs(center), 10 ** rng.uniform(-20, 20))
+        lo, hi = figures._axis_range([center, center + width], False, "x")
+        ticks, labels = zip(*figures._linear_ticks(lo, hi, "x"))
+        old = _frozen_linear_ticks(lo, hi)
+        old_labels = [_frozen_tick_label(t) for t in old]
+        distinct = len(set(old_labels)) == len(old_labels)
+        if distinct:
+            assert (list(ticks), list(labels)) == (old, old_labels)
+        else:
+            assert len(ticks) == len(old)
+            values = [float(label) for label in labels]
+            assert values == sorted(set(values))
+        verdicts.add(distinct)
+    assert verdicts == {True, False}

@@ -70,6 +70,37 @@ def test_figures_spells_out_the_svg_text_element_once():
     assert (source.count("<text"), source.count("font-family")) == (1, 1)
 
 
+def _records(cls=mechx._Record):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("mechx."):
+            yield sub
+            yield from _records(sub)
+
+
+def test_records_take_construction_and_value_semantics_from_the_base():
+    # _Record alone builds, compares, prints and guards its instances, and
+    # only _Record._trusted makes one without its checks.
+    base = {
+        "__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__",
+        "__getattr__", "_values",
+    }
+    records = {cls.__name__: sorted(base & set(vars(cls))) for cls in _records()}
+    assert {"BigCount", "RunResult", "MachineConfig"} <= set(records)
+    assert {name: own for name, own in records.items() if own} == {}
+    src = pathlib.Path(mechx.__file__).parent
+    makers, cached = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and path.name != "__init__.py":
+                if ast.unparse(node.func) in ("object.__new__", "cls.__new__"):
+                    makers.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom):
+                if any(alias.name == "cached_property" for alias in node.names):
+                    cached.append(f"{path.name}:{node.lineno}")
+    assert makers == [] and cached == []
+
+
 PUBLIC_NAMES = [
     "ARTIFICIAL", "NATURAL", "NON_MECHANICAL_TAG", "Continuous", "DiscreteStates",
     "DofGroup", "NonIntegralSpan", "Platform", "ProcessorSpec", "mechanical_groups",

@@ -9,6 +9,7 @@ interface.
 import copy
 import math
 import pickle
+import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -22,7 +23,7 @@ from mechx.aemachine import (
     RunResult,
     run,
 )
-from mechx.capacity import CapacityReport, ComparisonReport, analyze, compare
+from mechx.capacity import BigCount, CapacityReport, ComparisonReport, analyze, compare
 from mechx.figures import AxisSpec, FigureBundle, TrendPoint
 from mechx.model import Continuous, DiscreteStates, DofGroup, Platform, ProcessorSpec
 from mechx.specfile import Diagnostic, PlatformDocument, Severity
@@ -88,6 +89,11 @@ RECORDS = {
         "ProcessorSpec(name='chip', transistors=47)",
     ),
     "Platform": (_platform, lambda: _platform("rig2"), _PLATFORM_REPR),
+    "BigCount": (
+        lambda: BigCount._from_factors([(3, 3)]),
+        lambda: BigCount.from_exact(28),
+        "BigCount(log10=1.4313637641589874, exact=27)",
+    ),
     "CapacityReport": (lambda: analyze(_platform()), lambda: analyze(_bot()), _REPORT_REPR),
     "ComparisonReport": (
         lambda: compare(_platform(), _bot()),
@@ -360,3 +366,57 @@ def test_default_factories_give_each_instance_its_own_dict():
     assert tape_a.tape == tape_b.tape == {} and tape_a.tape is not tape_b.tape
     tape_a.tape[1] = "1"
     assert MachineFile(INCREMENTER.machine).tape == {}
+
+
+@records
+def test_unknown_names_raise_the_standard_attribute_error(name):
+    obj = RECORDS[name][0]()
+    cls = type(obj)
+    with pytest.raises(AttributeError) as info:
+        obj.no_such_name
+    assert str(info.value) == f"'{name}' object has no attribute 'no_such_name'"
+    assert (info.value.name, info.value.obj) == ("no_such_name", obj)
+    # Defaults live in _defaults only, so a field an instance lacks is
+    # never read from the class.
+    assert not any(hasattr(cls, field) for field in cls._fields)
+    if cls._build is None:  # a field left unset stays missing
+        with pytest.raises(AttributeError, match=f"^'{name}' object has no attribute "):
+            getattr(cls._trusted(), cls._fields[0])
+
+
+# Small enough to form outright, and past _EXACT_BITS: read off fixed-point
+# logarithms, and too long for repr.
+FACTORS = [[(3, 40), (7, 5)], [(3, 20_000), (10, 3)]]
+
+
+@pytest.mark.parametrize("pairs", FACTORS, ids=["small", "large"])
+def test_count_from_factors_is_the_count_of_its_product(pairs):
+    eager = BigCount.from_exact(math.prod(r**m for r, m in pairs))
+    for clone in (lambda c: c, lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy):
+        lazy = clone(BigCount._from_factors(pairs))
+        assert "exact" not in vars(lazy)
+        assert lazy == eager and eager == lazy and not lazy != eager
+        assert hash(lazy) == hash(eager)
+        if eager.digit_count <= sys.get_int_max_str_digits():  # repr prints the int
+            assert repr(lazy) == repr(eager)
+        assert lazy.exact is lazy.exact
+        assert pickle.loads(pickle.dumps(lazy)) == eager
+
+
+@pytest.mark.parametrize("pairs", FACTORS, ids=["small", "large"])
+def test_summaries_of_a_count_from_factors_leave_it_unformed(pairs):
+    c = BigCount._from_factors(pairs)
+    eager = BigCount.from_exact(math.prod(r**m for r, m in pairs))
+    assert c.digit_count == eager.digit_count and c.sci() == eager.sci()
+    assert [c.leading(k) for k in range(1, 21)] == [eager.leading(k) for k in range(1, 21)]
+    assert "exact" not in vars(c)
+
+
+def test_count_takes_record_arguments():
+    match BigCount(2.0, 100):
+        case BigCount(log10, exact):
+            assert (log10, exact) == (2.0, 100)
+    with pytest.raises(TypeError, match=r"^BigCount\(\) takes 2 positional arguments but 3"):
+        BigCount(1.0, 10, 2)
+    with pytest.raises(ValueError, match="^exact count must be >= 1$"):
+        BigCount(0.0, 0)
