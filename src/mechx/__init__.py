@@ -72,6 +72,21 @@ class _Factory:
         self.make = make
 
 
+class _Deferred:
+    """A field ``_trusted`` may leave out: its first read keeps ``_build(name)``
+    in the instance dict, which later reads find first.  The class lacks it."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, record, cls):
+        if record is None:
+            raise AttributeError(f"type object {cls.__name__!r} has no attribute {self.name!r}")
+        return record.__dict__.setdefault(self.name, record._build(self.name))
+
+
 class _Record:
     """Base of the package's frozen value classes.
 
@@ -84,10 +99,11 @@ class _Record:
     Instances keep a ``__dict__``, which pickling and ``copy`` use.
 
     ``_trusted(**fields)`` makes an instance of values the package made,
-    with no copies and no checks.  A field it leaves out is built on first
-    read by the subclass's ``_build(name)`` and kept; equality, hashing and
-    repr build it too.  Defaults live in ``_defaults``, off the class, so a
-    missing field never reads as its class default.
+    with no copies and no checks.  A field it leaves out, one of the
+    subclass's ``_deferred``, is built on first read by its ``_build(name)``
+    and kept; equality, hashing and repr build it too.  Defaults live in
+    ``_defaults``, off the class, so a missing field never reads as its
+    class default.  repr shows each field by ``_field_repr(name)``.
     """
 
     _fields: tuple = ()
@@ -102,6 +118,8 @@ class _Record:
         cls._defaults = {**cls._defaults, **defaults}
         for name in defaults:
             delattr(cls, name)
+        for name in vars(cls).get("_deferred", ()):  # each built by _build
+            setattr(cls, name, _Deferred(name))
 
     @classmethod
     def _trusted(cls, **fields):
@@ -135,19 +153,14 @@ class _Record:
     def __post_init__(self):
         pass
 
-    def __getattr__(self, name):
-        # Reached only for a name missing from the instance dict.
-        if name in self._fields and self._build is not None:
-            value = self.__dict__[name] = self._build(name)
-            return value
-        message = f"{type(self).__name__!r} object has no attribute {name!r}"
-        raise AttributeError(message, name=name, obj=self)
-
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
 
+    def _field_repr(self, name: str) -> str:
+        return repr(getattr(self, name))
+
     def __repr__(self):
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        fields = ", ".join(f"{f}={self._field_repr(f)}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):

@@ -318,6 +318,8 @@ class RunResult(_Record):
     # ``_end``, outside the record fields: (symbols, codes, far, head,
     # state, steps), the tape as in _kernel.  ``final`` is built from it
     # on first read; format_run writes the final line from it directly.
+    _deferred = ("final",)
+
     def _build(self, name: str) -> MachineConfig:
         symbols, codes, far, head, state, steps = self._end
         cells = {i: symbols[c] for i, c in enumerate(codes) if c}

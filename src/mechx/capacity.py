@@ -6,13 +6,14 @@ large (a fountain described here exceeds 10^8000 configurations), so a
 count is summarised from a fixed-point logarithm of the product: log10,
 the digit count and the leading digits.  The exact int is formed when a
 caller reads ``BigCount.exact``, when the count is small, or when the
-logarithm lies too close to a rounding boundary to decide it.  Nothing
-here calls ``str()`` on a large int; ``decimal_string`` renders one.
+logarithm lies too close to a rounding boundary to decide it; every digit
+is rendered from the group factors by ``BigCount.decimal()``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -106,39 +107,6 @@ def _leading(n: int, d: int, k: int) -> str:
     if d <= k:
         return str(n)
     return str(n // 10 ** (d - k))
-
-
-def decimal_string(n: int) -> str:
-    """``str(n)`` for an int n >= 0, in sub-quadratic time and whatever
-    the interpreter's int-to-str digit limit.
-
-    n is split on powers of two and the halves are recombined in
-    ``decimal`` arithmetic at ``MAX_PREC``, where every product is exact
-    and libmpdec multiplies large numbers in sub-quadratic time.  This is
-    the scheme of CPython 3.12's ``_pylong.int_to_decimal_string``.
-    """
-    if n < 0:
-        raise ValueError("decimal_string requires a nonnegative integer")
-    from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
-
-    powers: dict = {}
-
-    def pow2(w: int) -> Decimal:
-        p = powers.get(w)
-        if p is None:
-            p = powers[w] = Decimal(2) ** w
-        return p
-
-    def convert(n: int, w: int) -> Decimal:  # n < 2**w
-        if w <= 2000:  # at most 602 digits: convert directly
-            return Decimal(n)
-        half = w >> 1
-        hi = n >> half
-        return convert(n - (hi << half), half) + convert(hi, w - half) * pow2(half)
-
-    with localcontext() as ctx:
-        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
-        return str(convert(n, n.bit_length()))
 
 
 # Fixed-point logarithms ---------------------------------------------------
@@ -302,9 +270,9 @@ class BigCount(_Record):
     made from group factors holds log10 (bit for bit ``ilog10`` of the
     product), its digit count and its first digits, all from a
     fixed-point logarithm; it forms the exact int on the first read of
-    ``exact`` and keeps it.  Formatting helpers never go through base-10
-    rendering of the exact value.  Counts are immutable; equality and
-    hashing go by (log10, exact).
+    ``exact`` and keeps it.  No formatting helper forms it: ``decimal()``
+    renders its digits from the factors.  Counts are immutable; equality
+    and hashing go by (log10, exact).
     """
 
     log10: float
@@ -325,9 +293,18 @@ class BigCount(_Record):
         log10, digits, lead = _summarize(pairs)
         return cls._trusted(log10=log10, _factors=pairs, _digit_count=digits, _lead=lead)
 
+    _deferred = ("exact",)
+
     def _build(self, name: str) -> int:
         # Only ``exact`` of a count made from factors is left to build.
         return _product(self._factors)
+
+    def _field_repr(self, name: str) -> str:
+        # An int past str()'s limit shows its digit count, and is not formed.
+        if name == "exact" and vars(self).get(name, 0) is not None:
+            if 0 < sys.get_int_max_str_digits() < self.digit_count:
+                return f"<int of {self.digit_count} digits>"
+        return super()._field_repr(name)
 
     @property
     def log2(self) -> float:
@@ -337,10 +314,7 @@ class BigCount(_Record):
     def digit_count(self) -> int:
         d = vars(self).get("_digit_count")
         if d is None:
-            if self.exact is not None:
-                d = ndigits(self.exact)
-            else:
-                d = int(math.floor(self.log10)) + 1
+            d = math.floor(self.log10) + 1 if self.exact is None else ndigits(self.exact)
             vars(self)["_digit_count"] = d
         return d
 
@@ -362,12 +336,24 @@ class BigCount(_Record):
         mant = lead[0] + ("." + lead[1:] if len(lead) > 1 else "")
         return f"{mant}e+{self.digit_count - 1:02d}"
 
-    def __mul__(self, other: "BigCount") -> "BigCount":
-        if not isinstance(other, BigCount):
-            return NotImplemented
-        if self.exact is not None and other.exact is not None:
-            return BigCount.from_exact(self.exact * other.exact)
-        return BigCount(log10=self.log10 + other.log10, exact=None)
+    def decimal(self) -> str:
+        """Every digit of the count, as ``str(exact)`` gives them.  A count
+        made from factors multiplies their powers in ``decimal`` arithmetic
+        at its digit count, where none rounds (a shortfall raises
+        ``decimal.Inexact``), and does not form ``exact``; a log-space
+        count raises ValueError."""
+        pairs = vars(self).get("_factors")
+        if pairs is None:
+            if self.exact is None:
+                raise ValueError("a log-space count has no exact digits")
+            return str(self.exact)
+        from decimal import MAX_EMAX, Context, Decimal, Inexact, Overflow
+
+        ctx = Context(prec=self.digit_count + 2, Emax=MAX_EMAX, traps=[Inexact, Overflow])
+        d = Decimal(1)
+        for r, m in pairs:
+            d = ctx.multiply(d, ctx.power(Decimal(r), m))
+        return format(d, "f")
 
 
 def _factors(groups, exact: bool, strict: bool) -> list:

@@ -29,7 +29,6 @@ from .capacity import (
     compare,
     computational_capacity,
     count_configurations,
-    decimal_string,
 )
 from .model import Platform
 
@@ -157,7 +156,7 @@ def cmd_compute(args) -> int:
             payload[f"c_digits_{label}"] = c.digit_count
             if mode is CountMode.EXACT:
                 if id(c) not in rendered:
-                    rendered[id(c)] = decimal_string(c.exact)
+                    rendered[id(c)] = c.decimal()
                 payload[f"c_exact_{label}"] = rendered[id(c)]
         else:
             lines += [

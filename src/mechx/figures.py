@@ -323,8 +323,8 @@ def _axis_range(coords: list[float], log: bool, axis_name: str) -> tuple[float, 
 
 def _linear_ticks(lo: float, hi: float, axis_name: str) -> list[tuple[float, str]]:
     """(coordinate, label) of each tick, about five at 1-2-5 spacing; rounded
-    to 12 decimals and labelled to 6 digits unless two labels would be equal,
-    and then both carried down to the place of the tick step's leading digit."""
+    to 12 decimals and labelled to 6 digits, or down to the place of the tick
+    step's leading digit where 6 misname a tick or two labels are equal."""
     raw = (hi - lo) / 5
     mag = 10 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
     if mag == 0:  # a span of a few subnormals has no tick step above 0
@@ -338,7 +338,11 @@ def _linear_ticks(lo: float, hi: float, axis_name: str) -> list[tuple[float, str
             break
         t += step
     ticks = [round(t, 12) for t in unrounded]
-    labels = list(map(_tick_label, ticks))
+    place = math.floor(math.log10(step))
+    labels = [_tick_label(t) for t in ticks]
+    for i, t in enumerate(ticks):
+        if float(labels[i]) != t:  # as 100000 for 100000.5; never at 0
+            labels[i] = _tick_label(t, min(17, math.floor(math.log10(abs(t))) - place + 1))
     if len(set(labels)) < len(labels):
         place = math.floor(math.log10(mag))
         ticks = [round(t, max(12, -place)) for t in unrounded]

@@ -141,17 +141,6 @@ class TestBigCount:
         assert c.sci(2) == "9.9e+1234"
         assert c.sci(2) == BigCount.from_exact(9975 * 10**1231).sci(2)
 
-    def test_mul_exact(self):
-        a, b = BigCount.from_exact(36), BigCount.from_exact(100)
-        assert (a * b).exact == 3600
-
-    def test_mul_log_only(self):
-        a = BigCount(log10=2.0)
-        b = BigCount(log10=3.0)
-        c = a * b
-        assert c.exact is None
-        assert c.log10 == pytest.approx(5.0)
-
 
 class TestCounting:
     def test_empty_platform_counts_one(self):

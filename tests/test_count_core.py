@@ -1,7 +1,8 @@
 """The counting core: summaries from a fixed-point logarithm against the
 exact product, the exact fallback at rounding boundaries, the on-demand
-exact int and the decimal renderer."""
+exact int and the decimal rendering of a count."""
 
+import decimal
 import math
 import pickle
 import random
@@ -9,6 +10,8 @@ import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mechx import capacity
 from mechx.capacity import (
@@ -17,7 +20,6 @@ from mechx.capacity import (
     CountMode,
     analyze,
     count_configurations,
-    decimal_string,
     digits_of_pow2,
     ilog10,
 )
@@ -188,7 +190,9 @@ def test_count_keeps_value_semantics():
     eager = BigCount.from_exact(3600**3000)
     assert lazy == eager and hash(lazy) == hash(eager)
     assert lazy != BigCount.from_exact(3600**3000 + 1)
-    assert (lazy * BigCount.from_exact(2)) == BigCount.from_exact(3600**3000 * 2)
+    assert count_configurations(platform_of([(3600, 3000), (2, 1)])) == BigCount.from_exact(
+        3600**3000 * 2
+    )
     assert repr(BigCount.from_exact(1024)) == "BigCount(log10=3.010299956639812, exact=1024)"
     assert pickle.loads(pickle.dumps(lazy)) == eager
     with pytest.raises(FrozenInstanceError):
@@ -202,16 +206,42 @@ def test_all_mechanical_platform_shares_one_count():
     assert rep.count_all is not rep.count_mechanical
 
 
-def test_decimal_string_matches_str():
+def _str(n):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        rng = random.Random(77)
-        values = [0, 1, 2**2000 - 1, 2**2000, 10**602, 10**603 - 1, 3600**28000]
-        values += [rng.getrandbits(rng.randint(1, 60000)) for _ in range(40)]
-        for n in values:
-            assert decimal_string(n) == str(n)
+        return str(n)
     finally:
         sys.set_int_max_str_digits(limit)
-    with pytest.raises(ValueError):
-        decimal_string(-1)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.integers(1, 3600), st.integers(0, 3000)),
+            st.tuples(st.sampled_from([10, 1000, 2**64, 10**70 - 1]), st.integers(0, 300)),
+        ),
+        max_size=4,
+    )
+)
+@settings(max_examples=150, deadline=None)
+@example([(1000, 5000)])
+@example([(10, 7)])
+@example([])
+def test_decimal_matches_the_product(pairs):
+    c = BigCount._from_factors(pairs)
+    assert c.decimal() == _str(math.prod(r**m for r, m in pairs))
+    assert "exact" not in vars(c)
+
+
+def test_decimal_of_a_count_made_from_an_int_or_in_log_space():
+    assert BigCount.from_exact(10**40 + 7).decimal() == str(10**40 + 7)
+    with pytest.raises(ValueError, match="log-space"):
+        BigCount(log10=2.0).decimal()
+
+
+def test_decimal_raises_rather_than_drop_a_digit():
+    c = BigCount._from_factors([(3, 30_000)])
+    short = BigCount._trusted(**{**vars(c), "_digit_count": c.digit_count - 3})
+    with pytest.raises(decimal.Inexact):
+        short.decimal()

@@ -507,6 +507,13 @@ def test_narrow_linear_axis_gets_distinct_tick_labels(xs, labels):
     assert _x_tick_labels(emit_svg_scatter(points, LINEAR)) == labels
 
 
+def test_tick_labels_name_their_ticks_far_from_zero():
+    # To 6 digits these ticks read "100000 100001 100002".
+    lo, hi = figures._axis_range([100000.5, 100001.5], False, "x")
+    ticks = figures._linear_ticks(lo, hi, "x")
+    assert ticks == [(100000.5, "100000.5"), (100001.0, "100001"), (100001.5, "100001.5")]
+
+
 def test_tick_labels_keep_their_old_text_wherever_it_was_distinct():
     rng = random.Random(4242)
     verdicts = set()
@@ -518,11 +525,17 @@ def test_tick_labels_keep_their_old_text_wherever_it_was_distinct():
         old = _frozen_linear_ticks(lo, hi)
         old_labels = [_frozen_tick_label(t) for t in old]
         distinct = len(set(old_labels)) == len(old_labels)
-        if distinct:
+        # An old label that does not read back as its tick (100000.5 shown
+        # as 100000) is not kept.
+        named = all(float(label) == t for t, label in zip(old, old_labels))
+        if distinct and named:
             assert (list(ticks), list(labels)) == (old, old_labels)
         else:
             assert len(ticks) == len(old)
             values = [float(label) for label in labels]
             assert values == sorted(set(values))
-        verdicts.add(distinct)
-    assert verdicts == {True, False}
+            if distinct and len(ticks) > 1:  # an old label misnamed its tick; no new one does
+                step = (ticks[-1] - ticks[0]) / (len(ticks) - 1)
+                assert all(abs(v - t) < step / 2 for v, t in zip(values, ticks))
+        verdicts.add((distinct, named))
+    assert verdicts >= {(True, True), (True, False), (False, True)}

@@ -87,6 +87,16 @@ def test_records_take_construction_and_value_semantics_from_the_base():
     records = {cls.__name__: sorted(base & set(vars(cls))) for cls in _records()}
     assert {"BigCount", "RunResult", "MachineConfig"} <= set(records)
     assert {name: own for name, own in records.items() if own} == {}
+    # No attribute hook slows every read: a field built on first read is a
+    # descriptor on that field alone, and only where _build can build it.
+    for cls in (mechx._Record, *_records()):
+        assert not {"__getattr__", "__getattribute__"} & set(vars(cls)), cls
+        deferred = {k for k, v in vars(cls).items() if isinstance(v, mechx._Deferred)}
+        if cls._build is None:
+            assert deferred == set(), cls
+        else:
+            assert deferred == set(vars(cls)["_deferred"]) <= set(cls._fields), cls
+    assert {c.__name__ for c in _records() if c._build} == {"BigCount", "RunResult"}
     src = pathlib.Path(mechx.__file__).parent
     makers, cached = [], []
     for path in sorted(src.glob("*.py")):
@@ -167,10 +177,10 @@ def test_import_loads_submodules_on_first_use():
     out = _run_python(
         "import sys, mechx\n"
         "print(sorted(m for m in sys.modules if m.startswith('mechx.')))\n"
-        "print(mechx.capacity.decimal_string(12345))\n"
+        "print(mechx.capacity.ndigits(12345))\n"
         "print(sorted(m for m in sys.modules if m.startswith('mechx.')))\n"
     ).stdout.splitlines()
-    assert out == ["[]", "12345", "['mechx.capacity', 'mechx.model']"]
+    assert out == ["[]", "5", "['mechx.capacity', 'mechx.model']"]
 
 
 @pytest.mark.parametrize(

@@ -420,3 +420,23 @@ def test_count_takes_record_arguments():
         BigCount(1.0, 10, 2)
     with pytest.raises(ValueError, match="^exact count must be >= 1$"):
         BigCount(0.0, 0)
+
+
+def test_repr_of_a_count_past_the_str_limit_names_its_digit_count():
+    report = analyze(Platform("big", "artificial", (DofGroup("g", 20000, DiscreteStates(3)),)))
+    count = "BigCount(log10=9542.42509439325, exact=<int of 9543 digits>)"
+    assert repr(report) == (
+        f"CapacityReport(name='big', count_all={count}, count_mechanical={count}, "
+        "computational=None)"
+    )
+    assert "exact" not in vars(report.count_all)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit: the int itself
+    try:
+        assert repr(report.count_all) == repr(BigCount.from_exact(3**20000))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert repr(BigCount.from_exact(3**20000)) == count
+    # Formed, this count would take 1.5 TB.
+    huge = Platform("huge", "artificial", (DofGroup("g", 10**12, DiscreteStates(3600)),))
+    assert repr(analyze(huge).count_all).endswith(", exact=<int of 3556302500768 digits>)")
