@@ -95,13 +95,6 @@ def digits_of_pow2(exponent: int) -> int:
     return _summarize(((2, exponent),))[1]
 
 
-def leading_digits(n: int, k: int = 3) -> str:
-    """First ``k`` decimal digits of a positive int, as a string."""
-    if n <= 0:
-        raise ValueError("leading_digits requires a positive integer")
-    return _leading(n, ndigits(n), k)
-
-
 def _leading(n: int, d: int, k: int) -> str:
     # First k digits of n, which has d digits.
     if d <= k:
@@ -115,10 +108,12 @@ def _leading(n: int, d: int, k: int) -> str:
 # series below are off by fewer than 16 * prec units of 2**-prec.  For a
 # count whose bit bound B = sum(M * R.bit_length()) has G bits, ln C is
 # then off by fewer than 2**(G + 6) * prec units, log2 C and log10 C by
-# fewer than 2**(G + 8) * prec, and its first 64 bits and first 20 digits
-# by fewer than 2**(G + 78) * prec.  A value closer than 2**(G + 90) * prec
-# units to a rounding boundary is not trusted.  _summarize starts at
-# prec >= G + 256, where that margin is below 2**-150.
+# fewer than 2**(G + 8) * prec, and its first 64 bits and first k digits
+# by fewer than 2**(G + 78 + X) * prec, where X = _lead_bits(k) covers the
+# digits past the 20th (10**(k - 20) < 2**X).  A value closer than
+# 2**(G + 90 + X) * prec units to a rounding boundary is not trusted.
+# _summarize starts at prec >= G + X + 256, where that margin is below
+# prec * 2**-166 of one.
 
 # Products of at most this many bits are formed outright: that is cheap,
 # and the exact product is the ground truth the logarithm is tested on.
@@ -127,10 +122,15 @@ _EXACT_BITS = 20_000
 # ``compute --exact`` prints (10**6 digits are 3.3 million bits) is formed;
 # a larger one is recomputed at twice the precision.
 _FALLBACK_BITS = 4 * EXACT_DIGITS_LIMIT
-# The margin is 2**(G + _MARGIN_BITS) * prec units (see above).
+# The margin is 2**(G + _MARGIN_BITS + X) * prec units (see above).
 _MARGIN_BITS = 90
-# Leading digits each count keeps; leading(k) up to this needs no big int.
+# Leading digits each count keeps; leading(k) up to this reads them.
 _LEAD_DIGITS = 20
+
+
+def _lead_bits(k: int) -> int:
+    """X above: 10/3 bits, more than log2(10), for each digit past the 20th."""
+    return max(0, -(-(k - _LEAD_DIGITS) * 10 // 3))
 
 
 def _atanh(x: int, prec: int) -> int:
@@ -199,24 +199,24 @@ def _is_product(pairs, n: int, e2: int, e5: int) -> bool:
     return (rest << -e2) * 5**-e5 == n
 
 
-def _exact_summary(pairs) -> tuple:
-    """(log10, digit count, leading digits) read off the exact product."""
+def _exact_summary(pairs, k: int) -> tuple:
+    """(log10, digit count, first k digits) read off the exact product."""
     n = _product(pairs)
     d = ndigits(n)
-    return ilog10(n), d, _leading(n, d, _LEAD_DIGITS)
+    return ilog10(n), d, _leading(n, d, k)
 
 
-def _log_summary(pairs, bits: int, prec: int) -> Optional[tuple]:
-    """(log10, digit count, leading digits) from fixed-point logarithms, or
+def _log_summary(pairs, bits: int, prec: int, k: int) -> Optional[tuple]:
+    """(log10, digit count, first k digits) from fixed-point logarithms, or
     None when a value lies within the margin of a rounding boundary that
-    no exact identity settles.
+    no exact identity settles.  The count must have more than k digits.
 
     log10 repeats ``ilog10``: with b the bit length and top the first 64
     bits, it is log10(top) + (b - 64) * LOG10_2, and top is
     floor(2**(63 + frac(log2 C))).
     """
     one = 1 << prec
-    margin = prec << (bits.bit_length() + _MARGIN_BITS)
+    margin = prec << (bits.bit_length() + _MARGIN_BITS + _lead_bits(k))
     ln_c = sum(m * _ln(r, prec) for r, m in pairs)
 
     def near(frac: int) -> bool:  # is frac, in [0, 1), next to 0 or 1?
@@ -242,23 +242,24 @@ def _log_summary(pairs, bits: int, prec: int) -> Optional[tuple]:
         return whole, lead
 
     two = first(2, 63)
-    ten = None if two is None else first(10, _LEAD_DIGITS - 1)
+    ten = None if two is None else first(10, k - 1)
     if ten is None:
         return None
     (whole2, top), (whole10, lead) = two, ten
     return math.log10(top) + (whole2 - 63) * LOG10_2, whole10 + 1, str(lead)
 
 
-def _summarize(pairs) -> tuple:
-    """(log10, digit count, leading digits) of prod(r ** m) over ``pairs``."""
+def _summarize(pairs, k: int = _LEAD_DIGITS) -> tuple:
+    """(log10, digit count, first k digits) of prod(r ** m) over ``pairs``;
+    past ``_EXACT_BITS`` the count must have more than k digits."""
     bits = sum(m * r.bit_length() for r, m in pairs)  # >= C.bit_length()
     if bits <= _EXACT_BITS:
-        return _exact_summary(pairs)
+        return _exact_summary(pairs, k)
     # Whole words keep the _ln cache shared between nearby sizes.
-    prec = 256 + 64 * -(-bits.bit_length() // 64)
-    while (summary := _log_summary(pairs, bits, prec)) is None:
+    prec = 256 + 64 * -(-(bits.bit_length() + _lead_bits(k)) // 64)
+    while (summary := _log_summary(pairs, bits, prec, k)) is None:
         if bits <= _FALLBACK_BITS:
-            return _exact_summary(pairs)
+            return _exact_summary(pairs, k)
         prec *= 2
     return summary
 
@@ -319,10 +320,18 @@ class BigCount(_Record):
         return d
 
     def leading(self, k: int = 3) -> str:
-        """First ``k`` significant decimal digits."""
+        """First ``k`` significant decimal digits; a count made from
+        factors does not form ``exact`` for them."""
         lead = vars(self).get("_lead")
         if lead is not None and 0 < k <= _LEAD_DIGITS:
             return lead[:k]
+        pairs = vars(self).get("_factors")
+        if pairs is not None and k > 0:
+            # The logarithm's cost grows faster than k**2, and rendering's
+            # with the digit count: up to k**2 digits, render them all.
+            if k * k >= self.digit_count:
+                return self.decimal()[:k]
+            return _summarize(pairs, k)[2]
         if self.exact is not None:
             return _leading(self.exact, self.digit_count, k)
         frac = self.log10 - math.floor(self.log10)
@@ -489,10 +498,12 @@ def analyze(
 
 
 class ComparisonReport(_Record):
-    """Two platforms side by side, mechanical-capacity based."""
+    """Two platforms side by side: each name with its mechanical count."""
 
-    left: CapacityReport
-    right: CapacityReport
+    left: str
+    right: str
+    count_left: BigCount
+    count_right: BigCount
     bits_difference: float
     log10_ratio: float
     bits_ratio: float
@@ -500,31 +511,23 @@ class ComparisonReport(_Record):
     @property
     def larger(self) -> str:
         if self.bits_difference > 0:
-            return self.left.name
+            return self.left
         if self.bits_difference < 0:
-            return self.right.name
+            return self.right
         return ""
 
 
 def compare(a: Platform, b: Platform, *, strict: bool = True) -> ComparisonReport:
-    """Compare mechanical capacities of two platforms.
-
-    ``bits_difference`` is left minus right; ``log10_ratio`` is the
-    log10 of count(left)/count(right); ``bits_ratio`` is the plain
-    quotient of the two bit capacities.
+    """Compare the mechanical capacities of two platforms, each counted as
+    ``count_configurations(mechanical_only=True)`` counts it, so no
+    non-mechanical group is resolved.  ``bits_difference`` is left minus
+    right, ``log10_ratio`` the log10 of count(left)/count(right), and
+    ``bits_ratio`` the plain quotient of the two bit capacities.
     """
-    ra = analyze(a, strict=strict)
-    rb = analyze(b, strict=strict)
-    diff = ra.bits_mechanical - rb.bits_mechanical
-    ratio = (
-        ra.bits_mechanical / rb.bits_mechanical
-        if rb.bits_mechanical != 0
-        else math.inf
-    )
+    ca, cb = (count_configurations(p, mechanical_only=True, strict=strict) for p in (a, b))
+    ka, kb = ca.log2, cb.log2
     return ComparisonReport(
-        left=ra,
-        right=rb,
-        bits_difference=diff,
-        log10_ratio=ra.count_mechanical.log10 - rb.count_mechanical.log10,
-        bits_ratio=ratio,
+        left=a.name, right=b.name, count_left=ca, count_right=cb,
+        bits_difference=ka - kb, log10_ratio=ca.log10 - cb.log10,
+        bits_ratio=ka / kb if kb != 0 else math.inf,
     )

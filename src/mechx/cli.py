@@ -106,6 +106,11 @@ def _emit(lines, payload: Optional[dict] = None) -> int:
     return EXIT_OK
 
 
+def _one_line(name: str) -> str:
+    # A name in text output, with a line feed written as its .mechx escape.
+    return name.replace("\n", "\\n")
+
+
 def _load_platform(ref: str) -> Platform:
     if ref.startswith("@"):
         try:
@@ -143,7 +148,7 @@ def cmd_compute(args) -> int:
     payload = {"platform": platform.name, "kind": platform.kind, "mode": mode.value}
     dof = sum(g.multiplicity for g in platform.groups)
     lines = [
-        f"platform: {platform.name}",
+        f"platform: {_one_line(platform.name)}",
         f"kind: {platform.kind}",
         f"degrees of freedom: {dof} ({len(platform.groups)} groups)",
     ]
@@ -169,7 +174,7 @@ def cmd_compute(args) -> int:
         payload["transistors"] = p.transistors
         payload["computational_bits"] = cap.bits
         payload["computational_config_digits"] = cap.config_digits
-        name = p.name if p.name else "(unnamed)"
+        name = _one_line(p.name) or "(unnamed)"
         lines += [
             f"processor: {name}, {p.transistors} transistors",
             f"computational capacity = {cap.bits!r} bits "
@@ -181,10 +186,10 @@ def cmd_compute(args) -> int:
 def cmd_compare(args) -> int:
     rep = compare(_load_platform(args.left), _load_platform(args.right))
     payload = {
-        "left": rep.left.name,
-        "right": rep.right.name,
-        "k_bits_left": rep.left.bits_mechanical,
-        "k_bits_right": rep.right.bits_mechanical,
+        "left": rep.left,
+        "right": rep.right,
+        "k_bits_left": rep.count_left.log2,
+        "k_bits_right": rep.count_right.log2,
         "bits_difference": rep.bits_difference,
         "log10_ratio": rep.log10_ratio,
         # JSON has no infinity: a right-hand count of 0 bits gives null.
@@ -192,12 +197,12 @@ def cmd_compare(args) -> int:
         "larger": rep.larger,
     }
     lines = [
-        f"left: {rep.left.name}, K(mechanical) = {rep.left.bits_mechanical!r} bits",
-        f"right: {rep.right.name}, K(mechanical) = {rep.right.bits_mechanical!r} bits",
+        f"left: {_one_line(rep.left)}, K(mechanical) = {rep.count_left.log2!r} bits",
+        f"right: {_one_line(rep.right)}, K(mechanical) = {rep.count_right.log2!r} bits",
         f"difference (left - right) = {rep.bits_difference!r} bits",
         f"log10 configuration ratio = {rep.log10_ratio!r}",
         f"bits ratio = {rep.bits_ratio!r}",
-        f"larger: {rep.larger if rep.larger else '(equal)'}",
+        f"larger: {_one_line(rep.larger) or '(equal)'}",
     ]
     return _emit(lines, payload if args.json else None)
 

@@ -187,15 +187,6 @@ def resolve_levels(group: DofGroup, *, strict: bool = True) -> int:
     return max(1, nearest)
 
 
-def span_is_integral(group: DofGroup) -> bool:
-    """True when the group is discrete or its span divides evenly."""
-    try:
-        resolve_levels(group)
-    except NonIntegralSpan:
-        return False
-    return True
-
-
 def mechanical_groups(platform: Platform) -> list[DofGroup]:
     """The platform's groups with non-mechanical outputs (lights, displays)
     filtered out; order is preserved."""

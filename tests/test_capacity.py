@@ -6,7 +6,7 @@ from decimal import Context, Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_count, random_group_list
+from conftest import brute_force_count, random_document, random_group_list
 from mechx import capacity, cli
 from mechx.capacity import (
     LOG10_2,
@@ -19,7 +19,6 @@ from mechx.capacity import (
     digits_of_pow2,
     ilog10,
     kinematic_expressivity,
-    leading_digits,
     ndigits,
 )
 from mechx.model import (
@@ -30,6 +29,7 @@ from mechx.model import (
     Platform,
     ProcessorSpec,
 )
+from mechx.specfile import parse_platform
 
 @pytest.fixture(autouse=True, scope="module")
 def _int_str_digits():
@@ -99,10 +99,9 @@ class TestIntHelpers:
         [
             (lambda: ilog10(0), "ilog10 requires a positive integer"),
             (lambda: ndigits(-1), "ndigits requires a nonnegative integer"),
-            (lambda: leading_digits(0), "leading_digits requires a positive integer"),
             (lambda: BigCount(0.0, exact=0), "exact count must be >= 1"),
         ],
-        ids=["ilog10", "ndigits", "leading_digits", "BigCount"],
+        ids=["ilog10", "ndigits", "BigCount"],
     )
     def test_input_checks(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -111,12 +110,6 @@ class TestIntHelpers:
     def test_digits_of_pow2_rejects_negative(self):
         with pytest.raises(ValueError):
             digits_of_pow2(-1)
-
-    def test_leading_digits(self):
-        assert leading_digits(123456, 3) == "123"
-        assert leading_digits(999, 3) == "999"
-        assert leading_digits(42, 3) == "42"
-        assert leading_digits(10**100 * 7, 2) == "70"
 
 
 class TestBigCount:
@@ -372,6 +365,43 @@ class TestReports:
         rep = compare(a, a)
         assert rep.larger == ""
         assert rep.bits_difference == 0.0
+
+    @given(st.integers(0, 2**32), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_compare_counts_as_mechanical_only_counting_does(self, seed, led_left):
+        # A range of 1/0.3 levels is refused in strict mode, so the LED
+        # stops any count that resolves it.
+        rng = random.Random(seed)
+        a, b = (parse_platform(random_document(rng)).platform for _ in range(2))
+        led = DofGroup("LED", 1, Continuous(0, 1, 0.3), {"non-mechanical"})
+        if led_left:
+            a = Platform(a.name, a.kind, (*a.groups, led), processor=a.processor)
+        else:
+            b = Platform(b.name, b.kind, (led, *b.groups), processor=b.processor)
+        rep = compare(a, b)
+        ca = count_configurations(a, mechanical_only=True)
+        cb = count_configurations(b, mechanical_only=True)
+        assert (rep.left, rep.right) == (a.name, b.name)
+        assert (rep.count_left, rep.count_right) == (ca, cb)
+        assert rep.bits_difference == ca.log2 - cb.log2
+        assert rep.log10_ratio == ca.log10 - cb.log10
+        assert rep.bits_ratio == (ca.log2 / cb.log2 if cb.log2 else math.inf)
+
+    def test_compare_never_resolves_a_non_mechanical_group(self, monkeypatch):
+        resolved = []
+
+        def spy(group, *, strict=True, real=capacity.resolve_levels):
+            resolved.append(group.label)
+            return real(group, strict=strict)
+
+        monkeypatch.setattr(capacity, "resolve_levels", spy)
+        monkeypatch.setattr(capacity, "analyze", None)  # compare must not call it
+        led = DofGroup("led", 1, Continuous(0, 1, 0.3), {"non-mechanical"})
+        a = platform_of([led, DofGroup("arm", 2, DiscreteStates(3))])
+        b = platform_of([DofGroup("lamp", 1, DiscreteStates(2), {"non-mechanical"})])
+        rep = compare(a, b)
+        assert resolved == ["arm"]
+        assert (rep.count_left.exact, rep.count_right.exact) == (9, 1)
 
 
 def test_log10_2_constant():

@@ -308,6 +308,62 @@ class TestCompare:
         assert payload["larger"] == ""
         assert payload["bits_difference"] == 0.0
 
+    def test_counts_each_side_as_mechanical_only_compute_does(self, capsys, tmp_path):
+        # The LED's non-integral range stops the full count, but compare
+        # reports only the mechanical one and never resolves the LED.
+        path = tmp_path / "led.mechx"
+        path.write_text(
+            'platform "p"\n'
+            'group "led" count 1 range 0 1 resolution 0.3 tag "non-mechanical"\n'
+            'group "servo" count 1 states 2\n',
+            encoding="utf-8",
+        )
+        k = {}
+        for ref in (str(path), "@nao"):
+            code, out, _ = run_cli(capsys, "compute", ref, "--mechanical-only", "--json")
+            assert code == 0
+            k[ref] = json.loads(out)["k_bits_mechanical"]
+        assert k[str(path)] == 1.0
+        code, out, err = run_cli(capsys, "compare", str(path), "@nao")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == f"left: p, K(mechanical) = {k[str(path)]!r} bits"
+        assert lines[1] == f"right: NAO, K(mechanical) = {k['@nao']!r} bits"
+        code, out, err = run_cli(capsys, "compare", str(path), "@nao", "--json")
+        payload = json.loads(out)
+        assert (code, err) == (0, "")
+        assert (payload["k_bits_left"], payload["k_bits_right"]) == (k[str(path)], k["@nao"])
+
+    def test_line_feed_in_a_name_is_written_as_its_escape(self, capsys, tmp_path):
+        path = tmp_path / "nl.mechx"
+        path.write_text(
+            'platform "new\\nline"\n'
+            'processor "cpu\\nx" transistors 100\n'
+            'group "servo" count 1 states 2\n',
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(capsys, "compute", str(path))
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 11
+        assert lines[0] == "platform: new\\nline"
+        assert lines[9] == "processor: cpu\\nx, 100 transistors"
+        code, out, _ = run_cli(capsys, "compare", str(path), str(path))
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 6
+        assert lines[0] == "left: new\\nline, K(mechanical) = 1.0 bits"
+        assert lines[1] == "right: new\\nline, K(mechanical) = 1.0 bits"
+        zero = tmp_path / "zero.mechx"
+        zero.write_text('platform "zero"\ngroup "g" count 3 states 1\n', encoding="utf-8")
+        code, out, _ = run_cli(capsys, "compare", str(zero), str(path))
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 6
+        assert lines[5] == "larger: new\\nline"
+        # JSON keeps the name as it is.
+        for argv in (("compute", str(path)), ("compare", str(path), str(path))):
+            code, out, _ = run_cli(capsys, *argv, "--json")
+            payload = json.loads(out)
+            assert payload.get("platform", payload.get("left")) == "new\nline"
+
 
 class TestDatasetList:
     def test_lists_all(self, capsys):

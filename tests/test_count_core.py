@@ -72,9 +72,9 @@ def paths(monkeypatch):
     product and the exact identity check."""
     seen = {"product": 0, "identity": 0}
 
-    def product(pairs, real=capacity._exact_summary):
+    def product(*args, real=capacity._exact_summary):
         seen["product"] += 1
-        return real(pairs)
+        return real(*args)
 
     def identity(*args, real=capacity._is_product):
         seen["identity"] += real(*args)
@@ -245,3 +245,28 @@ def test_decimal_raises_rather_than_drop_a_digit():
     short = BigCount._trusted(**{**vars(c), "_digit_count": c.digit_count - 3})
     with pytest.raises(decimal.Inexact):
         short.decimal()
+
+
+# Exact powers of ten, which put every leading digit past the first on a
+# rounding boundary that only the exact identity check settles.
+_TENS = st.integers(1, 12_000).flatmap(
+    lambda m: st.sampled_from([[(10, m)], [(2, m), (5, m)], [(5, m), (3, 1), (2, m)]])
+)
+
+
+@given(
+    st.lists(st.tuples(st.integers(2, 3600), st.integers(0, 3000)), max_size=3),
+    st.one_of(st.just([]), _TENS),
+)
+@settings(max_examples=60, deadline=None)
+@example([(3, 30_000)], [])
+@example([(10**70 - 1, 300)], [])
+@example([], [(2, 30_000), (5, 30_000)])
+@example([(7, 1)], [])
+def test_leading_digits_past_the_kept_ones_match_the_product(pairs, tens):
+    pairs += tens
+    c = BigCount._from_factors(pairs)
+    digits = _str(math.prod(r**m for r, m in pairs))
+    assert [c.leading(k) for k in range(1, 61)] == [digits[:k] for k in range(1, 61)]
+    assert c.leading(len(digits) + 1) == digits
+    assert "exact" not in vars(c)

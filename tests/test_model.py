@@ -10,7 +10,6 @@ from mechx.model import (
     ProcessorSpec,
     mechanical_groups,
     resolve_levels,
-    span_is_integral,
 )
 
 
@@ -60,11 +59,6 @@ class TestResolveLevels:
         # 66.9/0.1 is 668.99999999999... in floats; must not raise.
         g = cont_group(-21.7, 45.2, 0.1)
         assert resolve_levels(g) == 669
-
-    def test_span_is_integral(self):
-        assert span_is_integral(cont_group(0, 360, 0.1))
-        assert not span_is_integral(cont_group(0, 10.05, 0.1))
-        assert span_is_integral(DofGroup("d", 1, DiscreteStates(7)))
 
 
 class TestInvariants:

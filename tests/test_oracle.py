@@ -89,9 +89,9 @@ def test_compute_and_compare_agree_with_the_oracle(bench, workdir, seed):
         text = "\n".join(gen.random_document(rng)[0]) + "\n"
         docs.append((write(workdir / f"{side}.mechx", text), oracle.parse_doc(text)))
     (path, doc), (other, other_doc) = docs
-    # Text output prints platform and processor names as they are, so a
-    # name with a line break adds a line that the oracle's line-by-line
-    # checks cannot place.
+    # Text output writes a line feed in a platform or processor name as
+    # the two characters \n, while the oracle expects the name as it is;
+    # JSON carries the name unchanged, so only text output is skipped.
     names = [d.name + (d.processor[0] if d.processor else "") for d in (doc, other_doc)]
     text_ok = "\n" not in "".join(names)
     for flags, mode in MODES:

@@ -98,9 +98,9 @@ RECORDS = {
     "ComparisonReport": (
         lambda: compare(_platform(), _bot()),
         lambda: compare(_bot(), _platform()),
-        f"ComparisonReport(left={_REPORT_REPR}, right=CapacityReport(name='bot', "
-        "count_all=BigCount(log10=0.3010299956639812, exact=2), "
-        "count_mechanical=BigCount(log10=0.0, exact=1), computational=None), "
+        "ComparisonReport(left='rig', right='bot', "
+        "count_left=BigCount(log10=1.4313637641589874, exact=27), "
+        "count_right=BigCount(log10=0.0, exact=1), "
         "bits_difference=4.754887502163468, log10_ratio=1.4313637641589874, bits_ratio=inf)",
     ),
     "Diagnostic": (
