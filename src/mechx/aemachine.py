@@ -127,23 +127,6 @@ class MachineConfig(_Record):
         object.__setattr__(self, "cells", cells)
 
 
-class _HaltedType:
-    """Singleton returned by step() when no transition applies."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "HALTED"
-
-
-HALTED = _HaltedType()
-
-
 class TraceStep(NamedTuple):
     state: str
     head: int
@@ -155,6 +138,10 @@ class TraceStep(NamedTuple):
 class Outcome(str, Enum):
     HALTED = "halted"
     BUDGET_EXHAUSTED = "budget_exhausted"
+
+
+# What step() returns when no transition applies.
+HALTED = Outcome.HALTED
 
 
 class _Tables:
@@ -278,19 +265,36 @@ class Trace(Sequence):
                 return i
         raise ValueError(f"{value!r} is not in the trace")
 
-    def __eq__(self, other):
-        # Compares like a tuple of TraceSteps: equal to a Trace or tuple
-        # with the same steps, never to a list.  The rules of a machine are
-        # distinct and the heads follow from the ids, so over equal rule
-        # lists equal id columns mean equal steps.  Otherwise the steps are
-        # walked side by side, a chunk at a time.
-        if not isinstance(other, (Trace, tuple)):
-            return NotImplemented
+    def _matches(self, other: Trace, rules: Sequence) -> bool:
+        """Whether ``other`` takes the same steps as this trace with its
+        rules renamed to ``rules``, a list in rule id order.
+
+        Only the rule ids are compared: a machine's rules are distinct, a
+        rule maps only to a rule with the same move, and both runs start
+        at cell 1, so equal ids give equal heads."""
         if len(self) != len(other):
             return False
-        if isinstance(other, Trace) and self._tables.rules == other._tables.rules:
-            return self._ids == other._ids
-        return all(map(eq, self, other))
+        # Each of this trace's rules becomes other's id for it, or -1.
+        ids = {rule: i for i, rule in enumerate(other._tables.rules)}
+        to_other = [ids.get(rule, -1) for rule in rules]
+        mine, theirs = self._ids, other._ids
+        if to_other == list(range(len(ids))):
+            return mine == theirs
+        # A chunk at a time, so no list as long as the trace is made.
+        n = _LINES_PER_WRITE
+        return all(
+            list(map(to_other.__getitem__, mine[i : i + n])) == theirs[i : i + n].tolist()
+            for i in range(0, len(mine), n)
+        )
+
+    def __eq__(self, other):
+        # Compares like a tuple of TraceSteps: equal to a Trace or tuple
+        # with the same steps, never to a list.  Only a tuple is walked.
+        if isinstance(other, Trace):
+            return self._matches(other, self._tables.rules)
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -367,7 +371,7 @@ def _kernel(
     return False, head, base, limit
 
 
-def step(machine: Machine, config: MachineConfig) -> Union[MachineConfig, _HaltedType]:
+def step(machine: Machine, config: MachineConfig) -> Union[MachineConfig, Outcome]:
     """One transition.  Returns the successor configuration, or HALTED
     when the table has no entry for (state, read symbol)."""
     tables = machine._tables
@@ -566,30 +570,12 @@ def traces_isomorphic(
     state_map: Mapping[str, str],
 ) -> bool:
     """True iff the two traced runs are the same computation up to the
-    given renamings (heads and moves must match verbatim).
-
-    Only the rule ids are compared: a rule maps only to a rule with the
-    same move, and both runs start at cell 1, so equal ids give equal
-    heads."""
+    given renamings (heads and moves must match verbatim)."""
     if a.trace is None or b.trace is None:
         raise ValueError("both runs must be produced with tracing enabled")
-    ta, tb = a.trace, b.trace
-    if a.outcome != b.outcome or len(ta) != len(tb):
-        return False
-    # Each of a's rule ids must show up in b as the id of the renamed rule;
-    # -1 stands for a renamed rule b does not have.
-    ids_b = {rule: i for i, rule in enumerate(tb._tables.rules)}
     qmap, smap = state_map.get, symbol_map.get
-    to_b = [
-        ids_b.get((qmap(q), smap(s), smap(w), m), -1)
-        for q, s, w, m in ta._tables.rules
-    ]
-    # A chunk at a time, so no list as long as the trace is made.
-    ids_a, ids_b, n = ta._ids, tb._ids, _LINES_PER_WRITE
-    return all(
-        list(map(to_b.__getitem__, ids_a[i : i + n])) == ids_b[i : i + n].tolist()
-        for i in range(0, len(ids_a), n)
-    )
+    renamed = [(qmap(q), smap(s), smap(w), m) for q, s, w, m in a.trace._tables.rules]
+    return a.outcome == b.outcome and a.trace._matches(b.trace, renamed)
 
 
 # Trace lines, or tape cells of the final line, per write when format_run

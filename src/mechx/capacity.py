@@ -96,10 +96,24 @@ def digits_of_pow2(exponent: int) -> int:
 
 
 def _leading(n: int, d: int, k: int) -> str:
-    # First k digits of n, which has d digits.
-    if d <= k:
-        return str(n)
-    return str(n // 10 ** (d - k))
+    # First k digits of n, which has d digits.  Past _LEAD_DIGITS of them
+    # they are rendered, since str() stops at the int-to-str digit limit.
+    if d > k:
+        n, d = n // 10 ** (d - k), k
+    return str(n) if d <= _LEAD_DIGITS else _render(((n, 1),), d)
+
+
+def _render(pairs, d: int) -> str:
+    """The d digits of prod(r ** m) over ``pairs`` in ``decimal`` arithmetic,
+    where none rounds (a shortfall raises ``decimal.Inexact``) and, unlike
+    in str(), no digit limit applies."""
+    from decimal import MAX_EMAX, Context, Decimal, Inexact, Overflow
+
+    ctx = Context(prec=d + 2, Emax=MAX_EMAX, traps=[Inexact, Overflow])
+    x = Decimal(1)
+    for r, m in pairs:
+        x = ctx.multiply(x, ctx.power(Decimal(r), m))
+    return format(x, "f")
 
 
 # Fixed-point logarithms ---------------------------------------------------
@@ -246,7 +260,7 @@ def _log_summary(pairs, bits: int, prec: int, k: int) -> Optional[tuple]:
     if ten is None:
         return None
     (whole2, top), (whole10, lead) = two, ten
-    return math.log10(top) + (whole2 - 63) * LOG10_2, whole10 + 1, str(lead)
+    return math.log10(top) + (whole2 - 63) * LOG10_2, whole10 + 1, _leading(lead, k, k)
 
 
 def _summarize(pairs, k: int = _LEAD_DIGITS) -> tuple:
@@ -320,13 +334,15 @@ class BigCount(_Record):
         return d
 
     def leading(self, k: int = 3) -> str:
-        """First ``k`` significant decimal digits; a count made from
-        factors does not form ``exact`` for them."""
+        """First ``k`` significant decimal digits, for ``k >= 1``; a count
+        made from factors does not form ``exact`` for them."""
+        if k < 1:
+            raise ValueError(f"leading digits need k >= 1, got {k}")
         lead = vars(self).get("_lead")
-        if lead is not None and 0 < k <= _LEAD_DIGITS:
+        if lead is not None and k <= _LEAD_DIGITS:
             return lead[:k]
         pairs = vars(self).get("_factors")
-        if pairs is not None and k > 0:
+        if pairs is not None:
             # The logarithm's cost grows faster than k**2, and rendering's
             # with the digit count: up to k**2 digits, render them all.
             if k * k >= self.digit_count:
@@ -346,23 +362,16 @@ class BigCount(_Record):
         return f"{mant}e+{self.digit_count - 1:02d}"
 
     def decimal(self) -> str:
-        """Every digit of the count, as ``str(exact)`` gives them.  A count
-        made from factors multiplies their powers in ``decimal`` arithmetic
-        at its digit count, where none rounds (a shortfall raises
-        ``decimal.Inexact``), and does not form ``exact``; a log-space
-        count raises ValueError."""
+        """Every digit of the count, as ``str(exact)`` gives them, at any
+        size.  They are rendered from the group factors, a count made from
+        an int being its one factor, so ``exact`` is not formed; a
+        log-space count raises ValueError."""
         pairs = vars(self).get("_factors")
         if pairs is None:
             if self.exact is None:
                 raise ValueError("a log-space count has no exact digits")
-            return str(self.exact)
-        from decimal import MAX_EMAX, Context, Decimal, Inexact, Overflow
-
-        ctx = Context(prec=self.digit_count + 2, Emax=MAX_EMAX, traps=[Inexact, Overflow])
-        d = Decimal(1)
-        for r, m in pairs:
-            d = ctx.multiply(d, ctx.power(Decimal(r), m))
-        return format(d, "f")
+            pairs = ((self.exact, 1),)
+        return _render(pairs, self.digit_count)
 
 
 def _factors(groups, exact: bool, strict: bool) -> list:

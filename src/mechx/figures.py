@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import _Record
 from .capacity import count_configurations
-from .model import Platform
+from .model import ARTIFICIAL, NATURAL, Platform
 from .specfile import Diagnostic, Severity, _fmt_num, is_computable
 
 
@@ -212,7 +212,7 @@ def trend_table(
         )
 
     for p in platforms:
-        if p.kind == "artificial":
+        if p.kind == ARTIFICIAL:
             add(p, fig.x, SERIES_ARTIFICIAL)
     if fig.roster:
         by_name = {p.name: p for p in platforms}
@@ -222,7 +222,7 @@ def trend_table(
         # Naturals that could never be plotted (no computable groups) get
         # a note even when the roster does not mention them.
         for p in platforms:
-            if p.kind == "natural" and p.name not in fig.roster and not fig.y.has(p):
+            if p.kind == NATURAL and p.name not in fig.roster and not fig.y.has(p):
                 _skip(diagnostics, p.name, fig.y.missing)
     return points
 

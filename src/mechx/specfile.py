@@ -26,6 +26,9 @@ from typing import Optional
 
 from . import _BLANKS, _Factory, _LineError, _Record, _lines
 from .model import (
+    ARTIFICIAL,
+    KINDS,
+    NATURAL,
     Continuous,
     DiscreteStates,
     DofGroup,
@@ -259,7 +262,7 @@ def parse_platform(text: str) -> PlatformDocument:
             if not values[head]:
                 raise ParseError(lineno, "platform name must be non-empty")
         elif head == "kind":
-            values[head] = cur.keyword("artificial", "natural")
+            values[head] = cur.keyword(*KINDS)
         elif head == "year":
             values[head] = cur.integer("year")
         elif head == "processor":
@@ -311,7 +314,7 @@ def parse_platform(text: str) -> PlatformDocument:
     # The statements above have made all of Platform's checks.
     platform = Platform(
         name=name,
-        kind=kind if kind is not None else "artificial",
+        kind=kind if kind is not None else ARTIFICIAL,
         groups=tuple(groups),
         year=year,
         processor=processor,
@@ -395,7 +398,7 @@ def validate(doc: PlatformDocument) -> list[Diagnostic]:
     # (condition, source_line_map key, message)
     notices = (
         (
-            p.kind == "natural" and p.processor is not None,
+            p.kind == NATURAL and p.processor is not None,
             "processor",
             "natural platform declares a processor",
         ),
@@ -406,7 +409,7 @@ def validate(doc: PlatformDocument) -> list[Diagnostic]:
             "notation; stored as a rounded integer",
         ),
         (
-            p.kind == "artificial" and p.processor is None,
+            p.kind == ARTIFICIAL and p.processor is None,
             "platform",
             "informational: artificial platform has no processor entry",
         ),

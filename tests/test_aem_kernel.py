@@ -31,6 +31,7 @@ from mechx.aemachine import (
     map_tape,
     parse_machine,
     run,
+    serialize_machine,
     step,
     to_mechanization,
     traces_isomorphic,
@@ -546,7 +547,7 @@ def test_tape_grows_without_a_temporary_list(tmp_path):
 def test_trace_equality_walks_no_tuples():
     # Comparing two long traces held a tuple of every step on both sides,
     # 192 bytes a step.  Over equal rule lists the id columns are compared;
-    # over a reordered twin's rules the steps are walked a chunk at a time.
+    # over a reordered twin's rules the mapped ids, a chunk at a time.
     steps = 200_000
     mf = parse_machine(COUNTER)
     reordered = Machine(
@@ -595,6 +596,23 @@ def test_traces_isomorphic_compares_a_chunk_at_a_time():
         assert peak < 2 * steps
 
 
+def test_traces_of_a_round_tripped_machine_compare_without_steps(monkeypatch):
+    # A machine read back from its .aem text is equal to it but numbers
+    # its rules in another order; its trace still compares by rule ids.
+    m = parse_machine(COUNTER).machine
+    twin = parse_machine(serialize_machine(m)).machine
+    assert twin == m and twin._tables.rules != m._tables.rules
+    a, b = (run(x, {1: "m"}, 5000, trace=True).trace for x in (m, twin))
+    other = run(twin, {1: "m", 2: "1"}, 5000, trace=True).trace
+
+    def no_steps(*args):
+        raise AssertionError("TraceStep built")
+
+    monkeypatch.setattr(aemachine.Trace, "_steps", no_steps)
+    assert a == b and b == a
+    assert a != other and other != a
+
+
 def test_trace_equality_agrees_with_tuples():
     rng = random.Random(6464)
     verdicts = set()
@@ -609,6 +627,29 @@ def test_trace_equality_agrees_with_tuples():
             transitions=dict(rng.sample(list(m.transitions.items()), len(m.transitions))),
             initial_state=m.initial_state,
         )
+        # One rule more, from a state no run reaches: that rule has no id
+        # in a's rules to map to.
+        wider = Machine(
+            flavor=m.flavor,
+            states=(*m.states, "unreached"),
+            symbols=m.symbols,
+            blank=m.blank,
+            transitions={**m.transitions, ("unreached", m.blank): (m.initial_state, m.blank, 0)},
+            initial_state=m.initial_state,
+        )
+        # The first rule writing another symbol: a's steps by that rule
+        # have no id to map to.
+        altered = dict(m.transitions)
+        for (q, s), (q2, w, move) in list(altered.items())[:1]:
+            altered[q, s] = (q2, next(x for x in m.symbols if x != w), move)
+        altered = Machine(
+            flavor=m.flavor,
+            states=m.states,
+            symbols=m.symbols,
+            blank=m.blank,
+            transitions=altered,
+            initial_state=m.initial_state,
+        )
         tape = random_tape(rng, m)
         budget = rng.choice((1, 20, 300))
         a = run(m, tape, budget, trace=True).trace
@@ -617,6 +658,9 @@ def test_trace_equality_agrees_with_tuples():
             (twin, tape, budget),
             (m, random_tape(rng, m), budget),
             (twin, tape, rng.choice((1, 20, 300))),
+            (wider, tape, budget),
+            (wider, random_tape(rng, m), rng.choice((1, 20, 300))),
+            (altered, tape, budget),
         ):
             b = run(other_machine, other_tape, other_budget, trace=True).trace
             want = tuple(a) == tuple(b)

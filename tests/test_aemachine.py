@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mechx
 from mechx.aemachine import (
     COMPUTATION,
     FLAVORS,
@@ -61,6 +62,14 @@ class TestStep:
         m = mk({})
         cfg = MachineConfig(cells={}, head=1, state="q0", step_count=0)
         assert step(m, cfg) is HALTED
+
+    def test_halted_is_the_outcome_run_reports(self):
+        m = mk({})
+        cfg = MachineConfig(cells={}, head=1, state="q0", step_count=0)
+        assert step(m, cfg) is HALTED is Outcome.HALTED
+        assert run(m, {}, max_steps=1).outcome is HALTED
+        assert mechx.HALTED is mechx.Outcome.HALTED
+        assert repr(HALTED) == "<Outcome.HALTED: 'halted'>"
 
     def test_left_move_clamps_at_cell_one(self):
         m = mk({("q0", "e"): ("q1", "1", MOVE_LEFT)})

@@ -236,6 +236,8 @@ def test_decimal_matches_the_product(pairs):
 
 def test_decimal_of_a_count_made_from_an_int_or_in_log_space():
     assert BigCount.from_exact(10**40 + 7).decimal() == str(10**40 + 7)
+    # 9,543 digits, past str()'s default limit of 4,300.
+    assert BigCount.from_exact(3**20_000).decimal() == _str(3**20_000)
     with pytest.raises(ValueError, match="log-space"):
         BigCount(log10=2.0).decimal()
 
@@ -269,4 +271,33 @@ def test_leading_digits_past_the_kept_ones_match_the_product(pairs, tens):
     digits = _str(math.prod(r**m for r, m in pairs))
     assert [c.leading(k) for k in range(1, 61)] == [digits[:k] for k in range(1, 61)]
     assert c.leading(len(digits) + 1) == digits
+    assert "exact" not in vars(c)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_leading_refuses_fewer_than_one_digit(k):
+    counts = (
+        BigCount._from_factors([(3, 30_000)]),
+        BigCount.from_exact(3**30),
+        BigCount(log10=3.2),
+    )
+    for c in counts:
+        for call in (c.leading, c.sci):
+            with pytest.raises(ValueError, match="k >= 1"):
+                call(k)
+    assert "exact" not in vars(counts[0])
+
+
+def test_leading_digits_past_the_int_to_str_limit():
+    # 700 digits, more than a limit of 640 allows: off the logarithm of a
+    # 524,834-digit count, and off the 9,543-digit int 3**20000.
+    c = BigCount._from_factors([(3, 1_100_000)])
+    n = 3**20_000
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        leads = c.leading(700), BigCount.from_exact(n).leading(700)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert leads == (c.decimal()[:700], _str(n)[:700])
     assert "exact" not in vars(c)
