@@ -140,6 +140,9 @@ _FALLBACK_BITS = 4 * EXACT_DIGITS_LIMIT
 _MARGIN_BITS = 90
 # Leading digits each count keeps; leading(k) up to this reads them.
 _LEAD_DIGITS = 20
+# Significant digits a float carries, and so the most leading(k) can
+# give of a log-space count.
+_FLOAT_DIGITS = 17
 
 
 def _lead_bits(k: int) -> int:
@@ -335,7 +338,8 @@ class BigCount(_Record):
 
     def leading(self, k: int = 3) -> str:
         """First ``k`` significant decimal digits, for ``k >= 1``; a count
-        made from factors does not form ``exact`` for them."""
+        made from factors does not form ``exact`` for them.  A log-space
+        count gives at most 17, the significant digits of a float."""
         if k < 1:
             raise ValueError(f"leading digits need k >= 1, got {k}")
         lead = vars(self).get("_lead")
@@ -350,6 +354,10 @@ class BigCount(_Record):
             return _summarize(pairs, k)[2]
         if self.exact is not None:
             return _leading(self.exact, self.digit_count, k)
+        if k > _FLOAT_DIGITS:
+            raise ValueError(
+                f"a log-space count has at most {_FLOAT_DIGITS} leading digits, got k={k}"
+            )
         frac = self.log10 - math.floor(self.log10)
         # Rounding up to 10**k would carry into the exponent that
         # digit_count reports; truncate as the exact path does instead.

@@ -15,22 +15,12 @@ errors to standard error.  Exit codes: 0 success, 1 usage error,
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
-from typing import Optional
+from types import SimpleNamespace
 
-from . import _lines, specfile
-from .capacity import (
-    EXACT_DIGITS_LIMIT,
-    CountMode,
-    analyze,
-    compare,
-    computational_capacity,
-    count_configurations,
-)
-from .model import Platform
+from . import _lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,13 +30,6 @@ EXIT_BUDGET = 3
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on bad flags; route through our own
-    # exception so usage problems map to exit code 1 instead.
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _read_text(path: str) -> str:
@@ -111,7 +94,9 @@ def _one_line(name: str) -> str:
     return name.replace("\n", "\\n")
 
 
-def _load_platform(ref: str) -> Platform:
+def _load_platform(ref: str):
+    from . import specfile
+
     if ref.startswith("@"):
         try:
             return specfile.dataset_lookup(ref[1:]).platform
@@ -121,8 +106,16 @@ def _load_platform(ref: str) -> Platform:
 
 
 def cmd_compute(args) -> int:
+    from .capacity import (
+        EXACT_DIGITS_LIMIT,
+        CountMode,
+        analyze,
+        computational_capacity,
+        count_configurations,
+    )
+
     platform = _load_platform(args.platform)
-    mode = args.mode
+    mode = CountMode(args.mode)
     if args.mechanical_only:
         # Non-mechanical groups stay unresolved, so a non-integral range
         # on one of them cannot stop the count that is printed.
@@ -184,6 +177,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .capacity import compare
+
     rep = compare(_load_platform(args.left), _load_platform(args.right))
     payload = {
         "left": rep.left,
@@ -208,6 +203,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_dataset_list(args) -> int:
+    from . import specfile
+
     return _emit(
         f"@{stem:24s} {doc.platform.kind:10s} {doc.platform.name}"
         for stem, doc in zip(specfile.DATASET_MANIFEST, specfile.load_dataset())
@@ -215,7 +212,7 @@ def cmd_dataset_list(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    from . import figures
+    from . import figures, specfile
 
     dataset = [doc.platform for doc in specfile.load_dataset()]
     figure_id = figures.FIGURE_IDS[args.figure - 1]
@@ -236,6 +233,8 @@ def cmd_plot(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import specfile
+
     doc = specfile.parse_platform(_read_text(args.file))
     diags = specfile.validate(doc)
     ok = f"ok: {doc.platform.name!r} parsed with {len(diags)} warnings"
@@ -259,85 +258,199 @@ def cmd_aem_run(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+_REF = ".mechx file path or @dataset-name"
+
+# The subcommands, described once.  Each has its handler, its help, its
+# positionals as name -> help, and its options as flag -> the keywords
+# of argparse's add_argument(), in the order argparse adds them: an
+# option is a flag (store_true or store_const) or takes one value.
+# "exclusive" names the options of a mutually exclusive group, and
+# "defaults" is what set_defaults() is given.  build_parser() makes
+# argparse from this table; _match() reads the argv it can settle alone.
+_COMMANDS = {
+    "compute": {
+        "func": cmd_compute,
+        "help": "capacity report for one platform",
+        "positionals": {"platform": _REF},
+        "options": {
+            "--exact": {
+                "dest": "mode", "action": "store_const", "const": "exact",
+                "help": "exact big-int arithmetic only",
+            },
+            "--log-space": {
+                "dest": "mode", "action": "store_const", "const": "log_space",
+                "help": "log-space arithmetic only",
+            },
+            "--mechanical-only": {"action": "store_true"},
+            "--json": {"action": "store_true", "help": "one-line JSON output"},
+        },
+        "exclusive": ("--exact", "--log-space"),
+        # CountMode values, so that reading argv imports no counting code.
+        "defaults": {"mode": "both"},
+    },
+    "compare": {
+        "func": cmd_compare,
+        "help": "compare two platforms",
+        "positionals": {"left": _REF, "right": _REF},
+        "options": {"--json": {"action": "store_true"}},
+    },
+    "dataset-list": {
+        "func": cmd_dataset_list,
+        "help": "list bundled platforms",
+        "positionals": {},
+        "options": {},
+    },
+    "plot": {
+        "func": cmd_plot,
+        "help": "emit CSV and SVG for a canned figure",
+        "positionals": {},
+        "options": {
+            "--figure": {"type": int, "choices": (1, 2, 3, 4, 5), "required": True},
+            "--out-csv": {"required": True},
+            "--out-svg": {"required": True},
+            "--width": {"type": float, "default": 640},
+            "--height": {"type": float, "default": 480},
+        },
+    },
+    "validate": {
+        "func": cmd_validate,
+        "help": "lint a .mechx file",
+        "positionals": {"file": None},
+        "options": {},
+    },
+    "aem-run": {
+        "func": cmd_aem_run,
+        "help": "run a machine description",
+        "positionals": {"file": ".aem machine file"},
+        "options": {
+            "--max-steps": {"type": int, "required": True},
+            "--trace": {"action": "store_true"},
+            "--strict-halt": {
+                "action": "store_true",
+                "help": "exit 3 if the step budget runs out before the machine halts",
+            },
+        },
+    },
+}
+
+
+def _dest(flag: str, kw: dict) -> str:
+    # The attribute argparse stores an option in.
+    return kw.get("dest", flag[2:].replace("-", "_"))
+
+
+def _match(argv: list[str]) -> SimpleNamespace | None:
+    """What argparse would make of ``argv``, when that is plain to see, and
+    otherwise None.  It is plain when the command is named in full, each
+    option is spelled in full and given once, each option's value follows
+    it as a word not starting with "-" and passes the option's type and
+    choices, every required option is given and no two exclusive ones
+    are, and the positionals are as many as the command takes.
+    Everything else is argparse's: help, abbreviations, ``--opt=value``,
+    ``--``, "-" and negative numbers, repeats and every usage error."""
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    options = spec["options"]
+    values = {"command": argv[0], "func": spec["func"]}
+    for flag, kw in options.items():
+        default = False if kw.get("action") == "store_true" else kw.get("default")
+        values[_dest(flag, kw)] = default
+    values.update(spec.get("defaults", {}))
+    given, positionals = set(), []
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            positionals.append(word)
+            continue
+        kw = options.get(word)
+        if kw is None or word in given:
+            return None
+        given.add(word)
+        action = kw.get("action")
+        if action == "store_true":
+            value = True
+        elif action == "store_const":
+            value = kw["const"]
+        else:
+            text = next(words, "-")
+            if text.startswith("-"):
+                return None
+            try:
+                value = kw.get("type", str)(text)
+            except (TypeError, ValueError):
+                return None
+            if "choices" in kw and value not in kw["choices"]:
+                return None
+        values[_dest(word, kw)] = value
+    if len(positionals) != len(spec["positionals"]):
+        return None
+    if len(given.intersection(spec.get("exclusive", ()))) > 1:
+        return None
+    if any(kw.get("required") and flag not in given for flag, kw in options.items()):
+        return None
+    values.update(zip(spec["positionals"], positionals))
+    return SimpleNamespace(**values)
+
+
+def build_parser():
+    """The argparse parser of the ``_COMMANDS`` table: it answers help and
+    usage errors, and every argv ``_match()`` leaves to it."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        # argparse exits with code 2 on bad flags; route through our own
+        # exception so usage problems map to exit code 1 instead.
+        def error(self, message):
+            raise _UsageError(message)
+
+    parser = Parser(
         prog="mechx",
         description="Configuration counting and capacity comparison for "
         "mechanical platforms.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("compute", help="capacity report for one platform")
-    p.add_argument("platform", help=".mechx file path or @dataset-name")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--exact", dest="mode", action="store_const", const=CountMode.EXACT,
-        help="exact big-int arithmetic only",
-    )
-    mode.add_argument(
-        "--log-space", dest="mode", action="store_const", const=CountMode.LOG_SPACE,
-        help="log-space arithmetic only",
-    )
-    p.add_argument("--mechanical-only", action="store_true")
-    p.add_argument("--json", action="store_true", help="one-line JSON output")
-    p.set_defaults(func=cmd_compute, mode=CountMode.BOTH)
-
-    p = sub.add_parser("compare", help="compare two platforms")
-    p.add_argument("left", help=".mechx file path or @dataset-name")
-    p.add_argument("right", help=".mechx file path or @dataset-name")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("dataset-list", help="list bundled platforms")
-    p.set_defaults(func=cmd_dataset_list)
-
-    p = sub.add_parser("plot", help="emit CSV and SVG for a canned figure")
-    p.add_argument("--figure", type=int, choices=(1, 2, 3, 4, 5), required=True)
-    p.add_argument("--out-csv", required=True)
-    p.add_argument("--out-svg", required=True)
-    p.add_argument("--width", type=float, default=640)
-    p.add_argument("--height", type=float, default=480)
-    p.set_defaults(func=cmd_plot)
-
-    p = sub.add_parser("validate", help="lint a .mechx file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("aem-run", help="run a machine description")
-    p.add_argument("file", help=".aem machine file")
-    p.add_argument("--max-steps", type=int, required=True)
-    p.add_argument("--trace", action="store_true")
-    p.add_argument(
-        "--strict-halt",
-        action="store_true",
-        help="exit 3 if the step budget runs out before the machine halts",
-    )
-    p.set_defaults(func=cmd_aem_run)
-
+    for name, spec in _COMMANDS.items():
+        p = sub.add_parser(name, help=spec["help"])
+        for positional, text in spec["positionals"].items():
+            p.add_argument(positional, help=text)
+        exclusive = spec.get("exclusive", ())
+        group = p.add_mutually_exclusive_group() if exclusive else None
+        for flag, kw in spec["options"].items():
+            (group if flag in exclusive else p).add_argument(flag, **kw)
+        p.set_defaults(func=spec["func"], **spec.get("defaults", {}))
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _match(argv)
+    if args is None:
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except _UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
+        if not getattr(args, "command", None):
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
-    except specfile.DatasetCorrupt as exc:
-        print(f"error: bundled dataset corrupt: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except ValueError as exc:
         # Covers NonIntegralSpan, SpecFileError, MachineFormatError and
         # unreadable files.
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except RuntimeError as exc:
+        # Only the dataset reader raises DatasetCorrupt: a command that
+        # never imported it, aem-run among them, has none to map.
+        specfile = sys.modules.get(f"{__package__}.specfile")
+        if specfile is None or not isinstance(exc, specfile.DatasetCorrupt):
+            raise
+        print(f"error: bundled dataset corrupt: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -1,4 +1,4 @@
-"""Shared generators for randomized tests.
+"""Shared generators for randomized tests, and the benchmark's modules.
 
 Everything here is deterministic under a caller-supplied random.Random;
 tests seed their own instances so failures reproduce.
@@ -6,10 +6,40 @@ tests seed their own instances so failures reproduce.
 
 from __future__ import annotations
 
+import importlib
+import pathlib
 import random
 import string
+import sys
+
+import pytest
 
 from mechx.aemachine import COMPUTATION, Machine
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def bench():
+    """The benchmark's oracle and generator modules, imported from
+    perfbench/ without writing bytecode there; sys.path and sys.modules
+    are left as found."""
+    names = ("oracle", "gen")
+    saved = {name: sys.modules.pop(name, None) for name in names}
+    sys.path.insert(0, str(PERFBENCH))
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        oracle, gen = map(importlib.import_module, names)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(PERFBENCH))
+        for name, module in saved.items():
+            if module is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = module
+    return oracle, gen
 
 
 # Three-group fixture used across the parser and acceptance tests: one

@@ -2,8 +2,10 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Context, Decimal
@@ -739,12 +741,15 @@ def test_a_reader_gone_before_the_start_ends_each_command_quietly(
 
 # What may follow each subcommand, most of it well formed; an argv also
 # draws from the other subcommands' words and from short arbitrary text.
+# Words are drawn with replacement, so options come repeated too.
 _OPERANDS = {
     "compute": [
         "@nao", "@nope", "robot.mechx", "uneven.mechx", "bad.mechx", "--json",
-        "--exact", "--log-space", "--mechanical-only",
+        "--exact", "--log-space", "--mechanical-only", "--json=1",
     ],
-    "compare": ["@nao", "@cat", "@nope", "robot.mechx", "uneven.mechx", "bad.mechx", "--json"],
+    "compare": [
+        "@nao", "@cat", "@nope", "robot.mechx", "uneven.mechx", "bad.mechx", "--json", "--json=1",
+    ],
     "dataset-list": ["--help"],
     "plot": [
         "--figure", "1", "3", "5", "6", "--out-csv", "out.csv", "--out-svg", "out.svg",
@@ -753,7 +758,7 @@ _OPERANDS = {
     "validate": ["robot.mechx", "uneven.mechx", "bad.mechx", "gone.mechx", "-"],
     "aem-run": [
         "inc.aem", "mover.aem", "bad.aem", "gone.aem", "--max-steps", "0", "1",
-        "100", "2000", "--trace", "--strict-halt",
+        "100", "2000", "--trace", "--strict-halt", "--max", "--max-steps=5", "-1",
     ],
 }
 _WORDS = sorted({word for words in _OPERANDS.values() for word in words} | {"--", "-h"})
@@ -817,3 +822,108 @@ class TestUsage:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "compute" in out
+
+
+@st.composite
+def _well_formed(draw, command):
+    """An argv laid out as the command's table entry says, in any order,
+    with one more word of the grammar in it half the time."""
+    spec = cli._COMMANDS[command]
+    words = st.sampled_from([w for w in _OPERANDS[command] if not w.startswith("-")])
+    chunks = [[draw(words)] for _ in spec["positionals"]]
+    for flag, kw in spec["options"].items():
+        if kw.get("required") or draw(st.booleans()):
+            chunks.append([flag] if "action" in kw else [flag, draw(words)])
+    argv = [command, *itertools.chain.from_iterable(draw(st.permutations(chunks)))]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_WORDS)))
+    return argv
+
+
+def _fields(namespace) -> str:
+    # repr tells 640 from 640.0 and shows nan as nan, which == cannot.
+    return repr(sorted(vars(namespace).items()))
+
+
+def test_matcher_agrees_with_argparse():
+    # The matcher may leave any argv to argparse, but one it takes must
+    # come out as argparse would make it.
+    parser = cli.build_parser()
+    taken = set()
+
+    commands = st.sampled_from(sorted(_OPERANDS))
+
+    @given(st.one_of(commands.flatmap(_argv), commands.flatmap(_well_formed)))
+    @settings(max_examples=600, deadline=None)
+    def check(argv):
+        got = cli._match(argv)
+        if got is not None:
+            assert _fields(got) == _fields(parser.parse_args(argv)), argv
+            taken.add(argv[0])
+
+    check()
+    assert taken == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["comp", "@nao"],
+        ["compute", "@nao", "-h"],
+        ["compute", "@nao", "--js"],
+        ["compute", "@nao", "--json=1"],
+        ["compute", "@nao", "--json", "--json"],
+        ["compute", "--", "@nao"],
+        ["compute", "@nao", "--exact", "--log-space"],
+        ["compute"],
+        ["compare", "@nao"],
+        ["validate", "-"],
+        ["plot", "--figure", "1", "--out-csv", "a"],
+        ["plot", "--figure", "6", "--out-csv", "a", "--out-svg", "b"],
+        ["plot", "--figure", "1", "--out-csv", "a", "--out-svg", "b", "--width", "-1"],
+        ["aem-run", "m.aem", "--max", "5"],
+        ["aem-run", "m.aem", "--max-steps=5"],
+        ["aem-run", "m.aem", "--max-steps", "-1"],
+        ["aem-run", "m.aem", "--max-steps", "x"],
+        ["aem-run", "m.aem", "--max-steps"],
+    ],
+    ids=" ".join,
+)
+def test_matcher_leaves_other_spellings_to_argparse(argv):
+    assert cli._match(argv) is None
+
+
+@pytest.mark.parametrize("workload", ["catalog", "bigcount", "tape"])
+def test_matcher_takes_every_benchmark_command(bench, workload):
+    # The benchmark times the path that well-formed argv takes.
+    _, gen = bench
+    parser = cli.build_parser()
+    for seed in (1, 2, 3):
+        pool = gen.make_pool(workload, seed, sorted(specfile.DATASET_MANIFEST))
+        for cmd in itertools.chain(pool.once, *pool.blocks):
+            argv = [str(a) for a in cmd.argv]
+            got = cli._match(argv)
+            assert got is not None, argv
+            assert _fields(got) == _fields(parser.parse_args(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "@nao"],
+        ["dataset-list"],
+        ["plot", "--figure", "1", "--out-csv", "f.csv", "--out-svg", "f.svg"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_corrupt_bundled_dataset_exits_2(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(specfile, "_documents", {})
+    monkeypatch.setattr(specfile, "_read_data_file", lambda stem: 'platform "p"\ngroup\n')
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: bundled dataset corrupt: [a-z0-9-]+\.mechx: line 2: .+\n", err)
+    assert not list(tmp_path.iterdir())

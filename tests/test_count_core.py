@@ -288,6 +288,14 @@ def test_leading_refuses_fewer_than_one_digit(k):
     assert "exact" not in vars(counts[0])
 
 
+@pytest.mark.parametrize("k", [18, 309, 400])
+def test_log_space_leading_refuses_more_digits_than_a_float_holds(k):
+    c = BigCount(log10=1234 + math.log10(3.7))
+    assert len(c.leading(17)) == 17
+    with pytest.raises(ValueError, match=r"at most 17 leading digits, got k=%d$" % k):
+        c.leading(k)
+
+
 def test_leading_digits_past_the_int_to_str_limit():
     # 700 digits, more than a limit of 640 allows: off the logarithm of a
     # 524,834-digit count, and off the 9,543-digit int 3**20000.

@@ -54,6 +54,19 @@ COMPARE_PAIRS = (
 
 PLOT_FILES = ("fig.csv", "fig.svg")
 
+# Help and usage errors, which argparse answers.
+USAGE_ARGVS = (
+    ("--help",),
+    ("compute", "--help"),
+    ("aem-run", "--help"),
+    (),
+    ("frobnicate",),
+    ("compute",),
+    ("compute", "@nao", "--exact", "--log-space"),
+    ("plot", "--figure", "9", "--out-csv", "a", "--out-svg", "b"),
+    ("aem-run", "f", "--max-steps", "x"),
+)
+
 
 def _cases():
     """(golden file, argv, files the command writes) for every case."""
@@ -75,6 +88,8 @@ def _cases():
     yield "errors", ("validate", "missing.mechx"), ()
     yield "errors", ("aem-run", "missing.aem", "--max-steps", "5"), ()
     yield "errors", ("compute", "@no-such-platform"), ()
+    for argv in USAGE_ARGVS:
+        yield "usage", argv, ()
 
 
 CASES = tuple(_cases())
@@ -126,11 +141,13 @@ def read_golden(name: str) -> dict[str, bytes]:
 def workdir(tmp_path, monkeypatch):
     shutil.copy(GOLDEN / "incrementer.aem", tmp_path / "incrementer.aem")
     monkeypatch.chdir(tmp_path)
+    # argparse wraps help to the terminal width it reads from COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
     return tmp_path
 
 
 @pytest.mark.parametrize(
-    "name,argv,files", CASES, ids=[" ".join(argv) for _, argv, _ in CASES]
+    "name,argv,files", CASES, ids=[" ".join(argv) or "(no arguments)" for _, argv, _ in CASES]
 )
 def test_golden(workdir, name, argv, files):
     got = run_case(argv, files)

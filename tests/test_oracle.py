@@ -10,7 +10,6 @@ the interpreter's int-to-str limit, so it runs in a subprocess only.
 """
 
 import contextlib
-import importlib
 import io
 import os
 import pathlib
@@ -32,28 +31,6 @@ PERFBENCH = ROOT / "perfbench"
 SEEDS = st.integers(0, 2**32 - 1)
 # (CLI flags, the oracle's name for the mode)
 MODES = [((), "both"), (("--log-space",), "log_space"), (("--exact",), "exact")]
-
-
-@pytest.fixture(scope="module")
-def bench():
-    """The oracle and generator modules, imported from perfbench/ without
-    writing bytecode there; sys.path and sys.modules are left as found."""
-    names = ("oracle", "gen")
-    saved = {name: sys.modules.pop(name, None) for name in names}
-    sys.path.insert(0, str(PERFBENCH))
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        oracle, gen = map(importlib.import_module, names)
-    finally:
-        sys.dont_write_bytecode = dont_write
-        sys.path.remove(str(PERFBENCH))
-        for name, module in saved.items():
-            if module is None:
-                sys.modules.pop(name, None)
-            else:
-                sys.modules[name] = module
-    return oracle, gen
 
 
 @pytest.fixture(scope="module")

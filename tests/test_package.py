@@ -213,7 +213,9 @@ def test_cli_leaves_figures_and_tape_machine_unloaded():
     assert not imported & {"mechx.figures", "mechx.aemachine", "csv"}
 
 
-HEAVY = ("dataclasses", "inspect", "decimal", "json")
+# argparse, and the gettext and locale it brings, serve help and usage
+# errors only.
+HEAVY = ("argparse", "dataclasses", "gettext", "inspect", "decimal", "json", "locale")
 
 
 def test_everyday_commands_leave_heavy_modules_unloaded(tmp_path):
@@ -244,6 +246,37 @@ def test_everyday_commands_leave_heavy_modules_unloaded(tmp_path):
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
     assert imported.index("json") > imported.index("mechx.capacity")
     assert "dataclasses" not in imported and "inspect" not in imported
+
+
+def test_aem_run_loads_only_the_tape_machine_and_help_loads_argparse(tmp_path):
+    (tmp_path / "m.aem").write_text(
+        aemachine.serialize_machine(aemachine.INCREMENTER.machine, aemachine.INCREMENTER.tape)
+    )
+    proc = _run_python(
+        "import contextlib, io, os, sys\n"
+        "from mechx import cli\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        "def main(*argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert cli.main(list(argv)) == 0, argv\n"
+        "    print(out.getvalue().splitlines()[0])\n"
+        "    print(sorted(m for m in sys.modules if m.startswith('mechx.') or m in HEAVY))\n"
+        f"HEAVY = {HEAVY!r}\n"
+        "main('aem-run', 'm.aem', '--max-steps', '10', '--trace')\n"
+        "main('--help')\n",
+        "-X",
+        "importtime",
+    )
+    assert proc.stdout.splitlines() == [
+        "outcome halted",
+        "['mechx.aemachine', 'mechx.cli']",
+        "usage: mechx [-h] command ...",
+        "['argparse', 'gettext', 'locale', 'mechx.aemachine', 'mechx.cli']",
+    ]
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "argparse" in imported
+    assert not imported & {"mechx.capacity", "mechx.model", "mechx.specfile"}
 
 
 def test_compute_of_a_bundled_platform_parses_one_file():
