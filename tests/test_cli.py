@@ -1,10 +1,13 @@
 """End-to-end command tests, driving cli.main() in process."""
 
+import ast
 import contextlib
+import gc
 import io
 import itertools
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -927,3 +930,105 @@ def test_corrupt_bundled_dataset_exits_2(capsys, monkeypatch, tmp_path, argv):
     assert (code, out) == (2, "")
     assert re.fullmatch(r"error: bundled dataset corrupt: [a-z0-9-]+\.mechx: line 2: .+\n", err)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "@nao"],
+        ["compare", "@nao", "@cat"],
+        ["dataset-list"],
+        ["plot", "--figure", "1", "--out-csv", "f.csv", "--out-svg", "f.svg"],
+        ["validate", "robot.mechx"],
+        ["aem-run", "mover.aem", "--max-steps", "5", "--strict-halt"],
+        ["--help"],
+        ["frobnicate"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_main_leaves_the_collector_alone(capsys, monkeypatch, reader_files, argv):
+    # Only cli.run freezes, once the command has returned: callers of
+    # main in process keep their collector as it was.
+    monkeypatch.chdir(reader_files)
+    before = gc.get_freeze_count(), gc.isenabled()
+    run_cli(capsys, *argv)
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def _python(code, *argv, cwd=None):
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))},
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["dataset-list"], 0),
+        (["frobnicate"], 1),
+        (["compute", "gone.mechx"], 2),
+        (["aem-run", "mover.aem", "--max-steps", "5", "--strict-halt"], 3),
+    ],
+    ids=["ok", "usage", "data", "budget"],
+)
+def test_run_returns_mains_code_and_freezes(reader_files, argv, code):
+    proc = _python(
+        "import gc, sys\n"
+        "from mechx import cli\n"
+        "before = gc.get_freeze_count()\n"
+        "code = cli.run(sys.argv[1:])\n"
+        "print(code, before, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        "sys.exit(code)\n",
+        *argv,
+        cwd=reader_files,
+    )
+    assert proc.returncode == code
+    assert proc.stderr.splitlines()[-1] == f"{code} 0 True"
+
+
+def test_unexpected_error_in_a_handler_prints_its_traceback_and_exits_1():
+    # Through the __main__ block, as `python -m mechx.cli` runs it.
+    proc = _python(
+        "import runpy, sys\n"
+        "from mechx import specfile\n"
+        "def lookup(name):\n"
+        "    raise RuntimeError('not the dataset')\n"
+        "specfile.dataset_lookup = lookup\n"
+        "sys.argv = ['mechx', 'compute', '@nao']\n"
+        "runpy.run_module('mechx.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.endswith("\nRuntimeError: not the dataset\n")
+
+
+def test_atexit_handlers_run_after_the_command():
+    # The command ends through interpreter exit, not os._exit.
+    proc = _python(
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'atexit ran', file=sys.stderr)\n"
+        "sys.argv = ['mechx', 'dataset-list']\n"
+        "runpy.run_module('mechx.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    assert (proc.returncode, proc.stderr) == (0, "atexit ran\n")
+    assert proc.stdout.startswith("@aibo ")
+
+
+def test_script_and_python_m_share_one_entry_function():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    script = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, name = script["mechx"].split(":")
+    assert module == cli.__name__ and callable(getattr(cli, name))
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    blocks = [
+        node.body
+        for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [[ast.unparse(s) for s in body] for body in blocks] == [[f"sys.exit({name}())"]]

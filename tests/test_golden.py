@@ -17,7 +17,9 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import os
 import shutil
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -94,6 +96,22 @@ def _cases():
 
 CASES = tuple(_cases())
 
+# Through `python -m mechx.cli`: every compute flag set on two platforms,
+# one compare pair, and every case of the other golden files.
+ENTRY_PLATFORMS = ("@nao", "@c-elegans-agar")
+ENTRY_COMPARED = ("@bellagio", "@cat")
+
+
+def _through_entry(name, argv) -> bool:
+    if name.startswith("compute/"):
+        return argv[1] in ENTRY_PLATFORMS
+    if name == "compare":
+        return argv[1:3] == ENTRY_COMPARED
+    return True
+
+
+ENTRY_CASES = tuple(case for case in CASES if _through_entry(*case[:2]))
+
 
 def run_case(argv, files=()) -> dict[str, bytes]:
     """Run one command in the current directory and return its sections.
@@ -110,11 +128,30 @@ def run_case(argv, files=()) -> dict[str, bytes]:
                 code = cli.main(list(argv))
     finally:
         sys.set_int_max_str_digits(limit)
+    return _sections(
+        argv, code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8"), files
+    )
+
+
+def run_entry(argv, files=()) -> dict[str, bytes]:
+    """Run one command as ``python -m mechx.cli`` in the current directory
+    and return its sections, as ``run_case`` does."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mechx.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    return _sections(argv, proc.returncode, proc.stdout, proc.stderr, files)
+
+
+def _sections(argv, code, out: bytes, err: bytes, files) -> dict[str, bytes]:
     cmd = " ".join(argv)
     sections = {
         f"{cmd} | exit": str(code).encode(),
-        f"{cmd} | stdout": out.getvalue().encode("utf-8"),
-        f"{cmd} | stderr": err.getvalue().encode("utf-8"),
+        f"{cmd} | stdout": out,
+        f"{cmd} | stderr": err,
     }
     for name in files:
         sections[f"{cmd} | {name}"] = Path(name).read_bytes()
@@ -155,6 +192,29 @@ def test_golden(workdir, name, argv, files):
     for key, value in got.items():
         assert key in want, f"no golden section {key!r}"
         assert value.decode("utf-8") == want[key].decode("utf-8"), key
+
+
+@pytest.mark.parametrize(
+    "name,argv,files",
+    ENTRY_CASES,
+    ids=[" ".join(argv) or "(no arguments)" for _, argv, _ in ENTRY_CASES],
+)
+def test_golden_through_the_entry_point(workdir, name, argv, files):
+    # The installed script and `python -m mechx.cli` end through cli.run
+    # and interpreter exit, which in-process cases never reach.
+    got = run_entry(argv, files)
+    want = read_golden(name)
+    assert set(got) <= set(want)
+    for key, value in got.items():
+        assert value == want[key], key
+
+
+def test_entry_cases_cover_every_golden_file_but_the_platforms():
+    compute = {f"compute/{ref[1:]}" for ref in ENTRY_PLATFORMS}
+    others = {name for name, _, _ in CASES if not name.startswith("compute/")}
+    assert {name for name, _, _ in ENTRY_CASES} == compute | others
+    files = [name.split("/")[0] for name, _, _ in ENTRY_CASES]
+    assert (files.count("compute"), files.count("compare")) == (2 * len(COMPUTE_FLAGS), 2)
 
 
 def test_every_golden_section_is_a_case():

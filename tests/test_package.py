@@ -196,21 +196,35 @@ def test_readers_share_rules_through_the_package_only(reader, siblings):
     assert out == f"{siblings}\n"
 
 
-def test_cli_leaves_figures_and_tape_machine_unloaded():
-    proc = _run_python(
-        "import sys\n"
-        "from mechx import cli\n"
-        "print(sorted({'mechx.figures', 'mechx.aemachine', 'csv'} & set(sys.modules)))\n"
-        "cli.main(['compute', '@nao'])\n"
-        "print(sorted({'mechx.figures', 'mechx.aemachine', 'csv'} & set(sys.modules)))\n",
-        "-X",
-        "importtime",
+def test_cli_leaves_figures_and_tape_machine_unloaded(tmp_path):
+    # A handler's "from . import figures" gets no line in -X importtime, so
+    # the probe reads sys.modules after each command.  plot and aem-run are
+    # its positive controls.
+    (tmp_path / "m.aem").write_text(
+        aemachine.serialize_machine(aemachine.INCREMENTER.machine, aemachine.INCREMENTER.tape)
     )
-    lines = proc.stdout.splitlines()
-    assert lines[0] == lines[-1] == "[]"
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-    assert "mechx.capacity" in imported
-    assert not imported & {"mechx.figures", "mechx.aemachine", "csv"}
+    proc = _run_python(
+        "import contextlib, io, os, sys\n"
+        "from mechx import cli\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        "probe = {'mechx.capacity', 'mechx.figures', 'mechx.aemachine', 'csv'}\n"
+        "def loaded():\n"
+        "    print(sorted(probe & set(sys.modules)))\n"
+        "def main(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(list(argv)) == 0, argv\n"
+        "    loaded()\n"
+        "loaded()\n"
+        "main('compute', '@nao')\n"
+        "main('plot', '--figure', '1', '--out-csv', 'f.csv', '--out-svg', 'f.svg')\n"
+        "main('aem-run', 'm.aem', '--max-steps', '10')\n"
+    )
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "['mechx.capacity']",
+        "['csv', 'mechx.capacity', 'mechx.figures']",
+        "['csv', 'mechx.aemachine', 'mechx.capacity', 'mechx.figures']",
+    ]
 
 
 # argparse, and the gettext and locale it brings, serve help and usage
