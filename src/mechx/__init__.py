@@ -183,11 +183,11 @@ class _Record:
 
 
 def _require_int(record: _Record, field: str) -> None:
-    # Counts, heads and step numbers must be exact ints: a float, NaN
-    # included, would pass the range checks and then fail deep inside a
-    # count or a tape lookup.
+    # Counts, years, heads and step numbers must be exact ints: a float,
+    # NaN included, would pass the range checks and then fail deep inside
+    # a count or a tape lookup, and a bool would be written as "True".
     value = getattr(record, field)
-    if not isinstance(value, int):
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(
             f"{type(record).__name__}.{field} must be an int, got {value!r}"
         )
@@ -205,8 +205,7 @@ _EXPORTS = {
     "capacity": (
         "BigCount", "CapacityReport", "ComparisonReport", "ComputationalCapacity",
         "CountMode", "LOG10_2", "analyze", "compare", "computational_capacity",
-        "count_configurations", "digits_of_pow2", "ilog10",
-        "kinematic_expressivity", "ndigits",
+        "count_configurations", "digits_of_pow2", "ilog10", "ndigits",
     ),
     "specfile": (
         "DatasetCorrupt", "Diagnostic", "DuplicateGroupLabel",

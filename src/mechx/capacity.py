@@ -119,13 +119,13 @@ def _render(pairs, d: int) -> str:
 # Fixed-point logarithms ---------------------------------------------------
 #
 # A real x is held as the int x * 2**prec, and every step truncates.  The
-# series below are off by fewer than 16 * prec units of 2**-prec.  For a
+# series below are off by fewer than 16 * prec ulps of 2**-prec.  For a
 # count whose bit bound B = sum(M * R.bit_length()) has G bits, ln C is
-# then off by fewer than 2**(G + 6) * prec units, log2 C and log10 C by
+# then off by fewer than 2**(G + 6) * prec ulps, log2 C and log10 C by
 # fewer than 2**(G + 8) * prec, and its first 64 bits and first k digits
 # by fewer than 2**(G + 78 + X) * prec, where X = _lead_bits(k) covers the
 # digits past the 20th (10**(k - 20) < 2**X).  A value closer than
-# 2**(G + 90 + X) * prec units to a rounding boundary is not trusted.
+# 2**(G + 90 + X) * prec ulps to a rounding boundary is not trusted.
 # _summarize starts at prec >= G + X + 256, where that margin is below
 # prec * 2**-166 of one.
 
@@ -136,7 +136,7 @@ _EXACT_BITS = 20_000
 # ``compute --exact`` prints (10**6 digits are 3.3 million bits) is formed;
 # a larger one is recomputed at twice the precision.
 _FALLBACK_BITS = 4 * EXACT_DIGITS_LIMIT
-# The margin is 2**(G + _MARGIN_BITS + X) * prec units (see above).
+# The margin is 2**(G + _MARGIN_BITS + X) * prec ulps (see above).
 _MARGIN_BITS = 90
 # Leading digits each count keeps; leading(k) up to this reads them.
 _LEAD_DIGITS = 20
@@ -164,7 +164,7 @@ def _atanh(x: int, prec: int) -> int:
 @lru_cache(maxsize=1024)
 def _ln(r: int, prec: int) -> int:
     """ln(r) for an int r >= 1, off by fewer than 2**6 * r.bit_length() * prec
-    units.  With r = 2**a * (1 + x) / (1 - x), ln r = a ln 2 + 2 atanh(x), and
+    ulps.  With r = 2**a * (1 + x) / (1 - x), ln r = a ln 2 + 2 atanh(x), and
     0 <= x < 1/3."""
     if r == 2:
         return 2 * _atanh((1 << prec) // 3, prec)
@@ -382,10 +382,10 @@ class BigCount(_Record):
         return _render(pairs, self.digit_count)
 
 
-def _factors(groups, exact: bool, strict: bool) -> list:
+def _factors(groups, exact: bool) -> list:
     """Each group resolved once into its factor: ``(R, M)`` when ``exact``,
     ``M * log10(R)`` in log space."""
-    levels = [resolve_levels(g, strict=strict) for g in groups]
+    levels = [resolve_levels(g) for g in groups]
     # Past this bound log2 C, which is at least half of it, leaves float range.
     if sum(g.multiplicity * r.bit_length() for g, r in zip(groups, levels) if r > 1) >> 1022:
         raise ValueError("configuration count too large: K is 2**1021 bits or more")
@@ -407,35 +407,19 @@ def _fold(factors: list, exact: bool) -> BigCount:
 
 
 def count_configurations(
-    platform: Platform,
-    *,
-    mechanical_only: bool = False,
-    mode: CountMode = CountMode.BOTH,
-    strict: bool = True,
+    platform: Platform, *, mechanical_only: bool = False, mode: CountMode = CountMode.BOTH
 ) -> BigCount:
     """Product over groups of levels ** multiplicity as a BigCount.
 
     ``mechanical_only`` drops groups tagged non-mechanical first, without
     resolving them.  In LOG_SPACE mode no big int is ever formed; in
     EXACT and BOTH modes the count keeps its factors and forms the exact
-    product when ``exact`` is read.
+    product when ``exact`` is read.  A counted range that does not divide
+    raises ``NonIntegralSpan``.
     """
     exact = CountMode(mode) is not CountMode.LOG_SPACE
     groups = mechanical_groups(platform) if mechanical_only else platform.groups
-    return _fold(_factors(groups, exact, strict), exact)
-
-
-def kinematic_expressivity(
-    platform: Platform,
-    *,
-    mechanical_only: bool = False,
-    mode: CountMode = CountMode.BOTH,
-    strict: bool = True,
-) -> float:
-    """Capacity in bits: log2 of the configuration count."""
-    return count_configurations(
-        platform, mechanical_only=mechanical_only, mode=mode, strict=strict
-    ).log2
+    return _fold(_factors(groups, exact), exact)
 
 
 class ComputationalCapacity(NamedTuple):
@@ -484,12 +468,7 @@ class CapacityReport(_Record):
         return round(self.bits_mechanical)
 
 
-def analyze(
-    platform: Platform,
-    *,
-    mode: CountMode = CountMode.BOTH,
-    strict: bool = True,
-) -> CapacityReport:
+def analyze(platform: Platform, *, mode: CountMode = CountMode.BOTH) -> CapacityReport:
     """Count configurations both ways and summarize the processor, if any.
 
     Each group is resolved once; the mechanical count folds the
@@ -497,7 +476,7 @@ def analyze(
     mechanical the two counts are one object.
     """
     exact = CountMode(mode) is not CountMode.LOG_SPACE
-    factors = _factors(platform.groups, exact, strict)
+    factors = _factors(platform.groups, exact)
     mechanical = [f for g, f in zip(platform.groups, factors) if g.is_mechanical]
     count_all = _fold(factors, exact)
     return CapacityReport(
@@ -534,14 +513,14 @@ class ComparisonReport(_Record):
         return ""
 
 
-def compare(a: Platform, b: Platform, *, strict: bool = True) -> ComparisonReport:
+def compare(a: Platform, b: Platform) -> ComparisonReport:
     """Compare the mechanical capacities of two platforms, each counted as
     ``count_configurations(mechanical_only=True)`` counts it, so no
     non-mechanical group is resolved.  ``bits_difference`` is left minus
     right, ``log10_ratio`` the log10 of count(left)/count(right), and
     ``bits_ratio`` the plain quotient of the two bit capacities.
     """
-    ca, cb = (count_configurations(p, mechanical_only=True, strict=strict) for p in (a, b))
+    ca, cb = (count_configurations(p, mechanical_only=True) for p in (a, b))
     ka, kb = ca.log2, cb.log2
     return ComparisonReport(
         left=a.name, right=b.name, count_left=ca, count_right=cb,

@@ -95,15 +95,29 @@ def _one_line(name: str) -> str:
     return name.replace("\n", "\\n")
 
 
-def _load_platform(ref: str):
+def _load_document(ref: str):
     from . import specfile
 
     if ref.startswith("@"):
         try:
-            return specfile.dataset_lookup(ref[1:]).platform
+            return specfile.dataset_lookup(ref[1:])
         except KeyError as exc:
             raise specfile.SpecFileError(0, exc.args[0]) from exc
-    return specfile.parse_platform(_read_text(ref)).platform
+    return specfile.parse_platform(_read_text(ref))
+
+
+def _placed(exc, docs, mechanical_only: bool):
+    """The NonIntegralSpan ``exc`` as a SpecFileError at its group's line:
+    ``docs`` are counted in order, so the first counted group with its
+    label and span/resolution raised it."""
+    from .specfile import SpecFileError
+
+    for doc in docs:
+        for g in doc.platform.groups:
+            if (g.label, getattr(g.levels_spec, "ratio", None)) == (exc.label, exc.ratio):
+                if g.is_mechanical or not mechanical_only:
+                    return SpecFileError(doc.source_line_map[f"group:{g.label}"], str(exc))
+    return exc
 
 
 def cmd_compute(args) -> int:
@@ -114,20 +128,25 @@ def cmd_compute(args) -> int:
         computational_capacity,
         count_configurations,
     )
+    from .model import NonIntegralSpan
 
-    platform = _load_platform(args.platform)
+    doc = _load_document(args.platform)
+    platform = doc.platform
     mode = CountMode(args.mode)
-    if args.mechanical_only:
-        # Non-mechanical groups stay unresolved, so a non-integral range
-        # on one of them cannot stop the count that is printed.
-        mech = count_configurations(platform, mechanical_only=True, mode=mode)
-        counts = [("mechanical", mech)]
-        processor = platform.processor
-        computational = None if processor is None else computational_capacity(processor)
-    else:
-        report = analyze(platform, mode=mode)
-        counts = [("all", report.count_all), ("mechanical", report.count_mechanical)]
-        computational = report.computational
+    try:
+        if args.mechanical_only:
+            # Non-mechanical groups stay unresolved, so a non-integral range
+            # on one of them cannot stop the count that is printed.
+            mech = count_configurations(platform, mechanical_only=True, mode=mode)
+            counts = [("mechanical", mech)]
+            processor = platform.processor
+            computational = None if processor is None else computational_capacity(processor)
+        else:
+            report = analyze(platform, mode=mode)
+            counts = [("all", report.count_all), ("mechanical", report.count_mechanical)]
+            computational = report.computational
+    except NonIntegralSpan as exc:
+        raise _placed(exc, [doc], args.mechanical_only) from exc
     if mode is CountMode.EXACT:
         # The digit count comes from the count's logarithm, so a count
         # too large to form is refused before any product is built.
@@ -179,8 +198,13 @@ def cmd_compute(args) -> int:
 
 def cmd_compare(args) -> int:
     from .capacity import compare
+    from .model import NonIntegralSpan
 
-    rep = compare(_load_platform(args.left), _load_platform(args.right))
+    docs = [_load_document(args.left), _load_document(args.right)]
+    try:
+        rep = compare(*(doc.platform for doc in docs))
+    except NonIntegralSpan as exc:
+        raise _placed(exc, docs, True) from exc
     payload = {
         "left": rep.left,
         "right": rep.right,

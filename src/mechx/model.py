@@ -26,8 +26,8 @@ KINDS = (ARTIFICIAL, NATURAL)
 
 
 class NonIntegralSpan(ValueError):
-    """Raised (strict mode) when a continuous span does not divide evenly
-    by its resolution, which usually indicates a typo in the description."""
+    """Raised when a continuous span does not divide evenly by its
+    resolution, which usually indicates a typo in the description."""
 
     def __init__(self, label: str, ratio: float, nearest: int):
         self.label = label
@@ -51,16 +51,12 @@ class DiscreteStates(_Record):
 
 
 class Continuous(_Record):
-    """A continuous travel range discretized by a resolution step.
-
-    Units are opaque text carried along for documentation; no conversion
-    is ever performed, only the span/resolution ratio matters.
-    """
+    """A continuous travel range discretized by a resolution step; only
+    the span/resolution ratio matters."""
 
     minimum: float
     maximum: float
     resolution: float
-    units: str = ""
 
     def __post_init__(self):
         if not self.maximum > self.minimum:
@@ -158,6 +154,8 @@ class Platform(_Record):
             raise ValueError("platform name must be non-empty")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if self.year is not None:
+            _require_int(self, "year")
         object.__setattr__(self, "groups", tuple(self.groups))
         object.__setattr__(self, "notes", tuple(self.notes))
         seen = set()
@@ -167,24 +165,22 @@ class Platform(_Record):
             seen.add(g.label)
 
 
-def resolve_levels(group: DofGroup, *, strict: bool = True) -> int:
+def resolve_levels(group: DofGroup) -> int:
     """Number of distinct positions available to each DOF in ``group``.
 
     Discrete state counts pass through unchanged.  Continuous ranges are
-    discretized as round(span / resolution), with no endpoint +1 term.
-    In strict mode a span that is not an integral multiple of the
-    resolution (within ``INTEGRALITY_REL_TOL`` relative) raises
-    :class:`NonIntegralSpan`; in lenient mode the rounded value is
-    returned anyway.
+    discretized as span / resolution, with no endpoint +1 term; a span
+    that is not an integral multiple of the resolution (within
+    ``INTEGRALITY_REL_TOL`` relative) raises :class:`NonIntegralSpan`.
     """
     spec = group.levels_spec
     if isinstance(spec, DiscreteStates):
         return spec.count
     ratio = spec.ratio
-    nearest = round(ratio)
-    if strict and abs(ratio - nearest) > INTEGRALITY_REL_TOL * nearest:
+    nearest = round(ratio)  # at least 1, as span >= resolution
+    if abs(ratio - nearest) > INTEGRALITY_REL_TOL * nearest:
         raise NonIntegralSpan(group.label, ratio, nearest)
-    return max(1, nearest)
+    return nearest
 
 
 def mechanical_groups(platform: Platform) -> list[DofGroup]:

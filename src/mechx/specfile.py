@@ -97,6 +97,8 @@ _SINGLETONS = ("platform", "kind", "year", "processor")
 _NUM_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?\Z")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 _ESCAPE_RE = re.compile(r"\\(.)")
+# The writer's side of _ESCAPES: each character they yield, to its escape.
+_ESCAPED = str.maketrans({char: f"\\{e}" for e, char in _ESCAPES.items()})
 
 # After any blanks, a word or a string.  A string body holds no bare quote,
 # backslash or unknown escape; the closing quote is empty where the body
@@ -134,9 +136,9 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
 
 
 def _escape(s: str) -> str:
-    s = s.replace("\\", "\\\\").replace('"', '\\"')
-    s = s.replace("\n", "\\n").replace("\t", "\\t")
-    return f'"{s}"'
+    if "\r" in s:  # a CR ends a line, and no escape stands for one
+        raise ValueError(f"cannot write {s!r} as a .mechx string: it holds a carriage return")
+    return f'"{s.translate(_ESCAPED)}"'
 
 
 def _fmt_num(x: float) -> str:
@@ -331,9 +333,7 @@ def parse_platform(text: str) -> PlatformDocument:
 def serialize_platform(platform: Platform) -> str:
     """Canonical text form: metadata first, groups in stored order, LF
     line endings, shortest round-trip numbers.  parse(serialize(p)) is
-    semantically equal to p, except that ``Continuous.units`` has no
-    syntax: the round trip resets it to "", so the platforms compare
-    unequal."""
+    equal to p.  A string holding a carriage return raises ValueError."""
     lines = [f"platform {_escape(platform.name)}"]
     lines.append(f"kind {platform.kind}")
     if platform.year is not None:
@@ -376,9 +376,9 @@ def is_computable(platform: Platform) -> bool:
 
 
 def validate(doc: PlatformDocument) -> list[Diagnostic]:
-    """Lint a parsed document.  Errors mean downstream analysis will fail
-    in strict mode; warnings are advisory (informational notices are
-    issued at warning severity, prefixed "informational:")."""
+    """Lint a parsed document.  Errors mean downstream analysis will fail;
+    warnings are advisory (informational notices are issued at warning
+    severity, prefixed "informational:")."""
     out: list[Diagnostic] = []
     p = doc.platform
     lm = doc.source_line_map

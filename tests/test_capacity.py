@@ -18,7 +18,6 @@ from mechx.capacity import (
     count_configurations,
     digits_of_pow2,
     ilog10,
-    kinematic_expressivity,
     ndigits,
 )
 from mechx.model import (
@@ -28,6 +27,7 @@ from mechx.model import (
     NonIntegralSpan,
     Platform,
     ProcessorSpec,
+    resolve_levels,
 )
 from mechx.specfile import parse_platform
 
@@ -165,7 +165,7 @@ class TestCounting:
         )
         p = platform_of([led, DofGroup("servo", 1, DiscreteStates(2))])
         assert count_configurations(p, mechanical_only=True).exact == 2
-        assert kinematic_expressivity(p, mechanical_only=True) == pytest.approx(1.0)
+        assert count_configurations(p, mechanical_only=True).log2 == pytest.approx(1.0)
         with pytest.raises(NonIntegralSpan):
             count_configurations(p)
         with pytest.raises(NonIntegralSpan):
@@ -179,14 +179,14 @@ class TestCounting:
 
 def _random_tagged_platform(rng):
     """Up to six groups, about a third non-mechanical, with ranges whose
-    span/resolution is often not integral."""
+    span is a whole number of resolutions."""
     groups = []
     for i in range(rng.randint(0, 6)):
         if rng.random() < 0.5:
             spec = DiscreteStates(rng.randint(1, 5000))
         else:
-            lo = rng.uniform(-100, 100)
-            spec = Continuous(lo, lo + rng.uniform(1, 500), rng.uniform(0.01, 1))
+            lo, res = rng.uniform(-100, 100), rng.uniform(0.01, 1)
+            spec = Continuous(lo, lo + rng.randint(1, 500) * res, res)
         tags = frozenset(["non-mechanical"]) if rng.random() < 0.35 else frozenset()
         groups.append(DofGroup(f"g{i}", rng.randint(1, 40), spec, tags=tags))
     return platform_of(groups)
@@ -194,15 +194,25 @@ def _random_tagged_platform(rng):
 
 @pytest.mark.parametrize("mode", list(CountMode))
 def test_analyze_matches_count_configurations(mode):
-    """analyze and count_configurations give bit-identical counts."""
+    """analyze and count_configurations give bit-identical counts, and
+    refuse the same range that does not divide."""
     rng = random.Random(31)
     for _ in range(200):
         p = _random_tagged_platform(rng)
-        rep = analyze(p, mode=mode, strict=False)
-        assert rep.count_all == count_configurations(p, mode=mode, strict=False)
+        assert all(resolve_levels(g) >= 1 for g in p.groups)  # none raises
+        rep = analyze(p, mode=mode)
+        assert rep.count_all == count_configurations(p, mode=mode)
         assert rep.count_mechanical == count_configurations(
-            p, mechanical_only=True, mode=mode, strict=False
+            p, mechanical_only=True, mode=mode
         )
+    odd = DofGroup("odd", 1, Continuous(0, 1, 0.3))
+    p = platform_of([DofGroup("a", 2, DiscreteStates(3)), odd, DofGroup("b", 1, odd.levels_spec)])
+    with pytest.raises(NonIntegralSpan) as counted:
+        count_configurations(p, mode=mode)
+    with pytest.raises(NonIntegralSpan) as analyzed:
+        analyze(p, mode=mode)
+    assert counted.value.label == analyzed.value.label == "odd"
+    assert str(counted.value) == str(analyzed.value)
 
 
 def test_default_compute_counts_digits_once(capsys, monkeypatch, tmp_path):
@@ -263,9 +273,9 @@ def test_additivity(data):
         DofGroup(f"b{i}", data.draw(mults), DiscreteStates(data.draw(counts)))
         for i in range(n_b)
     ]
-    k_a = kinematic_expressivity(platform_of(ga))
-    k_b = kinematic_expressivity(platform_of(gb))
-    k_ab = kinematic_expressivity(platform_of(ga + gb))
+    k_a = count_configurations(platform_of(ga)).log2
+    k_b = count_configurations(platform_of(gb)).log2
+    k_ab = count_configurations(platform_of(ga + gb)).log2
     assert k_ab == pytest.approx(k_a + k_b, abs=1e-9 + 1e-12 * abs(k_ab))
 
 
@@ -279,13 +289,13 @@ def test_monotonicity(levels, mult, extra):
     """Adding a group with at least two levels strictly increases K;
     a one-level group adds nothing."""
     base = [DofGroup("a", mult, DiscreteStates(levels))]
-    k0 = kinematic_expressivity(platform_of(base))
-    k1 = kinematic_expressivity(
+    k0 = count_configurations(platform_of(base)).log2
+    k1 = count_configurations(
         platform_of(base + [DofGroup("b", 1, DiscreteStates(extra))])
-    )
-    k_same = kinematic_expressivity(
+    ).log2
+    k_same = count_configurations(
         platform_of(base + [DofGroup("b", 1, DiscreteStates(1))])
-    )
+    ).log2
     assert k1 > k0
     assert k_same == pytest.approx(k0, abs=1e-12)
 
@@ -299,7 +309,7 @@ def test_resolution_refinement(levels, mult):
     """Ten times finer resolution adds mult * log2(10) bits."""
     coarse = platform_of([DofGroup("g", mult, DiscreteStates(levels))])
     fine = platform_of([DofGroup("g", mult, DiscreteStates(levels * 10))])
-    dk = kinematic_expressivity(fine) - kinematic_expressivity(coarse)
+    dk = count_configurations(fine).log2 - count_configurations(coarse).log2
     expected = mult * math.log2(10)
     assert dk == pytest.approx(expected, rel=1e-9)
 
@@ -369,7 +379,7 @@ class TestReports:
     @given(st.integers(0, 2**32), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_compare_counts_as_mechanical_only_counting_does(self, seed, led_left):
-        # A range of 1/0.3 levels is refused in strict mode, so the LED
+        # A range of 1/0.3 levels is refused, so the LED
         # stops any count that resolves it.
         rng = random.Random(seed)
         a, b = (parse_platform(random_document(rng)).platform for _ in range(2))
@@ -390,9 +400,9 @@ class TestReports:
     def test_compare_never_resolves_a_non_mechanical_group(self, monkeypatch):
         resolved = []
 
-        def spy(group, *, strict=True, real=capacity.resolve_levels):
+        def spy(group, real=capacity.resolve_levels):
             resolved.append(group.label)
-            return real(group, strict=strict)
+            return real(group)
 
         monkeypatch.setattr(capacity, "resolve_levels", spy)
         monkeypatch.setattr(capacity, "analyze", None)  # compare must not call it

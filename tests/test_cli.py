@@ -128,7 +128,7 @@ class TestCompute:
             assert "processor: mcu, 100 transistors" in out.splitlines()
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
-        assert err.startswith("error: group 'led': span/resolution")
+        assert err.startswith("error: line 2: group 'led': span/resolution")
 
     def test_file_path_input(self, capsys, tmp_path):
         path = tmp_path / "simple.mechx"
@@ -161,12 +161,16 @@ class TestCompute:
     def test_non_integral_span_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "frac.mechx"
         path.write_text(
-            'platform "x"\ngroup "j" count 1 range 0 10.05 resolution 0.1\n',
+            'platform "x"\n\n# a comment\ngroup "g" count 2 range 0 1 resolution 0.3\n',
             encoding="utf-8",
         )
-        code, _, err = run_cli(capsys, "compute", str(path))
-        assert code == 2
-        assert "error" in err
+        for flags in ((), ("--mechanical-only",), ("--log-space", "--json")):
+            code, out, err = run_cli(capsys, "compute", str(path), *flags)
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: line 4: group 'g': span/resolution = 3.3333333333333335 "
+                "deviates from 3 by more than 1e-09 (relative)\n"
+            )
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "compute", "@bellagio", "--json")
@@ -338,6 +342,33 @@ class TestCompare:
         payload = json.loads(out)
         assert (code, err) == (0, "")
         assert (payload["k_bits_left"], payload["k_bits_right"]) == (k[str(path)], k["@nao"])
+
+    def test_non_integral_span_on_either_side_names_its_line(self, capsys, tmp_path):
+        # Both files have a group "g"; only the one in odd.mechx, at line 3,
+        # does not divide.  The LED in led.mechx, line 2, is never resolved.
+        odd = tmp_path / "odd.mechx"
+        odd.write_text(
+            'platform "odd"\ngroup "a" count 1 states 2\n'
+            'group "g" count 1 range 0 1 resolution 0.3\n',
+            encoding="utf-8",
+        )
+        even = tmp_path / "led.mechx"
+        even.write_text(
+            'platform "even"\n'
+            'group "g" count 1 range 0 1 resolution 0.3 tag "non-mechanical"\n'
+            'group "h" count 1 range 0 1 resolution 0.5\n',
+            encoding="utf-8",
+        )
+        want = (
+            "error: line 3: group 'g': span/resolution = 3.3333333333333335 "
+            "deviates from 3 by more than 1e-09 (relative)\n"
+        )
+        for left, right in ((odd, even), (even, odd)):
+            for flags in ((), ("--json",)):
+                code, out, err = run_cli(capsys, "compare", str(left), str(right), *flags)
+                assert (code, out, err) == (2, "", want)
+        code, out, err = run_cli(capsys, "compare", str(even), str(even))
+        assert (code, err) == (0, "")
 
     def test_line_feed_in_a_name_is_written_as_its_escape(self, capsys, tmp_path):
         path = tmp_path / "nl.mechx"

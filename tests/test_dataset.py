@@ -229,7 +229,7 @@ def test_group_row(stem, label, multiplicity, levels):
     assert len(match) == 1, f"{stem}: group {label!r} missing"
     group = match[0]
     assert group.multiplicity == multiplicity
-    assert resolve_levels(group, strict=True) == levels
+    assert resolve_levels(group) == levels
 
 
 @pytest.mark.parametrize("stem,name,kind,year,processor", METADATA)

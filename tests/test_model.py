@@ -51,10 +51,6 @@ class TestResolveLevels:
         assert err.value.label == "g"
         assert err.value.nearest == 100 or err.value.nearest == 101
 
-    def test_lenient_rounds(self):
-        g = cont_group(0, 10.05, 0.1)
-        assert resolve_levels(g, strict=False) == round(10.05 / 0.1)
-
     def test_tolerance_accepts_float_noise(self):
         # 66.9/0.1 is 668.99999999999... in floats; must not raise.
         g = cont_group(-21.7, 45.2, 0.1)
@@ -128,6 +124,6 @@ class TestMechanicalGroups:
 )
 def test_integral_spans_resolve_exactly(levels, res, lo):
     """With binary-exact resolutions, the constructed span resolves back
-    to the chosen level count in strict mode."""
+    to the chosen level count."""
     g = cont_group(lo, lo + levels * res, res)
     assert resolve_levels(g) == levels

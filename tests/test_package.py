@@ -117,7 +117,7 @@ PUBLIC_NAMES = [
     "resolve_levels", "BigCount", "CapacityReport", "ComparisonReport",
     "ComputationalCapacity", "CountMode", "LOG10_2", "analyze", "compare",
     "computational_capacity", "count_configurations", "digits_of_pow2", "ilog10",
-    "kinematic_expressivity", "ndigits", "DatasetCorrupt", "Diagnostic",
+    "ndigits", "DatasetCorrupt", "Diagnostic",
     "DuplicateGroupLabel", "MissingPlatformName", "ParseError", "PlatformDocument",
     "Severity", "SpecFileError", "dataset_lookup", "load_dataset", "parse_platform",
     "serialize_platform", "validate", "HALTED", "Machine", "MachineConfig",
@@ -290,7 +290,6 @@ def test_aem_run_loads_only_the_tape_machine_and_help_loads_argparse(tmp_path):
     ]
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert "argparse" in imported
-    assert not imported & {"mechx.capacity", "mechx.model", "mechx.specfile"}
 
 
 def test_compute_of_a_bundled_platform_parses_one_file():

@@ -34,7 +34,7 @@ def _group():
 
 
 def _platform(name="rig"):
-    wrist = DofGroup("wrist", 1, Continuous(0.0, 1.5, 0.5, "mm"))
+    wrist = DofGroup("wrist", 1, Continuous(0.0, 1.5, 0.5))
     return Platform(name, "artificial", (_group(), wrist), 2001, ProcessorSpec("chip", 47), ("a note",))
 
 
@@ -53,8 +53,8 @@ def _axes():
 _PLATFORM_REPR = (
     "Platform(name='rig', kind='artificial', groups=(DofGroup(label='arm', multiplicity=2, "
     "levels_spec=DiscreteStates(count=3), tags=frozenset({'x'})), DofGroup(label='wrist', "
-    "multiplicity=1, levels_spec=Continuous(minimum=0.0, maximum=1.5, resolution=0.5, "
-    "units='mm'), tags=frozenset())), year=2001, processor=ProcessorSpec(name='chip', "
+    "multiplicity=1, levels_spec=Continuous(minimum=0.0, maximum=1.5, resolution=0.5), "
+    "tags=frozenset())), year=2001, processor=ProcessorSpec(name='chip', "
     "transistors=47), notes=('a note',))"
 )
 _REPORT_REPR = (
@@ -73,9 +73,9 @@ _FINAL_REPR = "MachineConfig(cells={1: '1', 2: '1'}, head=2, state='q_done', ste
 RECORDS = {
     "DiscreteStates": (lambda: DiscreteStates(3), lambda: DiscreteStates(4), "DiscreteStates(count=3)"),
     "Continuous": (
-        lambda: Continuous(0.0, 1.5, 0.5, "mm"),
         lambda: Continuous(0.0, 1.5, 0.5),
-        "Continuous(minimum=0.0, maximum=1.5, resolution=0.5, units='mm')",
+        lambda: Continuous(0.0, 1.5, 0.25),
+        "Continuous(minimum=0.0, maximum=1.5, resolution=0.5)",
     ),
     "DofGroup": (
         _group,
@@ -236,7 +236,7 @@ def test_positional_keyword_and_default_construction():
     assert Platform("p", "natural") == Platform(
         name="p", kind="natural", groups=(), year=None, processor=None, notes=()
     )
-    assert Continuous(0, 1, 0.5, units="") == Continuous(maximum=1, minimum=0, resolution=0.5)
+    assert Continuous(0, 1, resolution=0.5) == Continuous(maximum=1, minimum=0, resolution=0.5)
     assert RunResult(Outcome.HALTED, MachineConfig({}, 1, "q")).trace is None
     with pytest.raises(TypeError):
         Platform("p")  # kind is required
@@ -344,10 +344,17 @@ def test_post_init_checks_still_fire(build, error, message):
             lambda: MachineConfig({}, 1, "q", 2.0),
             "MachineConfig.step_count must be an int, got 2.0",
         ),
+        (
+            lambda: DofGroup("g", True, DiscreteStates(3)),
+            "DofGroup.multiplicity must be an int, got True",
+        ),
+        (lambda: DiscreteStates(False), "DiscreteStates.count must be an int, got False"),
+        (lambda: Platform("p", "natural", year=1.5), "Platform.year must be an int, got 1.5"),
+        (lambda: Platform("p", "natural", year=True), "Platform.year must be an int, got True"),
     ],
     ids=[
         "states", "states-nan", "group", "group-nan", "processor", "processor-nan",
-        "head", "head-nan", "step-count",
+        "head", "head-nan", "step-count", "group-bool", "states-bool", "year", "year-bool",
     ],
 )
 def test_counts_must_be_ints(build, message):

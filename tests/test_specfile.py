@@ -4,9 +4,11 @@ import random
 import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from mechx import MAX_INT_DIGITS
 from mechx.capacity import analyze
-from mechx.model import Continuous, DiscreteStates
+from mechx.model import KINDS, Continuous, DiscreteStates, DofGroup, Platform, ProcessorSpec
 from mechx.specfile import (
     DatasetCorrupt,
     Diagnostic,
@@ -303,6 +305,20 @@ class TestSerialize:
         text = serialize_platform(parse_platform(source).platform)
         assert parse_platform(text).platform.name == name
 
+    def test_carriage_return_is_refused_by_name(self):
+        # A CR ends a line and has no escape; the text would not read back.
+        group = DofGroup("g", 1, DiscreteStates(2), {"t\r"})
+        for platform, shown in (
+            (Platform("a\rb", "artificial"), "'a\\rb'"),
+            (Platform("p", "natural", notes=("ok", "x\r\n")), "'x\\r\\n'"),
+            (Platform("p", "natural", (group,)), "'t\\r'"),
+        ):
+            with pytest.raises(ValueError) as info:
+                serialize_platform(platform)
+            assert str(info.value) == (
+                f"cannot write {shown} as a .mechx string: it holds a carriage return"
+            )
+
     def test_idempotent(self):
         once = serialize_platform(parse_platform(SIMPLE_ROBOT).platform)
         twice = serialize_platform(parse_platform(once).platform)
@@ -329,6 +345,57 @@ def test_random_documents_round_trip():
         assert left.count_all.log10 == right.count_all.log10
         assert left.count_all.exact == right.count_all.exact
         assert left.count_mechanical.exact == right.count_mechanical.exact
+
+
+_DIGITS = 10**MAX_INT_DIGITS - 1  # the largest integer a literal may spell
+_COUNTS = st.integers(1, 1000) | st.integers(1, _DIGITS)
+
+
+@st.composite
+def _continuous(draw):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    lo = draw(finite)
+    hi = draw(st.floats(min_value=lo, allow_nan=False, allow_infinity=False))
+    res = draw(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    try:
+        return Continuous(lo, hi, res)
+    except ValueError:  # an empty range, a zero resolution or an infinite ratio
+        assume(False)
+
+
+_GROUP = st.builds(
+    DofGroup,
+    st.text(min_size=1),
+    _COUNTS,
+    st.builds(DiscreteStates, _COUNTS) | _continuous(),
+    st.frozensets(st.text(), max_size=3),
+)
+_PLATFORMS = st.builds(
+    Platform,
+    st.text(min_size=1),
+    st.sampled_from(KINDS),
+    st.lists(_GROUP, max_size=4, unique_by=lambda g: g.label),
+    st.none() | st.integers(-_DIGITS, _DIGITS),
+    st.none() | st.builds(ProcessorSpec, st.text(), st.integers(0, int(sys.float_info.max))),
+    st.lists(st.text(), max_size=3),
+)
+
+
+@given(_PLATFORMS)
+@settings(max_examples=300, deadline=None)
+def test_every_platform_round_trips_or_names_its_carriage_return(platform):
+    """Every Platform built in code reads back equal from its text, unless
+    a string in it holds a carriage return, which no .mechx string can."""
+    p = platform
+    strings = [p.name, *p.notes, *(s for g in p.groups for s in (g.label, *g.tags))]
+    strings += [p.processor.name] if p.processor else []
+    with_cr = [s for s in strings if "\r" in s]
+    if with_cr:
+        with pytest.raises(ValueError, match="carriage return") as info:
+            serialize_platform(p)
+        assert any(repr(s) in str(info.value) for s in with_cr)
+    else:
+        assert parse_platform(serialize_platform(p)).platform == p
 
 
 def test_random_documents_mutation_rejected():
