@@ -185,11 +185,17 @@ class _Record:
 def _require_int(record: _Record, field: str) -> None:
     # Counts, years, heads and step numbers must be exact ints: a float,
     # NaN included, would pass the range checks and then fail deep inside
-    # a count or a tape lookup, and a bool would be written as "True".
+    # a count or a tape lookup, and a bool would be written as "True".  An
+    # int of more than MAX_INT_DIGITS digits could not be written as text.
     value = getattr(record, field)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(
             f"{type(record).__name__}.{field} must be an int, got {value!r}"
+        )
+    # Below 2**(3 * MAX_INT_DIGITS) an int has at most MAX_INT_DIGITS digits.
+    if value.bit_length() > 3 * MAX_INT_DIGITS and abs(value) >= 10**MAX_INT_DIGITS:
+        raise ValueError(
+            f"{type(record).__name__}.{field} has more than {MAX_INT_DIGITS} digits"
         )
 
 

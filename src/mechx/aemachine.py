@@ -12,13 +12,16 @@ implicit).  The head clamps at cell 1; a left move at the edge stays
 put.  The transition table may be partial: a missing entry means the
 machine halts.  Runs go through one kernel over integer tables compiled
 once per machine, a loop that returns when the head leaves a window of
-cells.  run() takes memoized macro steps over blocks of 8 cells:
-the steps from a block's state, head offset and codes until the head
-leaves it are cached and replayed on later visits, while a credit of
-steps saved against lookups made falls back to the plain loop when they
-do not pay.  A trace keeps one column, the rule id of each step; the
-heads follow from the rules' moves.  A run's final configuration is
-built from the kernel's tape only when it is read.
+cells, over a tape of a byte a cell for up to 256 symbols.  run() takes
+memoized macro steps over blocks of 8 cells: the steps from a block's
+state, head offset and codes until the head leaves it are cached and
+replayed on later visits, while a credit of steps saved against lookups
+made falls back to the plain loop when they do not pay.  A visit that
+comes back to where it started inside its block is a cycle, and the
+run jumps its whole periods.  A trace keeps the rule id of each step,
+and holds the steps a replay or a jump repeats by reference; the heads
+follow from the rules' moves.  A run's final configuration is built
+from the kernel's tape only when it is read.
 
     >>> m, tape = INCREMENTER.machine, {1: "1", 2: "1", 3: "1"}
     >>> result = run(m, tape, max_steps=100)
@@ -62,6 +65,16 @@ class MachineFormatError(_LineError):
     """Description-file problem, with a 1-based line number."""
 
 
+class _FieldError(ValueError):
+    """A Machine that cannot be built, and the part at fault: ``field``
+    is "states", "symbols", "initial_state" or a transition's (state,
+    read symbol) key."""
+
+    def __init__(self, field, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 Transition = tuple[str, str, int]  # (next state, written symbol, move)
 
 
@@ -90,15 +103,17 @@ class Machine(_Record):
             raise ValueError("machine needs at least one state")
         states, symbols = set(self.states), set(self.symbols)
         if len(states) != len(self.states):
-            raise ValueError("duplicate state names")
+            raise _FieldError("states", "duplicate state names")
         if len(symbols) != len(self.symbols):
-            raise ValueError("duplicate symbol names")
+            raise _FieldError("symbols", "duplicate symbol names")
         if self.blank not in symbols:
             raise ValueError(f"blank {self.blank!r} is not a declared symbol")
         blank_first = (self.blank, *(s for s in self.symbols if s != self.blank))
         object.__setattr__(self, "symbols", blank_first)
         if self.initial_state not in self.states:
-            raise ValueError(f"initial state {self.initial_state!r} not declared")
+            raise _FieldError(
+                "initial_state", f"initial state {self.initial_state!r} not declared"
+            )
         object.__setattr__(self, "transitions", dict(self.transitions))
         # Compiled once, in the instance __dict__ but outside the record
         # fields, so equality and repr do not see it.
@@ -172,9 +187,9 @@ class _Tables:
         self.rules: list[tuple[str, str, str, int]] = []
         for (q, s), (q2, w, move) in machine.transitions.items():
             if q not in self.base or q2 not in self.base:
-                raise ValueError(f"transition ({q!r},{s!r}) references unknown state")
+                raise _FieldError((q, s), f"transition ({q!r},{s!r}) references unknown state")
             if s not in self.code or w not in self.code:
-                raise ValueError(f"transition ({q!r},{s!r}) references unknown symbol")
+                raise _FieldError((q, s), f"transition ({q!r},{s!r}) references unknown symbol")
             if move not in (-1, 0, 1):
                 raise ValueError(f"move must be -1, 0, or +1, got {move!r}")
             slot = self.base[q] + self.code[s]
@@ -191,13 +206,19 @@ class _Tables:
 class Trace(Sequence):
     """The steps of a traced run as a read-only sequence of TraceStep.
 
-    Stored as one column, the rule id of each step: one byte a step for
-    up to 256 rules, two for up to 65,536, four beyond.  Heads are not
-    stored.  Every run starts at cell 1 and each step moves the head by
-    its rule's move, clamped at cell 1, so the heads follow from the ids.
+    Stored as the rule id of each step: one byte for up to 256 rules, two
+    for up to 65,536, four beyond.  ``_literal`` holds the ids the kernel
+    logged, in order.  Steps that repeat ids logged before, a replayed
+    macro step or whole periods of a cycle, are held by reference when
+    that takes less room than their ids: each four numbers (at, first, n,
+    reps) of ``_replays`` put, after the first ``at`` literal ids, the
+    ``n`` ids from literal offset ``first``, ``reps`` times over.  Heads
+    are not stored.  Every run starts at cell 1 and each step moves the
+    head by its rule's move, clamped at cell 1, so the heads follow from
+    the ids.
     """
 
-    __slots__ = ("_tables", "_ids")
+    __slots__ = ("_tables", "_literal", "_replays", "_replayed")
 
     def __init__(self, tables: _Tables):
         # array is an extension module loaded from disk; importing it here
@@ -206,19 +227,71 @@ class Trace(Sequence):
 
         self._tables = tables
         n = len(tables.rules)
-        self._ids = array("B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "i")
+        self._literal = array("B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "i")
+        self._replays = array("q")
+        self._replayed = 0  # steps held by reference
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._literal) + self._replayed
+
+    def _replay(self, first: int, n: int, reps: int) -> None:
+        """Log ``reps`` repeats of the ``n`` ids from literal offset ``first``."""
+        ids = self._literal
+        if n * reps * ids.itemsize <= 4 * self._replays.itemsize:  # a copy is no larger
+            ids += ids[first : first + n] * reps
+        else:
+            self._replays.extend((len(ids), first, n, reps))
+            self._replayed += n * reps
+
+    def _runs(self, first: int = 0):
+        """(first step, rule ids) in step order, at most _LINES_PER_WRITE
+        ids at a time, from the one that holds step ``first``: the ids
+        before it are skipped, not copied."""
+        ids, refs, w = self._literal, self._replays, _LINES_PER_WRITE
+        done = step = 0  # the literal ids and the steps before the next run
+        for i in range(0, len(refs) + 1, 4):
+            # The literal ids up to the next reference (or to the end), then
+            # the reference's repeats.
+            at, source, n, reps = refs[i : i + 4] if i < len(refs) else (len(ids), 0, 1, 0)
+            skip = max(0, min(first - step, at - done))
+            for a in range(done + skip, at, w):
+                yield step + a - done, ids[a : min(a + w, at)]
+            step += at - done
+            done = at
+            skip = min(max(0, first - step) // n, reps)  # whole repeats
+            step += skip * n
+            reps -= skip
+            # As many whole repeats at a time as fit in w ids, or one.
+            per = max(1, w // n)
+            block = ids[source : source + n] * min(per, reps)
+            for k in range(0, reps, per):
+                part = block if k + per <= reps else block[: (reps - k) * n]
+                for a in range(0, len(part), w):
+                    yield step, part[a : a + w]
+                    step += min(w, len(part) - a)
+
+    def _id_chunks(self, stop: int, first: int = 0):
+        """(first step, rule ids) for each run of up to _LINES_PER_WRITE
+        steps from step ``first`` to ``stop``."""
+        runs = self._runs(first)
+        pending, at = self._literal[:0], first  # the ids of steps at, at + 1, ...
+        for start in range(first, stop, _LINES_PER_WRITE):
+            end = min(start + _LINES_PER_WRITE, stop)
+            while at + len(pending) < end:
+                step, run = next(runs)
+                if not pending:
+                    at = step
+                pending += run
+            yield start, pending[start - at : end - at]
+            pending, at = pending[end - at :], end
 
     def _chunks(self, stop: int, first: int = 0, head: int = 1):
         """(first step, rule ids, heads) for each run of up to
         _LINES_PER_WRITE steps from step ``first``, whose head is
         ``head``, to ``stop``.  ``heads`` holds the head at each of those
         steps, then the head after the last of them."""
-        ids, moves = self._ids, self._tables.moves
-        for start in range(first, stop, _LINES_PER_WRITE):
-            chunk = ids[start : min(start + _LINES_PER_WRITE, stop)]
+        moves = self._tables.moves
+        for start, chunk in self._id_chunks(stop, first):
             heads = list(accumulate(map(moves.__getitem__, chunk), initial=head))
             if min(heads) < 1:  # a left move at cell 1 stayed put
                 heads = [head]
@@ -272,19 +345,22 @@ class Trace(Sequence):
         Only the rule ids are compared: a machine's rules are distinct, a
         rule maps only to a rule with the same move, and both runs start
         at cell 1, so equal ids give equal heads."""
-        if len(self) != len(other):
+        n = len(self)
+        if n != len(other):
             return False
         # Each of this trace's rules becomes other's id for it, or -1.
         ids = {rule: i for i, rule in enumerate(other._tables.rules)}
         to_other = [ids.get(rule, -1) for rule in rules]
-        mine, theirs = self._ids, other._ids
-        if to_other == list(range(len(ids))):
-            return mine == theirs
+        same = to_other == list(range(len(ids)))
+        if same and (self._literal, self._replays) == (other._literal, other._replays):
+            return True
         # A chunk at a time, so no list as long as the trace is made.
-        n = _LINES_PER_WRITE
+        pairs = zip(self._id_chunks(n), other._id_chunks(n))
+        if same:
+            return all(mine == theirs for (_, mine), (_, theirs) in pairs)
         return all(
-            list(map(to_other.__getitem__, mine[i : i + n])) == theirs[i : i + n].tolist()
-            for i in range(0, len(mine), n)
+            list(map(to_other.__getitem__, mine)) == theirs.tolist()
+            for (_, mine), (_, theirs) in pairs
         )
 
     def __eq__(self, other):
@@ -326,7 +402,12 @@ class RunResult(_Record):
 
     def _build(self, name: str) -> MachineConfig:
         symbols, codes, far, head, state, steps = self._end
-        cells = {i: symbols[c] for i, c in enumerate(codes) if c}
+        cells = {
+            i: symbols[c]
+            for start, chunk in _marked_chunks(codes)
+            for i, c in enumerate(chunk, start)
+            if c
+        }
         cells.update((i, symbols[c]) for i, c in reversed(far))
         return MachineConfig._trusted(cells=cells, head=head, state=state, step_count=steps)
 
@@ -337,7 +418,7 @@ class RunResult(_Record):
 
 def _kernel(
     tables: _Tables,
-    tape: list[int],
+    tape: Union[bytearray, list[int]],
     head: int,
     base: int,
     lo: int,
@@ -346,14 +427,14 @@ def _kernel(
     trace: Optional[Trace],
 ) -> tuple[bool, int, int, int]:
     """The transition loop behind step() and run(): takes up to ``limit``
-    transitions on ``tape``, a list of symbol codes indexed by cell
-    (index 0 unused), while the head stays in the window [lo, hi), and
-    logs each step to ``trace`` when given.  A left move at cell 1 stays
-    put.  Returns (halted, head, base, steps taken); the head is outside
-    the window only when the last step moved it out."""
+    transitions on ``tape``, symbol codes indexed by cell (index 0
+    unused), while the head stays in the window [lo, hi), and logs each
+    step to ``trace`` when given.  A left move at cell 1 stays put.
+    Returns (halted, head, base, steps taken); the head is outside the
+    window only when the last step moved it out."""
     table = tables.table
     if trace is not None:
-        log = trace._ids.append
+        log = trace._literal.append
     for n in range(limit):
         rule = table[base + tape[head]]
         if rule is None:
@@ -416,6 +497,10 @@ _PLAIN_STEPS = 1024
 _PROBE_CREDIT = 4 * _LOOKUP_STEPS
 # Macro steps cached at most; a full cache is cleared.
 _CACHE_ENTRIES = 1024
+# Steps a kernel call inside a block takes at most: the least common
+# multiple of 1 to 8, so a cycle of up to 8 steps in a block brings each
+# call back to where it started.
+_CYCLE_STEPS = 840
 
 
 def run(
@@ -435,11 +520,22 @@ def run(
     hit earns the steps it saves, its length less _LOOKUP_STEPS, and each
     miss costs twice _LOOKUP_STEPS.  When the credit is negative the plain
     loop runs over the whole tape for _PLAIN_STEPS steps, and then macro
-    steps are tried again."""
+    steps are tried again.  Inside a block the loop runs at most
+    _CYCLE_STEPS steps a call; a call that stays in the block and ends in
+    the state, head and codes it started from has gone round a cycle, and
+    the run jumps as many more such calls as the budget holds.
+
+    The tape holds a byte a cell when the machine has at most 256
+    symbols, and a list entry a cell otherwise."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     tables = machine._tables
-    tape = [0] * _DENSE_CELLS
+    if tables.nsym <= 256:
+        # A cache key holds a block's codes as hex text: quicker to make
+        # and to hash than a tuple of them.
+        tape, codes_of = bytearray(_DENSE_CELLS), bytearray.hex
+    else:
+        tape, codes_of = [0] * _DENSE_CELLS, tuple
     far = []
     for idx, sym in initial_cells.items():
         if not isinstance(idx, int) or idx < 1:
@@ -454,50 +550,62 @@ def run(
     far.sort(reverse=True)
 
     log = Trace(tables) if trace else None
-    ids = log._ids if trace else None
+    ids = log._literal if trace else None
     head, base, steps, halted = 1, tables.base[machine.initial_state], 0, False
     cache: dict = {}
     credit = _PROBE_CREDIT
     while steps < max_steps:
         size = len(tape)
         if head + _BLOCK > size:  # grow so the head's block fits
-            tape.extend(bytes(size))
+            tape += bytes(size)
             size += size
             while far and far[-1][0] < size:
                 idx, code = far.pop()
                 tape[idx] = code
         left = max_steps - steps
         if credit < 0:  # macro steps do not pay for now: a plain stretch
-            lo, hi, limit, key = 1, size, min(left, _PLAIN_STEPS), None
+            limit = min(left, _PLAIN_STEPS)
+            halted, head, base, n = _kernel(tables, tape, head, base, 1, size, limit, log)
+            credit = _PROBE_CREDIT
         else:
             lo = head - (head - 1) % _BLOCK
             hi = lo + _BLOCK
-            key = (base, head - lo, lo == 1, *tape[lo:hi])
+            key = (base, head - lo, lo == 1, codes_of(tape[lo:hi]))
             hit = cache.get(key)
             if hit is not None and hit[3] <= left:
                 exit_offset, base, tape[lo:hi], n, first = hit
                 head = lo + exit_offset
                 steps += n
-                if ids is not None:  # the rule ids the first visit logged
-                    ids += ids[first : first + n]
+                if log is not None:  # the rule ids the first visit logged
+                    log._replay(first, n, 1)
                 credit += n - _LOOKUP_STEPS
                 continue
-            limit = left
-        halted, head, base, n = _kernel(tables, tape, head, base, lo, hi, limit, log)
+            # A miss: the visit runs until the head leaves the block.
+            limit = min(left, _CYCLE_STEPS)
+            halted, head, base, n = _kernel(tables, tape, head, base, lo, hi, limit, log)
+            m, start = n, key
+            while not halted and n < left and lo <= head < hi:
+                end = (base, head - lo, lo == 1, codes_of(tape[lo:hi]))
+                if end == start:  # back where the last call started: a cycle
+                    reps = (left - n) // m
+                    n += reps * m
+                    if log is not None:
+                        log._replay(len(ids) - m, m, reps)
+                start = end
+                limit = min(left - n, _CYCLE_STEPS)
+                halted, head, base, m = _kernel(tables, tape, head, base, lo, hi, limit, log)
+                n += m
+            # Cache a whole macro step if it is longer than a lookup; a shorter
+            # one would save nothing when replayed.
+            if n > _LOOKUP_STEPS and not lo <= head < hi:
+                if len(cache) >= _CACHE_ENTRIES:
+                    cache.clear()
+                first = len(ids) - n if ids is not None else 0  # where it was logged
+                cache[key] = (head - lo, base, tape[lo:hi], n, first)
+            credit -= 2 * _LOOKUP_STEPS
         steps += n
         if halted:
             break
-        if key is None:
-            credit = _PROBE_CREDIT
-            continue
-        # Cache a whole macro step if it is longer than a lookup; a shorter
-        # one would save nothing when replayed.
-        if n > _LOOKUP_STEPS and not lo <= head < hi:
-            if len(cache) >= _CACHE_ENTRIES:
-                cache.clear()
-            first = steps - n  # where a trace logged its rule ids
-            cache[key] = (head - lo, base, tuple(tape[lo:hi]), n, first)
-        credit -= 2 * _LOOKUP_STEPS
     return RunResult._trusted(
         outcome=Outcome.HALTED if halted else Outcome.BUDGET_EXHAUSTED,
         trace=log,
@@ -583,11 +691,20 @@ def traces_isomorphic(
 _LINES_PER_WRITE = 1000
 
 
-def _cell_chunks(symbols: tuple, codes: list[int], far: list[tuple[int, int]]):
-    """The cells the kernel left as lists of "index:symbol", by index, a
-    bounded number at a time."""
+def _marked_chunks(codes: Union[bytearray, list[int]]):
+    """(first index, codes) for each _LINES_PER_WRITE dense cells the
+    kernel left, skipping those that are all blank: a count in C finds
+    them, so a long blank stretch costs no loop in Python."""
     for start in range(0, len(codes), _LINES_PER_WRITE):
         chunk = codes[start : start + _LINES_PER_WRITE]
+        if chunk.count(0) < len(chunk):
+            yield start, chunk
+
+
+def _cell_chunks(symbols: tuple, codes, far: list[tuple[int, int]]):
+    """The cells the kernel left as lists of "index:symbol", by index, a
+    bounded number at a time."""
+    for start, chunk in _marked_chunks(codes):
         yield [f"{i}:{symbols[c]}" for i, c in enumerate(chunk, start) if c]
     yield [f"{i}:{symbols[c]}" for i, c in reversed(far)]
 
@@ -676,8 +793,10 @@ def parse_machine(text: str) -> MachineFile:
     """
     declared: dict[str, list[str]] = {}  # singleton keyword -> its operands
     rules: dict[tuple[str, str], Transition] = {}
-    rule_lines: dict[tuple[str, str], int] = {}
     tape: dict[int, str] = {}
+    # The line of each statement: singletons by Machine field name, rules
+    # by (state, read symbol), tape statements by cell index.
+    lines: dict = {}
 
     for lineno, raw in enumerate(_lines(text), start=1):
         tok = _WORD_RE.findall(raw.split("#", 1)[0])
@@ -688,6 +807,7 @@ def parse_machine(text: str) -> MachineFile:
             if kw in declared:
                 raise MachineFormatError(lineno, f"duplicate '{kw}' line")
             declared[kw] = tok[1:]
+            lines["initial_state" if kw == "init" else kw] = lineno
         if kw == "flavor":
             if len(tok) != 2 or tok[1] not in FLAVORS:
                 raise MachineFormatError(
@@ -712,13 +832,13 @@ def parse_machine(text: str) -> MachineFile:
                 )
             key = (tok[1], tok[2])
             if key in rules:
-                first = rule_lines[key]
+                first = lines[key]
                 raise MachineFormatError(
                     lineno,
                     f"duplicate rule for ({tok[1]}, {tok[2]}); first on line {first}",
                 )
             rules[key] = (tok[4], tok[5], _MOVE_LETTERS[tok[6]])
-            rule_lines[key] = lineno
+            lines[key] = lineno
         elif kw == "tape":
             if len(tok) != 3:
                 raise MachineFormatError(lineno, "expected 'tape <cell-index> <symbol>'")
@@ -732,6 +852,7 @@ def parse_machine(text: str) -> MachineFile:
             if idx in tape:
                 raise MachineFormatError(lineno, f"cell {idx} set twice")
             tape[idx] = tok[2]
+            lines[idx] = lineno
         else:
             raise MachineFormatError(lineno, f"unknown keyword {kw!r}")
 
@@ -748,12 +869,12 @@ def parse_machine(text: str) -> MachineFile:
             transitions=rules,
             initial_state=init[0],
         )
-    except ValueError as exc:
-        raise MachineFormatError(0, str(exc)) from exc
+    except _FieldError as exc:
+        raise MachineFormatError(lines[exc.field], str(exc)) from exc
     for idx, sym in tape.items():
         if sym not in machine._tables.code:
             raise MachineFormatError(
-                0, f"tape cell {idx} holds undeclared symbol {sym!r}"
+                lines[idx], f"tape cell {idx} holds undeclared symbol {sym!r}"
             )
     return MachineFile(machine=machine, tape=tape)
 

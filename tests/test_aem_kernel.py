@@ -12,9 +12,11 @@ import hashlib
 import io
 import pickle
 import random
+import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mechx import aemachine, cli
 from mechx.aemachine import (
@@ -24,6 +26,7 @@ from mechx.aemachine import (
     INCREMENTER,
     Machine,
     MachineConfig,
+    MachineFile,
     Outcome,
     RunResult,
     TraceStep,
@@ -448,8 +451,8 @@ def test_rule_counts_at_the_column_width_edge(n_rules, typecode):
         tape.pop(1, None)
         assert_agrees(m, tape, 3 * _LINES_PER_WRITE)
         trace = run(m, tape, 3 * _LINES_PER_WRITE, trace=True).trace
-        assert trace._ids.typecode == typecode and trace._ids[0] == n_rules - 1
-        seen.update(trace._ids)
+        assert trace._literal.typecode == typecode and trace._literal[0] == n_rules - 1
+        seen.update(trace._literal)
     assert len(seen) > 100
 
 
@@ -765,6 +768,26 @@ EDGE_BOUNCER = Machine(
 )
 
 
+def widened(machine):
+    """The same machine with unused symbols declared up to 300 in all, so
+    its run keeps a tape wider than a byte a cell."""
+    extra = tuple(f"pad{i}" for i in range(300 - len(machine.symbols)))
+    return Machine(
+        flavor=machine.flavor,
+        states=machine.states,
+        symbols=machine.symbols + extra,
+        blank=machine.blank,
+        transitions=machine.transitions,
+        initial_state=machine.initial_state,
+    )
+
+
+def both_tapes(machine):
+    """``machine`` and its widened twin: run() keeps a byte tape for the
+    first and a list for the second."""
+    return machine, widened(machine)
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """The (lo, hi, limit) window of each call run() and step() make to
@@ -790,13 +813,15 @@ def test_counters_in_macro_steps_match_reference(kernel_calls):
     for base, digits in counters:
         mf = counter(base, digits)
         for budget in [rng.randint(1, 12_000) for _ in range(3)] + [20_000]:
-            assert_agrees(mf.machine, mf.tape, budget)
+            for m in both_tapes(mf.machine):
+                assert_agrees(m, mf.tape, budget)
     # The binary counter's 10^5 steps take a few hundred loop calls.
-    del kernel_calls[:]
     mf = counter(2)
-    final = run(mf.machine, mf.tape, 100_000).final
-    assert final == reference_run(mf.machine, mf.tape, 100_000)[1]
-    assert len(kernel_calls) < 400
+    for m in both_tapes(mf.machine):
+        del kernel_calls[:]
+        final = run(m, mf.tape, 100_000).final
+        assert final == reference_run(m, mf.tape, 100_000)[1]
+        assert len(kernel_calls) < 400
 
 
 def test_budget_ends_at_every_step_of_a_cached_macro_step():
@@ -804,11 +829,12 @@ def test_budget_ends_at_every_step_of_a_cached_macro_step():
     # budget that ends at any step inside one must stop there.
     mf = counter(2)
     _, _, trace = reference_run(mf.machine, mf.tape, 2_600)
-    for budget in range(2_000, 2_600, 7):
-        got = run(mf.machine, mf.tape, budget, trace=True)
-        want = reference_run(mf.machine, mf.tape, budget)
-        assert got.outcome is want[0] and got.final == want[1]
-        assert got.trace == tuple(trace[:budget])
+    for m in both_tapes(mf.machine):
+        for budget in range(2_000, 2_600, 7):
+            got = run(m, mf.tape, budget, trace=True)
+            want = reference_run(m, mf.tape, budget)
+            assert got.outcome is want[0] and got.final == want[1]
+            assert got.trace == tuple(trace[:budget])
 
 
 # Sweeps block 0 back and forth in 37 steps and leaves it in state A for
@@ -842,13 +868,15 @@ tape 16 e
 
 
 def test_block_zero_clamps_where_a_later_block_leaves(kernel_calls):
-    m, tape = BLOCK_ZERO.machine, BLOCK_ZERO.tape
-    outcome, _ = assert_agrees(m, tape, 100)
-    final = run(m, tape, 100).final
-    assert outcome is Outcome.HALTED
-    assert (final.head, final.state, final.step_count) == (8, "A2", 38)
-    # Block 1 was looked up as a macro step, not run by a plain stretch.
-    assert (9, 17, 100 - 37) in kernel_calls
+    tape = BLOCK_ZERO.tape
+    for m in both_tapes(BLOCK_ZERO.machine):
+        del kernel_calls[:]
+        outcome, _ = assert_agrees(m, tape, 100)
+        final = run(m, tape, 100).final
+        assert outcome is Outcome.HALTED
+        assert (final.head, final.state, final.step_count) == (8, "A2", 38)
+        # Block 1 was looked up as a macro step, not run by a plain stretch.
+        assert (9, 17, 100 - 37) in kernel_calls
 
 
 def test_far_cells_pulled_in_at_block_edges(kernel_calls):
@@ -856,15 +884,16 @@ def test_far_cells_pulled_in_at_block_edges(kernel_calls):
     # steps.  Cells that start beyond the dense tape sit at and next to
     # the block edges where it doubles; each must be read where it was.
     rng = random.Random(1024)
-    m = dwelling_runner(("b", "x", "y"), 4)
     edges = {c + d for c in (256, 512, 1024, 2048) for d in (-8, -1, 0, 1, 8)}
     tape = {c: rng.choice("xy") for c in edges | {10**12}}
     budget = 4 * 2060
-    _, trace = assert_agrees(m, tape, budget)
-    read = {t.head: t.read for t in trace if t.read != "b"}
-    assert {c: read[c] for c in edges} == {c: tape[c] for c in edges}
-    # Every step was taken in a macro step: no plain stretch ran.
-    assert all(hi - lo == 8 for lo, hi, _ in kernel_calls)
+    for m in both_tapes(dwelling_runner(("b", "x", "y"), 4)):
+        del kernel_calls[:]
+        _, trace = assert_agrees(m, tape, budget)
+        read = {t.head: t.read for t in trace if t.read != "b"}
+        assert {c: read[c] for c in edges} == {c: tape[c] for c in edges}
+        # Every step was taken in a macro step: no plain stretch ran.
+        assert all(hi - lo == 8 for lo, hi, _ in kernel_calls)
 
 
 def test_three_hundred_symbols_in_macro_steps():
@@ -878,14 +907,13 @@ def test_three_hundred_symbols_in_macro_steps():
     tape.update({i: rng.choice(symbols) for i in range(401, 601)})
     for budget in (2_800, 3_001, 1_633):
         assert_agrees(m, tape, budget)
-    assert run(m, tape, 100, trace=True).trace._ids.typecode == "H"
+    assert run(m, tape, 100, trace=True).trace._literal.typecode == "H"
 
 
 def test_cache_fills_and_clears(monkeypatch, kernel_calls):
     # Three block contents in turn, each followed by four blank blocks.
     # With room for two macro steps the cache is full at every third
     # lookup and is cleared; the run must still agree with the reference.
-    m = dwelling_runner(("b", "x", "y"), 4)
     patterns = ("xxxxyyyy", "xyxyxyxy", "yyxxyyxx")
     blocks = 300
     tape = {
@@ -894,24 +922,30 @@ def test_cache_fills_and_clears(monkeypatch, kernel_calls):
         for i, c in enumerate(patterns[k // 5 % 3])
     }
     budget = 32 * blocks
-    assert_agrees(m, tape, budget)
-    roomy = len(kernel_calls)
-    del kernel_calls[:]
-    monkeypatch.setattr(aemachine, "_CACHE_ENTRIES", 2)
-    assert_agrees(m, tape, budget)
-    # assert_agrees runs twice, traced and not.  A roomy cache misses on
-    # the four contents once; a small one on a pattern and the blank block
-    # after it, two in every five blocks.
-    assert roomy <= 2 * 5
-    assert len(kernel_calls) >= 2 * 2 * blocks // 5
+    entries = aemachine._CACHE_ENTRIES
+    for m in both_tapes(dwelling_runner(("b", "x", "y"), 4)):
+        monkeypatch.setattr(aemachine, "_CACHE_ENTRIES", entries)
+        del kernel_calls[:]
+        assert_agrees(m, tape, budget)
+        roomy = len(kernel_calls)
+        del kernel_calls[:]
+        monkeypatch.setattr(aemachine, "_CACHE_ENTRIES", 2)
+        assert_agrees(m, tape, budget)
+        # assert_agrees runs twice, traced and not.  A roomy cache misses on
+        # the four contents once; a small one on a pattern and the blank
+        # block after it, two in every five blocks.
+        assert roomy <= 2 * 5
+        assert len(kernel_calls) >= 2 * 2 * blocks // 5
 
 
 def test_macro_steps_keep_traces_isomorphic():
     rng = random.Random(1414)
     cases = [(counter(2).machine, counter(2).tape, 20_000),
              (counter(3).machine, counter(3).tape, 20_000),
+             (widened(counter(3).machine), counter(3).tape, 20_000),
              (BLOCK_ZERO.machine, BLOCK_ZERO.tape, 100),
-             (dwelling_runner(("b", "x", "y"), 4), {}, 5_000)]
+             (dwelling_runner(("b", "x", "y"), 4), {}, 5_000),
+             (PERIOD_TWO.machine, PERIOD_TWO.tape, 20_000)]
     for m, tape, budget in cases:
         smap, qmap = machine_maps(rng, m)
         twin = to_mechanization(m, smap, qmap)
@@ -933,10 +967,12 @@ def test_macro_steps_that_do_not_pay_fall_back_to_the_plain_loop(kernel_calls, t
     steps = 100_000
     sweeper, sweep_tape = shifting_sweeper(random.Random(77), 700, 1)
     for m, tape in ((EDGE_BOUNCER, {8: "x"}), (sweeper, sweep_tape)):
-        del kernel_calls[:]
-        result = run(m, tape, steps, trace=traced)
-        assert len(kernel_calls) <= steps / 64
-        assert result.final == reference_run(m, tape, steps)[1]
+        want = reference_run(m, tape, steps)[1]
+        for twin in both_tapes(m):
+            del kernel_calls[:]
+            result = run(twin, tape, steps, trace=traced)
+            assert len(kernel_calls) <= steps / 64
+            assert result.final == want
 
 
 def test_macro_step_cache_stays_bounded():
@@ -955,3 +991,190 @@ def test_macro_step_cache_stays_bounded():
         tracemalloc.stop()
     assert result.final.step_count == 1_000_000
     assert peak < 512 * 1024
+
+
+# Loopers: machines that stay inside one block for ever.  At cell 1, where
+# each left move clamps, with period 1; between cells 20 and 21 of block 2
+# with period 2; and on one cell through nine states, a period that does
+# not divide the steps of a loop call, so the run is not jumped.
+CLAMP_LOOPER = parse_machine(
+    "flavor computation\nstates a\nsymbols blank e\ninit a\nrule a e -> a e L\n"
+)
+PERIOD_TWO = parse_machine(
+    """\
+flavor computation
+states a b c
+symbols blank e w x
+init a
+rule a e -> a e R
+rule a w -> b w R
+rule b e -> c x L
+rule b x -> c x L
+rule c w -> b w R
+tape 20 w
+"""
+)
+PERIOD_NINE = parse_machine(
+    "flavor computation\nstates "
+    + " ".join(f"q{i}" for i in range(9))
+    + "\nsymbols blank e\ninit q0\n"
+    + "".join(f"rule q{i} e -> q{(i + 1) % 9} e S\n" for i in range(9))
+)
+
+
+def _jumps(trace):
+    """The references in ``trace`` that repeat a run of ids more than once:
+    the cycles the run jumped."""
+    refs = trace._replays
+    return sum(refs[i + 3] > 1 for i in range(0, len(refs), 4))
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["byte-tape", "list-tape"])
+def test_in_block_cycles_match_reference(wide):
+    budgets = (1, 839, 840, 841, 1_681, 5_000, 20_000)
+    for mf in (CLAMP_LOOPER, PERIOD_TWO, PERIOD_NINE):
+        m = widened(mf.machine) if wide else mf.machine
+        for budget in budgets:
+            assert_agrees(m, mf.tape, budget)
+        assert _jumps(run(m, mf.tape, budgets[-1], trace=True).trace) == (mf is not PERIOD_NINE)
+    # Random machines that never halt: many end in a cycle inside a block,
+    # some after wandering over several.
+    rng = random.Random(840)
+    jumped = 0
+    for _ in range(60):
+        m = wide_machine(rng, rng.randint(1, 4), rng.randint(2, 4), fill=1.0)
+        tape = {i: rng.choice(m.symbols) for i in rng.sample(range(1, 40), rng.randint(0, 30))}
+        m = widened(m) if wide else m
+        budget = rng.randint(2_000, 8_000)
+        assert_agrees(m, tape, budget)
+        jumped += _jumps(run(m, tape, budget, trace=True).trace) > 0
+    assert 20 <= jumped < 60
+
+
+def test_loopers_jump_whole_cycles(kernel_calls, monkeypatch):
+    # A million steps of a cycle take a few loop calls, and its trace a few
+    # calls' worth of ids and one reference.  Both runs, and the listing,
+    # equal those of a plain replay: no macro steps, every id logged.
+    steps = 200_000
+    for mf in (CLAMP_LOOPER, PERIOD_TWO):
+        del kernel_calls[:]
+        result = run(mf.machine, mf.tape, 10**6, trace=True)
+        assert len(kernel_calls) <= 10
+        assert result.final.step_count == len(result.trace) == 10**6
+        assert len(result.trace._literal) <= 3 * aemachine._CYCLE_STEPS
+        jumped = run(mf.machine, mf.tape, steps, trace=True)
+        credit = aemachine._PROBE_CREDIT
+        monkeypatch.setattr(aemachine, "_PROBE_CREDIT", -1)
+        plain = run(mf.machine, mf.tape, steps, trace=True)
+        monkeypatch.setattr(aemachine, "_PROBE_CREDIT", credit)
+        assert len(plain.trace._literal) == steps and not plain.trace._replays
+        assert jumped == plain and plain == jumped
+        assert jumped.trace == plain.trace and plain.trace == jumped.trace
+        assert jumped.trace != run(mf.machine, mf.tape, steps - 1, trace=True).trace
+        listings = [_Digest(), _Digest()]
+        format_run(jumped, listings[0])
+        format_run(plain, listings[1])
+        assert listings[0].sha.digest() == listings[1].sha.digest()
+
+
+def test_traced_ceiling_counter_keeps_replays_by_reference():
+    # The benchmark's traced binary counter of 10^6 steps: all but about
+    # 8,000 of its steps replay cached macro steps.  Copying their ids took
+    # 1,014 KB; each replay is now one reference of 32 bytes.
+    mf = counter(2)
+    run(mf.machine, mf.tape, 1_000, trace=True)
+    tracemalloc.start()
+    try:
+        result = run(mf.machine, mf.tape, 10**6, trace=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.trace) == 10**6
+    assert peak <= 150 * 1024
+
+
+# A random machine that runs right for ever and blanks every mark it
+# passes: after 135,100 steps its tape is 262,144 cells, all blank.
+BLANK_RUNNER = parse_machine(
+    """\
+flavor computation
+states q0 q1 q2 q3
+symbols blank s0 s1
+init q0
+rule q0 s0 -> q3 s0 R
+rule q0 s1 -> q2 s1 S
+rule q2 s0 -> q2 s0 L
+rule q2 s1 -> q0 s1 R
+rule q3 s0 -> q3 s0 R
+rule q3 s1 -> q3 s0 R
+"""
+    + "".join(f"tape {i} s1\n" for i in (5, 6, 8, 9, 10, 11, 12, 14, 15, 16, 19))
+)
+
+
+def test_blank_runner_keeps_a_byte_a_cell():
+    # A list of codes took 8 bytes a cell, 2,176 KB in all.
+    steps = 135_100
+    run(BLANK_RUNNER.machine, BLANK_RUNNER.tape, 1_000)
+    tracemalloc.start()
+    try:
+        result = run(BLANK_RUNNER.machine, BLANK_RUNNER.tape, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.final.step_count == steps
+    assert peak <= 512 * 1024
+
+
+def test_final_line_skips_blank_cells_and_stays_the_same(monkeypatch):
+    # The final line of a tape that is mostly blank, on either store: the
+    # blank runner's, and a runner's that keeps a few marks far apart and
+    # one far cell.  Only chunks of cells holding a mark are listed cell
+    # by cell.
+    keeper = Machine(
+        flavor=COMPUTATION,
+        states=("r",),
+        symbols=("b", "x"),
+        blank="b",
+        transitions={("r", "b"): ("r", "b", 1), ("r", "x"): ("r", "x", 1)},
+        initial_state="r",
+    )
+    marks = {5: "x", 2_999: "x", 3_000: "x", 3_001: "x", 70_000: "x", 10**9: "x"}
+    listed = []
+    real = aemachine._cell_chunks
+
+    def counting(symbols, codes, far):
+        for cells in real(symbols, codes, far):
+            listed.append(len(cells))
+            yield cells
+
+    monkeypatch.setattr(aemachine, "_cell_chunks", counting)
+    for mf, steps in ((BLANK_RUNNER, 135_100), (MachineFile(keeper, marks), 100_000)):
+        outcome, final, _ = reference_run(mf.machine, mf.tape, steps)
+        want = reference_format(outcome, final, ())
+        for m in both_tapes(mf.machine):
+            del listed[:]
+            result = run(m, mf.tape, steps)
+            assert format_run(result) == want
+            assert result.final == final
+            assert sum(listed) == len(final.cells) and 0 not in listed[:-1]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1, 30, 900, 2_000, 20_000)))
+@settings(max_examples=80, deadline=None)
+def test_a_trace_takes_at_most_an_id_a_step(seed, budget):
+    # References are kept only where they take less room than the ids they
+    # stand for, so a trace never holds more than one id a step; as
+    # allocated, arrays add at most a sixteenth and a few items.
+    rng = random.Random(seed)
+    kind = rng.randrange(3)
+    if kind < 2:
+        m = random_machine(rng) if kind else wide_machine(rng, 3, 3, fill=1.0)
+        tape = random_tape(rng, m)
+    else:
+        mf = counter(rng.choice((2, 3, 10)))
+        m, tape = mf.machine, mf.tape
+    trace = run(m, tape, budget, trace=True).trace
+    ids, refs = trace._literal, trace._replays
+    assert len(ids) * ids.itemsize + len(refs) * refs.itemsize <= len(trace) * ids.itemsize
+    assert sys.getsizeof(ids) + sys.getsizeof(refs) <= len(trace) * ids.itemsize * 17 // 16 + 256

@@ -432,6 +432,10 @@ class TestFormat:
                 "tape 3 x\ntape 3 x\n",
                 6,
             ),
+            # Errors found once every statement is read name the line of
+            # the statement at fault.
+            ("flavor computation\nstates a\nsymbols blank .\ninit zz\n", 4),
+            ("flavor computation\nstates a\nsymbols blank .\ninit a\ntape 4 zz\n", 5),
         ],
     )
     def test_format_errors_carry_line(self, text, line):
@@ -446,8 +450,6 @@ class TestFormat:
             "flavor computation\nsymbols blank .\ninit a\n",
             "flavor computation\nstates a\ninit a\n",
             "flavor computation\nstates a\nsymbols blank .\n",
-            "flavor computation\nstates a\nsymbols blank .\ninit zz\n",
-            "flavor computation\nstates a\nsymbols blank .\ninit a\ntape 4 zz\n",
         ],
     )
     def test_document_level_errors(self, text):
@@ -537,27 +539,38 @@ _ERROR_TEXTS = [
         f"tape -{'0' * 4301} x\n",
         "line 1: cell index has 4301 digits, above the limit of 4300",
     ),
-    (_DECLARED + "tape 4 zz\n", "tape cell 4 holds undeclared symbol 'zz'"),
+]
+
+# Errors the Machine record raises once every statement is read: (text,
+# line of the statement at fault, message).  Each test is named after the
+# message alone.
+_RECORD_ERRORS = [
+    (_DECLARED + "tape 4 zz\n", 5, "tape cell 4 holds undeclared symbol 'zz'"),
     (
         "flavor computation\nstates a\nsymbols blank .\ninit zz\n",
+        4,
         "initial state 'zz' not declared",
     ),
-    (_DECLARED.replace("states a", "states a a"), "duplicate state names"),
-    (_DECLARED.replace(". x", ". x ."), "duplicate symbol names"),
-    (_DECLARED + "rule a . -> b . S\n", "transition ('a','.') references unknown state"),
-    (_DECLARED + "rule a y -> a . S\n", "transition ('a','y') references unknown symbol"),
+    (_DECLARED.replace("states a", "states a a"), 2, "duplicate state names"),
+    (_DECLARED.replace(". x", ". x ."), 3, "duplicate symbol names"),
+    (_DECLARED + "rule a . -> b . S\n", 5, "transition ('a','.') references unknown state"),
+    (_DECLARED + "rule a y -> a . S\n", 5, "transition ('a','y') references unknown symbol"),
     # A rule is checked for its states before its symbols, and rules in
     # file order.
-    (_DECLARED + "rule a y -> b . S\n", "transition ('a','y') references unknown state"),
+    (_DECLARED + "rule a y -> b . S\n", 5, "transition ('a','y') references unknown state"),
     (
         _DECLARED + "rule a x -> a y S\nrule a . -> b . S\n",
+        5,
         "transition ('a','x') references unknown symbol",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "text, message", _ERROR_TEXTS, ids=[message[:40] for _, message in _ERROR_TEXTS]
+    "text, message",
+    _ERROR_TEXTS + [(text, f"line {line}: {message}") for text, line, message in _RECORD_ERRORS],
+    ids=[message[:40] for _, message in _ERROR_TEXTS]
+    + [message[:40] for _, _, message in _RECORD_ERRORS],
 )
 def test_machine_format_error_text(text, message):
     with pytest.raises(MachineFormatError) as info:

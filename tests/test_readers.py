@@ -48,6 +48,41 @@ def test_parse_machine_raises_only_machine_format_errors(text):
         assert 0 <= exc.line <= len(_lines(text))
 
 
+# A machine description, one statement a line, and four faults that the
+# reader finds only once every statement is read: the faulty statement
+# and the message it gives.
+_STATEMENTS = [
+    "flavor computation", "states a b", "symbols blank e 1", "init a",
+    "rule a e -> b 1 R", "rule b 1 -> a e L", "tape 1 1",
+]
+_FAULTS = {
+    "init a": ("init zz", "initial state 'zz' not declared"),
+    "tape 1 1": ("tape 1 z", "tape cell 1 holds undeclared symbol 'z'"),
+    "rule a e -> b 1 R": ("rule a e -> c 1 R", "transition ('a','e') references unknown state"),
+    "states a b": ("states a a", "duplicate state names"),
+}
+
+
+@given(
+    st.sampled_from(sorted(_FAULTS)),
+    st.permutations(_STATEMENTS),
+    st.lists(st.sampled_from(["", "# note", " \t", "  # init zz"]), max_size=12),
+    st.lists(st.integers(0, len(_STATEMENTS)), max_size=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_fault_found_after_reading_names_its_line(fault, order, fillers, places):
+    # The statements go in any order, with blank and comment lines between
+    # them; the error names the faulty statement's line.
+    lines = [_FAULTS[s][0] if s == fault else s for s in order]
+    for filler, place in zip(fillers, places):
+        lines.insert(min(place, len(lines)), filler)
+    faulty = lines.index(_FAULTS[fault][0]) + 1
+    with pytest.raises(MachineFormatError) as info:
+        parse_machine("\n".join(lines) + "\n")
+    assert (info.value.line, info.value.message) == (faulty, _FAULTS[fault][1])
+    assert parse_machine("\n".join(order) + "\n").tape == {1: "1"}
+
+
 @pytest.mark.parametrize("sep", OTHER_BREAKS, ids=lambda s: f"U+{ord(s):04X}")
 def test_only_lf_crlf_and_cr_end_a_line(sep):
     doc = parse_platform(f'platform "p"\n# form{sep}feed\r\nyear 1\rkind natural\n')

@@ -26,7 +26,8 @@ from mechx.aemachine import (
 from mechx.capacity import BigCount, CapacityReport, ComparisonReport, analyze, compare
 from mechx.figures import AxisSpec, FigureBundle, TrendPoint
 from mechx.model import Continuous, DiscreteStates, DofGroup, Platform, ProcessorSpec
-from mechx.specfile import Diagnostic, PlatformDocument, Severity
+from mechx import MAX_INT_DIGITS
+from mechx.specfile import Diagnostic, PlatformDocument, Severity, parse_platform, serialize_platform
 
 
 def _group():
@@ -361,6 +362,46 @@ def test_counts_must_be_ints(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+# Each field checked by _require_int, as (record, field, build from value).
+_INT_FIELDS = [
+    ("Platform", "year", lambda v: Platform("p", "natural", year=v)),
+    (
+        "DofGroup",
+        "multiplicity",
+        lambda v: Platform("p", "natural", (DofGroup("g", v, DiscreteStates(2)),)),
+    ),
+    (
+        "DiscreteStates",
+        "count",
+        lambda v: Platform("p", "natural", (DofGroup("g", 1, DiscreteStates(v)),)),
+    ),
+    ("ProcessorSpec", "transistors", lambda v: ProcessorSpec("c", v)),
+    ("MachineConfig", "head", lambda v: MachineConfig({}, v, "q")),
+    ("MachineConfig", "step_count", lambda v: MachineConfig({}, 1, "q", v)),
+]
+
+
+@pytest.mark.parametrize(
+    "record, field, build", _INT_FIELDS, ids=[f"{r}.{f}" for r, f, _ in _INT_FIELDS]
+)
+def test_ints_of_more_than_max_int_digits_are_refused(record, field, build):
+    # The largest int of MAX_INT_DIGITS digits is kept, and a platform
+    # holding it is written and read back; the next int could not be
+    # written as text and is refused when the record is made.
+    largest = 10**MAX_INT_DIGITS - 1
+    for too_big in (largest + 1, -largest - 1, 10 ** (2 * MAX_INT_DIGITS)):
+        with pytest.raises(ValueError) as info:
+            build(too_big)
+        assert str(info.value) == f"{record}.{field} has more than {MAX_INT_DIGITS} digits"
+    if field == "transistors":  # bounded by the largest float first
+        with pytest.raises(ValueError, match="transistor count must be at most"):
+            build(largest)
+        return
+    kept = build(largest)
+    if isinstance(kept, Platform):
+        assert parse_platform(serialize_platform(kept)).platform == kept
 
 
 def test_default_factories_give_each_instance_its_own_dict():
