@@ -32,6 +32,7 @@ from the kernel's tape only when it is read.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Sequence
 from enum import Enum
 from itertools import accumulate, islice
@@ -203,6 +204,20 @@ class _Tables:
         return self.states[base // self.nsym]
 
 
+def _heads(moves: list[int], ids, head: int) -> list[int]:
+    """The head at each step of the rule ids ``ids`` from ``head``, then
+    the head after the last of them."""
+    heads = list(accumulate(map(moves.__getitem__, ids), initial=head))
+    # A head above len(ids) cannot reach cell 0; below, a left move at
+    # cell 1 may have stayed put.
+    if head <= len(ids) and min(heads) < 1:
+        heads = [head]
+        for move in map(moves.__getitem__, ids):
+            head = head + move or 1
+            heads.append(head)
+    return heads
+
+
 class Trace(Sequence):
     """The steps of a traced run as a read-only sequence of TraceStep.
 
@@ -244,31 +259,46 @@ class Trace(Sequence):
             self._replayed += n * reps
 
     def _runs(self, first: int = 0):
-        """(first step, rule ids) in step order, at most _LINES_PER_WRITE
-        ids at a time, from the one that holds step ``first``: the ids
-        before it are skipped, not copied."""
+        """(first step, rule ids, reference) for each piece of the trace in
+        step order, from the piece that holds step ``first``: the pieces
+        before it are skipped, not copied.  Literal ids come at most
+        _LINES_PER_WRITE at a time, with reference None.  Replayed ids
+        come as whole repeats of the ``n`` literal ids from offset
+        ``source``, with reference (source, n): as many repeats as fit in
+        _LINES_PER_WRITE ids, or one; a longer repeat comes in pieces of
+        that many ids, each a reference of its own."""
         ids, refs, w = self._literal, self._replays, _LINES_PER_WRITE
-        done = step = 0  # the literal ids and the steps before the next run
+        done = step = 0  # the literal ids and the steps before the next piece
         for i in range(0, len(refs) + 1, 4):
             # The literal ids up to the next reference (or to the end), then
             # the reference's repeats.
             at, source, n, reps = refs[i : i + 4] if i < len(refs) else (len(ids), 0, 1, 0)
             skip = max(0, min(first - step, at - done))
             for a in range(done + skip, at, w):
-                yield step + a - done, ids[a : min(a + w, at)]
+                yield step + a - done, ids[a : min(a + w, at)], None
             step += at - done
             done = at
+            if reps == 1 and n <= w:  # a replayed macro step: one piece
+                if first < step + n:
+                    yield step, ids[source : source + n], (source, n)
+                step += n
+                continue
             skip = min(max(0, first - step) // n, reps)  # whole repeats
             step += skip * n
             reps -= skip
-            # As many whole repeats at a time as fit in w ids, or one.
-            per = max(1, w // n)
+            if n > w:
+                for _ in range(reps):
+                    for a in range(source, source + n, w):
+                        part = ids[a : min(a + w, source + n)]
+                        yield step, part, (a, len(part))
+                        step += len(part)
+                continue
+            per = w // n
             block = ids[source : source + n] * min(per, reps)
             for k in range(0, reps, per):
                 part = block if k + per <= reps else block[: (reps - k) * n]
-                for a in range(0, len(part), w):
-                    yield step, part[a : a + w]
-                    step += min(w, len(part) - a)
+                yield step, part, (source, n)
+                step += len(part)
 
     def _id_chunks(self, stop: int, first: int = 0):
         """(first step, rule ids) for each run of up to _LINES_PER_WRITE
@@ -278,7 +308,7 @@ class Trace(Sequence):
         for start in range(first, stop, _LINES_PER_WRITE):
             end = min(start + _LINES_PER_WRITE, stop)
             while at + len(pending) < end:
-                step, run = next(runs)
+                step, run, _ = next(runs)
                 if not pending:
                     at = step
                 pending += run
@@ -288,16 +318,10 @@ class Trace(Sequence):
     def _chunks(self, stop: int, first: int = 0, head: int = 1):
         """(first step, rule ids, heads) for each run of up to
         _LINES_PER_WRITE steps from step ``first``, whose head is
-        ``head``, to ``stop``.  ``heads`` holds the head at each of those
-        steps, then the head after the last of them."""
+        ``head``, to ``stop``; ``heads`` as _heads gives them."""
         moves = self._tables.moves
         for start, chunk in self._id_chunks(stop, first):
-            heads = list(accumulate(map(moves.__getitem__, chunk), initial=head))
-            if min(heads) < 1:  # a left move at cell 1 stayed put
-                heads = [head]
-                for move in map(moves.__getitem__, chunk):
-                    head = head + move or 1
-                    heads.append(head)
+            heads = _heads(moves, chunk, head)
             head = heads[-1]
             yield start, chunk, heads
 
@@ -526,9 +550,12 @@ def run(
     the run jumps as many more such calls as the budget holds.
 
     The tape holds a byte a cell when the machine has at most 256
-    symbols, and a list entry a cell otherwise."""
+    symbols, and a list entry a cell otherwise.  A traced run takes at
+    most ``sys.maxsize`` steps, the longest sequence Python can index."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if trace and max_steps > sys.maxsize:  # a trace's length is a Python index
+        raise ValueError(f"max_steps of a traced run must be <= {sys.maxsize}")
     tables = machine._tables
     if tables.nsym <= 256:
         # A cache key holds a block's codes as hex text: quicker to make
@@ -689,6 +716,9 @@ def traces_isomorphic(
 # Trace lines, or tape cells of the final line, per write when format_run
 # streams; a power of ten, which format_run's step numbers rely on.
 _LINES_PER_WRITE = 1000
+# Steps of the replayed pieces whose text format_run keeps, a pointer a
+# step; past them it forgets them all.
+_TAIL_STEPS = 1 << 14
 
 
 def _marked_chunks(codes: Union[bytearray, list[int]]):
@@ -736,27 +766,90 @@ def format_run(result: RunResult, out=None) -> Optional[str]:
             write(sep + " ".join(cells))
             sep = " "
     write("]\n")
-    trace = result.trace
-    if trace is not None:
-        before, after = trace._tables.before, trace._tables.after
-        # Each chunk starts at a multiple of _LINES_PER_WRITE, a power of
-        # ten, so past the first a step number is the chunk's number, then
-        # a zero-padded remainder.  A chunk's heads lie within that many
-        # cells of each other and mostly repeat.  Each text is made once.
-        numbers = range(_LINES_PER_WRITE)
-        for start, ids, heads in trace._chunks(len(trace)):
-            if start == _LINES_PER_WRITE:
-                numbers = [str(_LINES_PER_WRITE + j)[1:] for j in range(_LINES_PER_WRITE)]
-            prefix = str(start // _LINES_PER_WRITE) if start else ""
+    if result.trace is not None:
+        _write_steps(result.trace, write)
+    return "".join(parts) if out is None else None
+
+
+def _write_steps(trace: Trace, write) -> None:
+    """Write a line per step of ``trace``, _LINES_PER_WRITE lines at a
+    time: the step number, then its tail " state head read written move".
+
+    A tail depends only on the rule and the head, so the tails of a
+    replayed piece follow from its reference and the head it starts at.
+    The first time a piece is met from a head, its tails are made and kept
+    under those, a pointer a step, with equal tails shared through one
+    dict; each replay from that head then costs no text of its own, as the
+    parts of its number and its tail go to the join as they are.  Literal
+    steps, and a piece of several repeats, are written in one pass, a line
+    at a time.  The kept pieces are counted by their steps, and at
+    _TAIL_STEPS all are forgotten."""
+    tables = trace._tables
+    before, after, moves = tables.before, tables.after, tables.moves
+    w = _LINES_PER_WRITE
+    kept: dict = {}  # (source, n, start head) -> (tails, head after)
+    shared: dict = {}  # each tail kept, as itself
+    steps_kept = 0
+
+    # Thousand k holds steps k * w to k * w + w - 1, w a power of ten, so
+    # past the first a step number is k, then a zero-padded remainder.
+    numbers = [str(j) for j in range(w)]
+    thousand, prefix, off = 0, "", 0  # off: the lines of this thousand written
+    lines: list[str] = []
+
+    def put(ids, heads, tails) -> None:
+        """Add the lines of the steps of ``ids``, from their ``heads`` in one
+        pass, or from their kept ``tails``; write each thousand when full."""
+        nonlocal thousand, prefix, off, lines
+        if tails is None:
             low = min(heads)
             text = [str(h) for h in range(low, max(heads) + 1)]
-            lines = zip(numbers, ids, heads)
-            write(
-                "".join(
-                    [f"{prefix}{n}{before[r]}{text[h - low]}{after[r]}" for n, r, h in lines]
-                )
-            )
-    return "".join(parts) if out is None else None
+        a = 0
+        while a < len(ids):  # up to the end of the steps or of the thousand
+            b = min(len(ids), a + w - off)
+            nums = numbers if b - a == w else numbers[off : off + b - a]
+            if tails is None:  # zip stops at the last of nums
+                lines += [
+                    f"{prefix}{n}{before[r]}{text[h - low]}{after[r]}"
+                    for n, r, h in zip(nums, ids[a:] if a else ids, heads[a:] if a else heads)
+                ]
+            else:  # three parts a line, in place
+                start = len(lines)
+                lines += [prefix] * (3 * (b - a))
+                lines[start + 1 :: 3] = nums
+                lines[start + 2 :: 3] = tails if b - a == len(tails) else tails[a:b]
+            off += b - a
+            a = b
+            if off == w:
+                write("".join(lines))
+                lines = []
+                thousand += 1
+                if thousand == 1:  # pad the remainders under w // 10 with zeros
+                    numbers[: w // 10] = [str(w + j)[1:] for j in range(w // 10)]
+                prefix, off = str(thousand), 0
+
+    head = 1
+    for _, ids, ref in trace._runs():
+        if ref is not None and len(ids) == ref[1]:
+            key = (*ref, head)
+            entry = kept.get(key)
+            if entry is None:
+                if steps_kept >= _TAIL_STEPS:
+                    kept.clear()
+                    shared.clear()
+                    steps_kept = 0
+                heads = _heads(moves, ids, head)
+                tails = [f"{before[r]}{h}{after[r]}" for r, h in zip(ids, heads)]
+                entry = kept[key] = list(map(shared.setdefault, tails, tails)), heads[-1]
+                steps_kept += len(ids)
+            tails, head = entry
+            put(ids, None, tails)
+        else:
+            heads = _heads(moves, ids, head)
+            head = heads.pop()
+            put(ids, heads, None)
+    if lines:
+        write("".join(lines))
 
 
 # Description files (".aem") -------------------------------------------------

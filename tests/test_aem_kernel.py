@@ -14,6 +14,7 @@ import pickle
 import random
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,7 +116,32 @@ def assert_agrees(machine, tape, max_steps):
     streamed = io.StringIO()
     assert format_run(traced, streamed) is None
     assert streamed.getvalue() == text
+    # The listing of the same run with every id logged, none replayed.
+    assert format_run(plain_run(machine, tape, max_steps)) == text
     return outcome, trace
+
+
+_KERNEL = aemachine._kernel
+
+
+def plain_run(machine, tape, max_steps):
+    """A traced run with macro steps off: the plain loop takes every step
+    and the trace holds no reference.  Its loop calls are not counted by
+    the ``kernel_calls`` fixture."""
+    with mock.patch.multiple(aemachine, _PROBE_CREDIT=-1, _kernel=_KERNEL):
+        result = run(machine, tape, max_steps, trace=True)
+    assert not result.trace._replays
+    return result
+
+
+def replayed_pieces(trace, steps):
+    """(reference, start head, TraceSteps) of each replayed piece of
+    ``trace``, whose steps are ``steps``."""
+    return [
+        (ref, steps[at].head, steps[at : at + len(ids)])
+        for at, ids, ref in trace._runs()
+        if ref is not None
+    ]
 
 
 def wide_machine(rng, n_states, n_symbols, moves=(-1, 0, 1), fill=0.8):
@@ -815,6 +841,14 @@ def test_counters_in_macro_steps_match_reference(kernel_calls):
         for budget in [rng.randint(1, 12_000) for _ in range(3)] + [20_000]:
             for m in both_tapes(mf.machine):
                 assert_agrees(m, mf.tape, budget)
+    # By 30,000 steps thousand-line boundaries of the listing fall inside
+    # replayed pieces of the binary and the ternary counter.
+    for base in (2, 3):
+        mf = counter(base)
+        for m in both_tapes(mf.machine):
+            assert_agrees(m, mf.tape, 30_000)
+        trace = run(mf.machine, mf.tape, 30_000, trace=True).trace
+        assert any(at // 1000 < (at + len(ids) - 1) // 1000 for at, ids, ref in trace._runs() if ref)
     # The binary counter's 10^5 steps take a few hundred loop calls.
     mf = counter(2)
     for m in both_tapes(mf.machine):
@@ -867,6 +901,27 @@ tape 16 e
 )
 
 
+# A binary counter that moves left at the marker in cell 1, which clamps,
+# before it counts.  Block 0 holds the marker and seven digits, so most
+# counts are taken in macro steps of block 0 that are replayed.
+CLAMPING_COUNTER = parse_machine(
+    """\
+flavor computation
+states ret bounce inc
+symbols blank b m 0 1
+init ret
+rule ret m -> bounce m L
+rule bounce m -> inc m R
+rule ret 0 -> ret 0 L
+rule ret 1 -> ret 1 L
+rule inc 0 -> ret 1 L
+rule inc 1 -> inc 0 R
+rule inc b -> ret 1 L
+tape 1 m
+"""
+)
+
+
 def test_block_zero_clamps_where_a_later_block_leaves(kernel_calls):
     tape = BLOCK_ZERO.tape
     for m in both_tapes(BLOCK_ZERO.machine):
@@ -877,6 +932,13 @@ def test_block_zero_clamps_where_a_later_block_leaves(kernel_calls):
         assert (final.head, final.state, final.step_count) == (8, "A2", 38)
         # Block 1 was looked up as a macro step, not run by a plain stretch.
         assert (9, 17, 100 - 37) in kernel_calls
+    # Replayed steps that clamp at cell 1, listed from their reference.
+    mf = CLAMPING_COUNTER
+    for m in both_tapes(mf.machine):
+        for budget in (1_000, 4_321, 20_000):
+            _, steps = assert_agrees(m, mf.tape, budget)
+        pieces = replayed_pieces(run(m, mf.tape, budget, trace=True).trace, steps)
+        assert any(t.head == 1 and t.move == -1 for _, _, piece in pieces for t in piece)
 
 
 def test_far_cells_pulled_in_at_block_edges(kernel_calls):
@@ -906,8 +968,14 @@ def test_three_hundred_symbols_in_macro_steps():
     tape = {i: symbols[292 + (i - 1) % 8] for i in range(1, 401)}
     tape.update({i: rng.choice(symbols) for i in range(401, 601)})
     for budget in (2_800, 3_001, 1_633):
-        assert_agrees(m, tape, budget)
+        _, steps = assert_agrees(m, tape, budget)
     assert run(m, tape, 100, trace=True).trace._literal.typecode == "H"
+    # A macro step cached in one block is replayed in others: the same
+    # reference, listed from another head.
+    heads = {}
+    for ref, head, _ in replayed_pieces(run(m, tape, 1_633, trace=True).trace, steps):
+        heads.setdefault(ref, set()).add(head)
+    assert max(map(len, heads.values())) > 1
 
 
 def test_cache_fills_and_clears(monkeypatch, kernel_calls):
@@ -1051,7 +1119,7 @@ def test_in_block_cycles_match_reference(wide):
     assert 20 <= jumped < 60
 
 
-def test_loopers_jump_whole_cycles(kernel_calls, monkeypatch):
+def test_loopers_jump_whole_cycles(kernel_calls):
     # A million steps of a cycle take a few loop calls, and its trace a few
     # calls' worth of ids and one reference.  Both runs, and the listing,
     # equal those of a plain replay: no macro steps, every id logged.
@@ -1063,11 +1131,8 @@ def test_loopers_jump_whole_cycles(kernel_calls, monkeypatch):
         assert result.final.step_count == len(result.trace) == 10**6
         assert len(result.trace._literal) <= 3 * aemachine._CYCLE_STEPS
         jumped = run(mf.machine, mf.tape, steps, trace=True)
-        credit = aemachine._PROBE_CREDIT
-        monkeypatch.setattr(aemachine, "_PROBE_CREDIT", -1)
-        plain = run(mf.machine, mf.tape, steps, trace=True)
-        monkeypatch.setattr(aemachine, "_PROBE_CREDIT", credit)
-        assert len(plain.trace._literal) == steps and not plain.trace._replays
+        plain = plain_run(mf.machine, mf.tape, steps)
+        assert len(plain.trace._literal) == steps
         assert jumped == plain and plain == jumped
         assert jumped.trace == plain.trace and plain.trace == jumped.trace
         assert jumped.trace != run(mf.machine, mf.tape, steps - 1, trace=True).trace
@@ -1091,6 +1156,78 @@ def test_traced_ceiling_counter_keeps_replays_by_reference():
         tracemalloc.stop()
     assert len(result.trace) == 10**6
     assert peak <= 150 * 1024
+
+
+def _listing_peak(result):
+    """The tracemalloc peak of listing ``result`` to a sink that keeps
+    nothing."""
+    format_run(result, _Discard())
+    tracemalloc.start()
+    try:
+        format_run(result, _Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_replayed_text_is_kept_a_pointer_a_step():
+    # The benchmark's traced binary counter of 10^6 steps and its traced
+    # ternary counter of 230,784 steps: the listing keeps the text of each
+    # replayed piece, a pointer a step, with equal tails shared.  Streaming
+    # the text of every step took 171 and 175 KB.
+    for mf, steps in ((counter(2), 10**6), (counter(3, (2,)), 230_784)):
+        result = run(mf.machine, mf.tape, steps, trace=True)
+        assert len(result.trace) == steps
+        assert _listing_peak(result) <= 512 * 1024
+
+
+def test_listing_forgets_kept_text(monkeypatch):
+    # Counters list the same when the listing forgets the text it keeps
+    # every few pieces.
+    monkeypatch.setattr(aemachine, "_TAIL_STEPS", 16)
+    for mf in (counter(2), counter(3)):
+        assert_agrees(mf.machine, mf.tape, 6_000)
+    # run() makes no piece of several repeats, but a trace may hold one: it
+    # is listed a line at a time, though a single repeat of its reference
+    # from the same head kept its tails.  The machine steps right, then left.
+    m = parse_machine(
+        "flavor computation\nstates a\nsymbols blank b x\ninit a\n"
+        "rule a b -> a x R\nrule a x -> a b L\n"
+    ).machine
+    result = run(m, {}, 1, trace=True)
+    result.trace._literal.extend([1] + [0, 1] * 19)
+    result.trace._replay(0, 40, 1)
+    result.trace._replay(0, 40, 3)
+    pieces = [(len(ids), ref) for _, ids, ref in result.trace._runs() if ref]
+    assert pieces == [(40, (0, 40)), (120, (0, 40))]
+    assert format_run(result) == reference_format(result.outcome, result.final, result.trace)
+    # A head of n cells or fewer may clamp within n steps.
+    assert aemachine._heads([1, -1], [1, 1, 1], 3) == [3, 2, 1, 1]
+
+
+LOOPER = parse_machine(
+    "flavor computation\nstates a c\nsymbols blank b x\ninit a\n"
+    "rule a b -> c x R\nrule c b -> a b L\nrule a x -> c x R\n"
+)
+
+
+def test_traced_budget_is_at_most_sys_maxsize(tmp_path, capsys):
+    # A trace's length is a Python index.  At the limit the looper's cycle
+    # is jumped to its last step; one more is refused before the run, and
+    # aem-run says so in one line.
+    result = run(LOOPER.machine, LOOPER.tape, sys.maxsize, trace=True)
+    assert result.final.step_count == len(result.trace) == sys.maxsize
+    with pytest.raises(ValueError, match=f"traced run must be <= {sys.maxsize}$"):
+        run(LOOPER.machine, LOOPER.tape, sys.maxsize + 1, trace=True)
+    assert run(LOOPER.machine, LOOPER.tape, 10**23).final.step_count == 10**23
+    path = tmp_path / "looper.aem"
+    path.write_text(serialize_machine(LOOPER.machine))
+    for budget in (sys.maxsize + 1, 10**23):
+        code = cli.main(["aem-run", str(path), "--max-steps", str(budget), "--trace"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: max_steps of a traced run must be <= {sys.maxsize}\n"
 
 
 # A random machine that runs right for ever and blanks every mark it
