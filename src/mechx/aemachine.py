@@ -258,77 +258,52 @@ class Trace(Sequence):
             self._replays.extend((len(ids), first, n, reps))
             self._replayed += n * reps
 
-    def _runs(self, first: int = 0):
+    def _runs(self):
         """(first step, rule ids, reference) for each piece of the trace in
-        step order, from the piece that holds step ``first``: the pieces
-        before it are skipped, not copied.  Literal ids come at most
-        _LINES_PER_WRITE at a time, with reference None.  Replayed ids
-        come as whole repeats of the ``n`` literal ids from offset
-        ``source``, with reference (source, n): as many repeats as fit in
-        _LINES_PER_WRITE ids, or one; a longer repeat comes in pieces of
-        that many ids, each a reference of its own."""
+        step order: the literal ids up to each reference (and then to the
+        end), at most _LINES_PER_WRITE at a time with reference None, then
+        each repeat of the reference in pieces of at most _LINES_PER_WRITE
+        ids, each with reference (offset, length), its ids' place in
+        ``_literal``."""
         ids, refs, w = self._literal, self._replays, _LINES_PER_WRITE
         done = step = 0  # the literal ids and the steps before the next piece
         for i in range(0, len(refs) + 1, 4):
-            # The literal ids up to the next reference (or to the end), then
-            # the reference's repeats.
-            at, source, n, reps = refs[i : i + 4] if i < len(refs) else (len(ids), 0, 1, 0)
-            skip = max(0, min(first - step, at - done))
-            for a in range(done + skip, at, w):
+            at, source, n, reps = refs[i : i + 4] if i < len(refs) else (len(ids), 0, 0, 0)
+            for a in range(done, at, w):
                 yield step + a - done, ids[a : min(a + w, at)], None
             step += at - done
             done = at
-            if reps == 1 and n <= w:  # a replayed macro step: one piece
-                if first < step + n:
-                    yield step, ids[source : source + n], (source, n)
-                step += n
-                continue
-            skip = min(max(0, first - step) // n, reps)  # whole repeats
-            step += skip * n
-            reps -= skip
-            if n > w:
-                for _ in range(reps):
-                    for a in range(source, source + n, w):
-                        part = ids[a : min(a + w, source + n)]
-                        yield step, part, (a, len(part))
-                        step += len(part)
-                continue
-            per = w // n
-            block = ids[source : source + n] * min(per, reps)
-            for k in range(0, reps, per):
-                part = block if k + per <= reps else block[: (reps - k) * n]
-                yield step, part, (source, n)
-                step += len(part)
+            for _ in range(reps):
+                for a in range(source, source + n, w):
+                    part = ids[a : min(a + w, source + n)]
+                    yield step, part, (a, len(part))
+                    step += len(part)
 
-    def _id_chunks(self, stop: int, first: int = 0):
-        """(first step, rule ids) for each run of up to _LINES_PER_WRITE
-        steps from step ``first`` to ``stop``."""
-        runs = self._runs(first)
-        pending, at = self._literal[:0], first  # the ids of steps at, at + 1, ...
-        for start in range(first, stop, _LINES_PER_WRITE):
-            end = min(start + _LINES_PER_WRITE, stop)
-            while at + len(pending) < end:
-                step, run, _ = next(runs)
-                if not pending:
-                    at = step
-                pending += run
-            yield start, pending[start - at : end - at]
-            pending, at = pending[end - at :], end
+    def _id_chunks(self):
+        """The rule ids of each _LINES_PER_WRITE steps, the last perhaps
+        fewer.  A piece of at most that many ids ends at most one chunk."""
+        w, chunk = _LINES_PER_WRITE, self._literal[:0]
+        for _, ids, _ in self._runs():
+            chunk += ids
+            if len(chunk) >= w:
+                yield chunk[:w]
+                chunk = chunk[w:]
+        if chunk:
+            yield chunk
 
-    def _chunks(self, stop: int, first: int = 0, head: int = 1):
-        """(first step, rule ids, heads) for each run of up to
-        _LINES_PER_WRITE steps from step ``first``, whose head is
-        ``head``, to ``stop``; ``heads`` as _heads gives them."""
-        moves = self._tables.moves
-        for start, chunk in self._id_chunks(stop, first):
-            heads = _heads(moves, chunk, head)
+    def _chunks(self):
+        """(rule ids, heads) for each run of _LINES_PER_WRITE steps, from
+        the first; ``heads`` as _heads gives them."""
+        moves, head = self._tables.moves, 1
+        for ids in self._id_chunks():
+            heads = _heads(moves, ids, head)
             head = heads[-1]
-            yield start, chunk, heads
+            yield ids, heads
 
-    def _steps(self, stop: int, first: int = 0, head: int = 1):
+    def _steps(self):
         rules = self._tables.rules
-        for _, chunk, heads in self._chunks(stop, first, head):
-            for r, h in zip(chunk, heads):
+        for ids, heads in self._chunks():
+            for r, h in zip(ids, heads):
                 q, s, w, m = rules[r]
                 yield TraceStep(q, h, s, w, m)
 
@@ -336,24 +311,24 @@ class Trace(Sequence):
         # Each lookup walks the steps once from the first.
         wanted = range(len(self))[i]  # an index or a range, checked as a tuple would
         if isinstance(wanted, int):
-            return next(islice(self._steps(wanted + 1), wanted, None))
-        if not wanted:
-            return ()
+            return next(islice(self, wanted, None))
         up = wanted if wanted.step > 0 else wanted[::-1]
-        steps = tuple(islice(self._steps(up[-1] + 1), up[0], None, up.step))
+        steps = tuple(islice(self, up.start, up.stop, up.step))
         return steps if wanted.step > 0 else steps[::-1]
 
     def __iter__(self):
-        return self._steps(len(self))
+        return self._steps()
 
     def __reversed__(self):
-        # One walk finds the head each chunk starts at; then each chunk is
-        # walked again, from the last.
-        n = len(self)
-        firsts = [(start, heads[0]) for start, _, heads in self._chunks(n)]
-        for start, head in reversed(firsts):
-            stop = min(start + _LINES_PER_WRITE, n)
-            yield from reversed(tuple(self._steps(stop, start, head)))
+        # One walk keeps each chunk's ids, an id a step, and the head it
+        # starts at; then the chunks are listed from the last.
+        rules, moves = self._tables.rules, self._tables.moves
+        firsts = [(ids, heads[0]) for ids, heads in self._chunks()]
+        for ids, head in reversed(firsts):
+            heads = _heads(moves, ids, head)
+            for r, h in zip(reversed(ids), heads[-2::-1]):
+                q, s, w, m = rules[r]
+                yield TraceStep(q, h, s, w, m)
 
     def index(self, value, start: int = 0, stop: Optional[int] = None) -> int:
         start, stop, _ = slice(start, stop).indices(len(self))
@@ -369,8 +344,7 @@ class Trace(Sequence):
         Only the rule ids are compared: a machine's rules are distinct, a
         rule maps only to a rule with the same move, and both runs start
         at cell 1, so equal ids give equal heads."""
-        n = len(self)
-        if n != len(other):
+        if len(self) != len(other):
             return False
         # Each of this trace's rules becomes other's id for it, or -1.
         ids = {rule: i for i, rule in enumerate(other._tables.rules)}
@@ -379,12 +353,11 @@ class Trace(Sequence):
         if same and (self._literal, self._replays) == (other._literal, other._replays):
             return True
         # A chunk at a time, so no list as long as the trace is made.
-        pairs = zip(self._id_chunks(n), other._id_chunks(n))
+        pairs = zip(self._id_chunks(), other._id_chunks())
         if same:
-            return all(mine == theirs for (_, mine), (_, theirs) in pairs)
+            return all(mine == theirs for mine, theirs in pairs)
         return all(
-            list(map(to_other.__getitem__, mine)) == theirs.tolist()
-            for (_, mine), (_, theirs) in pairs
+            list(map(to_other.__getitem__, mine)) == theirs.tolist() for mine, theirs in pairs
         )
 
     def __eq__(self, other):
@@ -781,13 +754,12 @@ def _write_steps(trace: Trace, write) -> None:
     under those, a pointer a step, with equal tails shared through one
     dict; each replay from that head then costs no text of its own, as the
     parts of its number and its tail go to the join as they are.  Literal
-    steps, and a piece of several repeats, are written in one pass, a line
-    at a time.  The kept pieces are counted by their steps, and at
-    _TAIL_STEPS all are forgotten."""
+    steps are written in one pass, a line at a time.  The kept pieces are
+    counted by their steps, and at _TAIL_STEPS all are forgotten."""
     tables = trace._tables
     before, after, moves = tables.before, tables.after, tables.moves
     w = _LINES_PER_WRITE
-    kept: dict = {}  # (source, n, start head) -> (tails, head after)
+    kept: dict = {}  # (offset, length, start head) -> (tails, head after)
     shared: dict = {}  # each tail kept, as itself
     steps_kept = 0
 
@@ -830,7 +802,7 @@ def _write_steps(trace: Trace, write) -> None:
 
     head = 1
     for _, ids, ref in trace._runs():
-        if ref is not None and len(ids) == ref[1]:
+        if ref is not None:
             key = (*ref, head)
             entry = kept.get(key)
             if entry is None:

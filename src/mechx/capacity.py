@@ -73,17 +73,14 @@ def ndigits(n: int) -> int:
         raise ValueError("ndigits requires a nonnegative integer")
     if n == 0:
         return 1
-    # Estimate from the bit length, then correct; the estimate is off by
-    # at most one for any size.
+    # Estimate from the bit length b, then count up: n >= 2 ** (b - 1) has
+    # at least int((b - 1) * log10 2) + 1 digits, and since b * log10 2 <
+    # (b - 1) * log10 2 + 1 the estimate is never above that.
     d = max(1, int(n.bit_length() * LOG10_2))
     power = 10**d
     while power <= n:
         power *= 10
         d += 1
-    power //= 10  # now 10 ** (d - 1)
-    while d > 1 and power > n:
-        power //= 10
-        d -= 1
     return d
 
 

@@ -1183,14 +1183,33 @@ def test_replayed_text_is_kept_a_pointer_a_step():
 
 
 def test_listing_forgets_kept_text(monkeypatch):
-    # Counters list the same when the listing forgets the text it keeps
-    # every few pieces.
+    # The ternary counter's 50,000 steps replay 7 pieces from as many
+    # (reference, head) pairs, 6,559 steps in all.  With _TAIL_STEPS at 16
+    # the listing forgets the kept text at each new pair, so it makes the
+    # text of more pieces, and lists the same.
+    mf = counter(3)
+    result = run(mf.machine, mf.tape, 50_000, trace=True)
+    replayed = replayed_pieces(result.trace, tuple(result.trace))
+    pieces = {(ref, head): len(steps) for ref, head, steps in replayed}
+    assert (len(pieces), sum(pieces.values())) == (7, 6_559)
+    made = []
+    real = aemachine._heads
+
+    def counting(moves, ids, head):
+        made.append(len(ids))
+        return real(moves, ids, head)
+
+    monkeypatch.setattr(aemachine, "_heads", counting)
+    format_run(result, _Discard())
+    kept_once = len(made)
+    del made[:]
     monkeypatch.setattr(aemachine, "_TAIL_STEPS", 16)
-    for mf in (counter(2), counter(3)):
-        assert_agrees(mf.machine, mf.tape, 6_000)
-    # run() makes no piece of several repeats, but a trace may hold one: it
-    # is listed a line at a time, though a single repeat of its reference
-    # from the same head kept its tails.  The machine steps right, then left.
+    format_run(result, _Discard())
+    assert len(made) > kept_once
+    assert_agrees(mf.machine, mf.tape, 50_000)
+    # run() makes no reference of several repeats, but a trace may hold one:
+    # each repeat is a piece of its own, listed from the tails kept for the
+    # first.  The machine steps right, then left.
     m = parse_machine(
         "flavor computation\nstates a\nsymbols blank b x\ninit a\n"
         "rule a b -> a x R\nrule a x -> a b L\n"
@@ -1200,10 +1219,80 @@ def test_listing_forgets_kept_text(monkeypatch):
     result.trace._replay(0, 40, 1)
     result.trace._replay(0, 40, 3)
     pieces = [(len(ids), ref) for _, ids, ref in result.trace._runs() if ref]
-    assert pieces == [(40, (0, 40)), (120, (0, 40))]
+    assert pieces == [(40, (0, 40))] * 4
     assert format_run(result) == reference_format(result.outcome, result.final, result.trace)
     # A head of n cells or fewer may clamp within n steps.
     assert aemachine._heads([1, -1], [1, 1, 1], 3) == [3, 2, 1, 1]
+
+
+def test_reversed_walks_the_pieces_once(monkeypatch):
+    # Walking the pieces again from the first for each chunk made reversed
+    # take time in the square of the trace's length.
+    mf = counter(2)
+    trace = run(mf.machine, mf.tape, 10**5, trace=True).trace
+    want = tuple(trace)[::-1]
+    calls = []
+    real = aemachine.Trace._runs
+
+    def counting(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(aemachine.Trace, "_runs", counting)
+    assert tuple(reversed(trace)) == want
+    assert len(calls) == 1
+
+
+# (least n, most n, least reps, most reps) of the references built below;
+# run() makes only the last two shapes, and cycles of 840 steps.
+_REFERENCE_SHAPES = (
+    (1, 500, 2, 4), (1_001, 2_500, 2, 3), (1, 1_000, 1, 1), (1_001, 2_500, 1, 1),
+)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_every_reference_shape_reads_as_its_steps(seed):
+    # Random literal ids and references of every shape, against the tuple
+    # of the steps they stand for, heads clamped at cell 1.
+    rng = random.Random(seed)
+    m = wide_machine(rng, 3, 3, moves=(-1, -1, 0, 1), fill=1.0)
+    result = run(m, {}, 1, trace=True)
+    trace, rules = result.trace, result.trace._tables.rules
+    ids = list(trace._literal)
+    for low, high, least, most in rng.sample(_REFERENCE_SHAPES, rng.randint(1, 4)):
+        n = rng.randint(low, high)
+        count = max(n - len(trace._literal), 0) + rng.randint(0, 1_000)
+        fresh = [rng.randrange(len(rules)) for _ in range(count)]
+        trace._literal.extend(fresh)
+        ids += fresh
+        first, reps = rng.randint(0, len(trace._literal) - n), rng.randint(least, most)
+        ids += trace._literal[first : first + n].tolist() * reps
+        trace._replay(first, n, reps)
+    steps, head = [], 1
+    for r in ids:
+        q, s, w, move = rules[r]
+        steps.append(TraceStep(q, head, s, w, move))
+        head = max(1, head + move)
+    steps = tuple(steps)
+    n = len(steps)
+    assert len(trace) == n and tuple(trace) == steps
+    assert tuple(reversed(trace)) == steps[::-1]
+    for _ in range(3):
+        a, b = sorted(rng.randint(-n, n) for _ in range(2))
+        stride = rng.randint(1, 1_500)
+        for s in (slice(a, b), slice(b, a, -1), slice(a, b, stride), slice(b, a, -stride)):
+            assert trace[s] == steps[s]
+        k = rng.randrange(n)
+        assert trace[k] == steps[k]
+        assert trace.index(steps[k]) == steps.index(steps[k])
+    plain = run(m, {}, 1, trace=True).trace
+    del plain._literal[:]
+    plain._literal.extend(ids)
+    assert trace == steps and trace == plain and plain == trace
+    plain._literal[-1] = (ids[-1] + 1) % len(rules)
+    assert trace != plain and plain != trace
+    assert format_run(result) == reference_format(result.outcome, result.final, steps)
 
 
 LOOPER = parse_machine(

@@ -46,7 +46,7 @@ def platform_of(groups, **kw):
 
 
 class TestIntHelpers:
-    @pytest.mark.parametrize("n", [1, 9, 10, 99, 100, 10**15, 10**15 + 1])
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 99, 100, 10**15, 10**15 + 1])
     def test_ndigits_small(self, n):
         assert ndigits(n) == len(str(n))
 
