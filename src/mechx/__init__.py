@@ -26,13 +26,17 @@ MAX_INT_DIGITS = 4300
 # as does the base of the frozen value classes: every submodule can import
 # it without importing another.
 class _LineError(ValueError):
-    """Base of the description-file errors; carries a 1-based line number
-    (0 when the problem is not tied to a specific line)."""
+    """Base of the errors that name a 1-based line of a description file,
+    or 0 when no line applies.  ``args`` are the constructor's, so copies
+    and pickles come back whole."""
 
     def __init__(self, line: int, message: str):
+        super().__init__(line, message)
         self.line = line
         self.message = message
-        super().__init__(f"line {line}: {message}" if line else message)
+
+    def __str__(self):
+        return f"line {self.line}: {self.message}" if self.line else self.message
 
     @classmethod
     def _integer(cls, line: int, what: str, text: str):
@@ -48,6 +52,12 @@ class _LineError(ValueError):
                 line, f"{what} has {len(digits)} digits, above the limit of {MAX_INT_DIGITS}"
             )
         return int(text)
+
+
+# Raised by the dataset reader; here so that the command line can catch
+# it without importing that reader.
+class DatasetCorrupt(RuntimeError):
+    """A bundled data file failed strict parsing; indicates a packaging bug."""
 
 
 # Blanks separate tokens in both readers; every other character, NBSP and

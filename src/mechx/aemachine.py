@@ -72,8 +72,11 @@ class _FieldError(ValueError):
     read symbol) key."""
 
     def __init__(self, field, message: str):
-        super().__init__(message)
+        super().__init__(field, message)
         self.field = field
+
+    def __str__(self):
+        return self.args[1]
 
 
 Transition = tuple[str, str, int]  # (next state, written symbol, move)

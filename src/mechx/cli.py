@@ -21,7 +21,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import _lines
+from . import DatasetCorrupt, _lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,20 +106,6 @@ def _load_document(ref: str):
     return specfile.parse_platform(_read_text(ref))
 
 
-def _placed(exc, docs, mechanical_only: bool):
-    """The NonIntegralSpan ``exc`` as a SpecFileError at its group's line:
-    ``docs`` are counted in order, so the first counted group with its
-    label and span/resolution raised it."""
-    from .specfile import SpecFileError
-
-    for doc in docs:
-        for g in doc.platform.groups:
-            if (g.label, getattr(g.levels_spec, "ratio", None)) == (exc.label, exc.ratio):
-                if g.is_mechanical or not mechanical_only:
-                    return SpecFileError(doc.source_line_map[f"group:{g.label}"], str(exc))
-    return exc
-
-
 def cmd_compute(args) -> int:
     from .capacity import (
         EXACT_DIGITS_LIMIT,
@@ -128,25 +114,20 @@ def cmd_compute(args) -> int:
         computational_capacity,
         count_configurations,
     )
-    from .model import NonIntegralSpan
 
-    doc = _load_document(args.platform)
-    platform = doc.platform
+    platform = _load_document(args.platform).platform
     mode = CountMode(args.mode)
-    try:
-        if args.mechanical_only:
-            # Non-mechanical groups stay unresolved, so a non-integral range
-            # on one of them cannot stop the count that is printed.
-            mech = count_configurations(platform, mechanical_only=True, mode=mode)
-            counts = [("mechanical", mech)]
-            processor = platform.processor
-            computational = None if processor is None else computational_capacity(processor)
-        else:
-            report = analyze(platform, mode=mode)
-            counts = [("all", report.count_all), ("mechanical", report.count_mechanical)]
-            computational = report.computational
-    except NonIntegralSpan as exc:
-        raise _placed(exc, [doc], args.mechanical_only) from exc
+    if args.mechanical_only:
+        # Non-mechanical groups stay unresolved, so a non-integral range
+        # on one of them cannot stop the count that is printed.
+        mech = count_configurations(platform, mechanical_only=True, mode=mode)
+        counts = [("mechanical", mech)]
+        processor = platform.processor
+        computational = None if processor is None else computational_capacity(processor)
+    else:
+        report = analyze(platform, mode=mode)
+        counts = [("all", report.count_all), ("mechanical", report.count_mechanical)]
+        computational = report.computational
     if mode is CountMode.EXACT:
         # The digit count comes from the count's logarithm, so a count
         # too large to form is refused before any product is built.
@@ -198,13 +179,8 @@ def cmd_compute(args) -> int:
 
 def cmd_compare(args) -> int:
     from .capacity import compare
-    from .model import NonIntegralSpan
 
-    docs = [_load_document(args.left), _load_document(args.right)]
-    try:
-        rep = compare(*(doc.platform for doc in docs))
-    except NonIntegralSpan as exc:
-        raise _placed(exc, docs, True) from exc
+    rep = compare(_load_document(args.left).platform, _load_document(args.right).platform)
     payload = {
         "left": rep.left,
         "right": rep.right,
@@ -465,16 +441,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        # Covers NonIntegralSpan, SpecFileError, MachineFormatError and
-        # unreadable files.
+        # Covers the readers' and the count's errors, each naming its line
+        # where it has one, and unreadable files.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except RuntimeError as exc:
-        # Only the dataset reader raises DatasetCorrupt: a command that
-        # never imported it, aem-run among them, has none to map.
-        specfile = sys.modules.get(f"{__package__}.specfile")
-        if specfile is None or not isinstance(exc, specfile.DatasetCorrupt):
-            raise
+    except DatasetCorrupt as exc:
         print(f"error: bundled dataset corrupt: {exc}", file=sys.stderr)
         return EXIT_DATA
 

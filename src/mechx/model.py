@@ -12,7 +12,7 @@ import math
 import sys
 from typing import Optional, Union
 
-from . import _Record, _require_int
+from . import _LineError, _Record, _require_int
 
 # Relative tolerance for deciding that span/resolution is an integer.
 INTEGRALITY_REL_TOL = 1e-9
@@ -25,18 +25,20 @@ NATURAL = "natural"
 KINDS = (ARTIFICIAL, NATURAL)
 
 
-class NonIntegralSpan(ValueError):
+class NonIntegralSpan(_LineError):
     """Raised when a continuous span does not divide evenly by its
-    resolution, which usually indicates a typo in the description."""
+    resolution, which usually indicates a typo in the description.
+    ``line`` is the line ``group`` was read from, or 0 for a group built
+    in code."""
 
-    def __init__(self, label: str, ratio: float, nearest: int):
-        self.label = label
-        self.ratio = ratio
-        self.nearest = nearest
+    def __init__(self, group: DofGroup, ratio: float, nearest: int):
         super().__init__(
-            f"group {label!r}: span/resolution = {ratio!r} deviates from "
-            f"{nearest} by more than {INTEGRALITY_REL_TOL:g} (relative)"
+            group.__dict__.get("_line", 0),
+            f"group {group.label!r}: span/resolution = {ratio!r} deviates from "
+            f"{nearest} by more than {INTEGRALITY_REL_TOL:g} (relative)",
         )
+        self.group, self.ratio, self.nearest = self.args = (group, ratio, nearest)
+        self.label = group.label
 
 
 class DiscreteStates(_Record):
@@ -179,7 +181,7 @@ def resolve_levels(group: DofGroup) -> int:
     ratio = spec.ratio
     nearest = round(ratio)  # at least 1, as span >= resolution
     if abs(ratio - nearest) > INTEGRALITY_REL_TOL * nearest:
-        raise NonIntegralSpan(group.label, ratio, nearest)
+        raise NonIntegralSpan(group, ratio, nearest)
     return nearest
 
 

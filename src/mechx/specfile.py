@@ -24,7 +24,7 @@ import threading
 from enum import Enum
 from typing import Optional
 
-from . import _BLANKS, _Factory, _LineError, _Record, _lines
+from . import _BLANKS, DatasetCorrupt, _Factory, _LineError, _Record, _lines
 from .model import (
     ARTIFICIAL,
     KINDS,
@@ -55,10 +55,7 @@ class DuplicateGroupLabel(ParseError):
 class MissingPlatformName(ParseError):
     def __init__(self, line: int = 0):
         super().__init__(line, "document has no 'platform' statement")
-
-
-class DatasetCorrupt(RuntimeError):
-    """A bundled data file failed strict parsing; indicates a packaging bug."""
+        self.args = (line,)
 
 
 class Severity(str, Enum):
@@ -304,6 +301,7 @@ def parse_platform(text: str) -> PlatformDocument:
                 raise DuplicateGroupLabel(
                     lineno, f"duplicate group label {group.label!r}"
                 )
+            group.__dict__["_line"] = lineno  # outside the record fields
             groups.append(group)
             line_map[key] = lineno
         else:

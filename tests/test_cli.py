@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from mechx import cli, specfile
 from mechx.aemachine import INCREMENTER, serialize_machine
 from mechx.capacity import EXACT_DIGITS_LIMIT, analyze
 
-from conftest import SIMPLE_ROBOT
+from conftest import SIMPLE_ROBOT, random_document
 
 
 def run_cli(capsys, *argv):
@@ -369,6 +370,22 @@ class TestCompare:
                 assert (code, out, err) == (2, "", want)
         code, out, err = run_cli(capsys, "compare", str(even), str(even))
         assert (code, err) == (0, "")
+
+    def test_same_group_in_both_files_names_the_left_files_line(self, capsys, tmp_path):
+        # Both files hold the same group "g", which does not divide, on
+        # different lines; the left platform is counted first.
+        group = 'group "g" count 1 range 0 1 resolution 0.3\n'
+        first = tmp_path / "first.mechx"
+        first.write_text(f'platform "first"\n{group}', encoding="utf-8")
+        second = tmp_path / "second.mechx"
+        second.write_text(f'platform "second"\n\n# g\n{group}', encoding="utf-8")
+        for (left, right), line in (((first, second), 2), ((second, first), 4)):
+            code, out, err = run_cli(capsys, "compare", str(left), str(right))
+            assert (code, out) == (2, "")
+            assert err == (
+                f"error: line {line}: group 'g': span/resolution = 3.3333333333333335 "
+                "deviates from 3 by more than 1e-09 (relative)\n"
+            )
 
     def test_line_feed_in_a_name_is_written_as_its_escape(self, capsys, tmp_path):
         path = tmp_path / "nl.mechx"
@@ -804,6 +821,55 @@ def _argv(command):
     return st.lists(st.one_of(word, word, other), max_size=8).map(
         lambda rest: [command, *rest]
     )
+
+
+def test_a_range_that_does_not_divide_is_named_by_its_line(tmp_path):
+    # One group whose range does not divide, sometimes non-mechanical, at a
+    # random place in a random document whose other groups all divide.
+    # Every command that counts it names its line; one that counts only
+    # mechanical groups never resolves it when it is non-mechanical.
+    clean, odd = tmp_path / "clean.mechx", tmp_path / "odd.mechx"
+    clean.write_text(SIMPLE_ROBOT, encoding="utf-8")
+
+    def outcome(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def check(seed, tagged):
+        rng = random.Random(seed)
+        lines = random_document(rng).split("\n")
+        label = "odd"
+        while f'group "{label}" ' in "\n".join(lines):
+            label += "x"
+        tag = ' tag "non-mechanical"' if tagged else ""
+        group = f'group "{label}" count 1 range 0 1 resolution 0.3{tag}'
+        lines.insert(rng.randint(0, len(lines) - 1), group)
+        text = "\n".join(lines)
+        odd.write_text(text, encoding="utf-8")
+        line = text.split("\n").index(group) + 1
+        failed = (
+            2,
+            "",
+            f"error: line {line}: group {label!r}: span/resolution = 3.3333333333333335 "
+            "deviates from 3 by more than 1e-09 (relative)\n",
+        )
+        assert outcome("compute", str(odd)) == failed
+        for argv in (
+            ("compute", str(odd), "--mechanical-only"),
+            ("compare", str(odd), str(clean)),
+            ("compare", str(clean), str(odd)),
+        ):
+            result = outcome(*argv)
+            if tagged:
+                assert (result[0], result[2]) == (0, ""), argv
+            else:
+                assert result == failed, argv
+
+    check()
 
 
 def test_any_argv_ends_with_a_documented_exit_code(tmp_path):

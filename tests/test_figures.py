@@ -461,6 +461,14 @@ def test_tick_step_below_the_float_spacing_ends():
     )
 
 
+def test_tick_step_below_the_float_spacing_ends_in_process():
+    # Floats near 1e16 are 2 apart, so the tick step of 0.5 that a span
+    # of 2 gets leaves the first tick where it is.
+    assert figures._linear_ticks(1e16, 1e16 + 2, "x") == [(1e16, "1e+16")]
+    points = [TrendPoint("a", 1e16, 0.0, "s"), TrendPoint("b", 1e16 + 2, 1.0, "s")]
+    assert _x_tick_labels(emit_svg_scatter(points, LINEAR)) == ["1e+16"]
+
+
 def _frozen_linear_ticks(lo, hi):
     # _linear_ticks and _tick_label as they were before a tick step that
     # the labels could not show got labels of its own: the reference the

@@ -1,5 +1,6 @@
 """Value semantics of the frozen record classes: construction, repr,
-equality, hashing, immutability, pickling and copying.
+equality, hashing, immutability, pickling and copying; and the copying
+and pickling of the package's errors.
 
 The repr strings are the output of the frozen dataclasses these classes
 used to be, so a change to any of them is a change to the public
@@ -16,18 +17,38 @@ import pytest
 
 from mechx.aemachine import (
     INCREMENTER,
+    BlankNotPreserved,
     Machine,
     MachineConfig,
     MachineFile,
+    NonBijectiveMap,
     Outcome,
     RunResult,
+    UndeclaredSymbolInTape,
+    parse_machine,
     run,
+    to_mechanization,
 )
 from mechx.capacity import BigCount, CapacityReport, ComparisonReport, analyze, compare
-from mechx.figures import AxisSpec, FigureBundle, TrendPoint
-from mechx.model import Continuous, DiscreteStates, DofGroup, Platform, ProcessorSpec
-from mechx import MAX_INT_DIGITS
-from mechx.specfile import Diagnostic, PlatformDocument, Severity, parse_platform, serialize_platform
+from mechx.figures import AxisSpec, FigureBundle, TrendPoint, build_figure
+from mechx.model import (
+    Continuous,
+    DiscreteStates,
+    DofGroup,
+    Platform,
+    ProcessorSpec,
+    resolve_levels,
+)
+from mechx import MAX_INT_DIGITS, DatasetCorrupt
+from mechx.specfile import (
+    Diagnostic,
+    MissingPlatformName,
+    PlatformDocument,
+    Severity,
+    SpecFileError,
+    parse_platform,
+    serialize_platform,
+)
 
 
 def _group():
@@ -488,3 +509,66 @@ def test_repr_of_a_count_past_the_str_limit_names_its_digit_count():
     # Formed, this count would take 1.5 TB.
     huge = Platform("huge", "artificial", (DofGroup("g", 10**12, DiscreteStates(3600)),))
     assert repr(analyze(huge).count_all).endswith(", exact=<int of 3556302500768 digits>)")
+
+
+def _raised(call, *args):
+    with pytest.raises(Exception) as info:
+        call(*args)
+    return info.value
+
+
+_ODD = 'platform "p"\n\ngroup "g" count 1 range 0 1 resolution 0.3\n'
+
+# name: the error as the package raises it, made afresh.
+ERRORS = {
+    "NonIntegralSpan-read": lambda: _raised(analyze, parse_platform(_ODD).platform),
+    "NonIntegralSpan-built": lambda: _raised(
+        resolve_levels, DofGroup("g", 1, Continuous(0, 1, 0.3))
+    ),
+    "ParseError": lambda: _raised(parse_platform, 'platform "p"\nwibble\n'),
+    "DuplicateGroupLabel": lambda: _raised(
+        parse_platform, 'platform "p"\ngroup "g" count 1 states 2\ngroup "g" count 1 states 3\n'
+    ),
+    "MissingPlatformName": lambda: _raised(parse_platform, "kind natural\n"),
+    "MissingPlatformName-line": lambda: MissingPlatformName(3),
+    "SpecFileError": lambda: SpecFileError(0, "no bundled platform matches 'x'"),
+    "DatasetCorrupt": lambda: DatasetCorrupt("nao.mechx: line 2: unknown keyword 'x'"),
+    "MachineFormatError": lambda: _raised(parse_machine, "flavor computation\nrule\n"),
+    "_FieldError": lambda: _raised(
+        Machine, "computation", ("q", "q"), ("e",), "e", {}, "q"
+    ),
+    "UndeclaredSymbolInTape": lambda: _raised(run, INCREMENTER.machine, {1: "z"}, 5),
+    "NonBijectiveMap": lambda: _raised(to_mechanization, INCREMENTER.machine, {}, {}),
+    "BlankNotPreserved": lambda: BlankNotPreserved("blank 'e' maps to 'a', expected 'b'"),
+    "UnknownFigureId": lambda: _raised(build_figure, [], "nope"),
+}
+
+
+@pytest.mark.parametrize("name", ERRORS)
+@pytest.mark.parametrize(
+    "clone",
+    [lambda o: pickle.loads(pickle.dumps(o)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_errors_survive_copy_and_pickle(name, clone):
+    # Each error's args are its constructor's, so a copy is made by
+    # calling the class again; a pickled group keeps the line it was
+    # read from.
+    exc = ERRORS[name]()
+    assert type(exc).__name__ == name.split("-")[0]
+    twin = clone(exc)
+    assert type(twin) is type(exc) and str(twin) == str(exc) and twin.args == exc.args
+    for attr in ("line", "group", "field", "label", "ratio", "nearest"):
+        assert getattr(twin, attr, None) == getattr(exc, attr, None)
+    if hasattr(exc, "group"):
+        assert twin.group.__dict__.get("_line") == exc.group.__dict__.get("_line")
+
+
+def test_error_reprs_show_their_constructor_arguments():
+    assert repr(ERRORS["ParseError"]()) == "ParseError(2, \"unknown keyword 'wibble'\")"
+    assert repr(ERRORS["MissingPlatformName"]()) == "MissingPlatformName(0)"
+    assert repr(ERRORS["_FieldError"]()) == "_FieldError('states', 'duplicate state names')"
+    assert repr(ERRORS["NonIntegralSpan-built"]()) == (
+        "NonIntegralSpan(DofGroup(label='g', multiplicity=1, levels_spec=Continuous("
+        "minimum=0, maximum=1, resolution=0.3), tags=frozenset()), 3.3333333333333335, 3)"
+    )

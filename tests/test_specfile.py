@@ -1,6 +1,7 @@
 """Parser, serializer, and validation tests for the platform file format."""
 
 import random
+import re
 import sys
 
 import pytest
@@ -8,7 +9,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mechx import MAX_INT_DIGITS
 from mechx.capacity import analyze
-from mechx.model import KINDS, Continuous, DiscreteStates, DofGroup, Platform, ProcessorSpec
+from mechx.model import (
+    KINDS,
+    Continuous,
+    DiscreteStates,
+    DofGroup,
+    NonIntegralSpan,
+    Platform,
+    ProcessorSpec,
+    resolve_levels,
+)
 from mechx.specfile import (
     DatasetCorrupt,
     Diagnostic,
@@ -497,6 +507,40 @@ class TestDatasetAccess:
 
     def test_dataset_corrupt_is_runtime_error(self):
         assert issubclass(DatasetCorrupt, RuntimeError)
+
+
+class TestCountErrorsNameTheirLine:
+    MESSAGE = (
+        "group 'g': span/resolution = 3.3333333333333335 deviates from 3 by "
+        "more than 1e-09 (relative)"
+    )
+
+    def test_a_group_read_from_a_file_names_its_line(self):
+        doc = parse_platform(
+            'platform "p"\ngroup "a" count 1 states 2\n\n# odd\n'
+            'group "g" count 2 range 0 1 resolution 0.3\n'
+        )
+        with pytest.raises(NonIntegralSpan) as info:
+            analyze(doc.platform)
+        exc = info.value
+        assert exc.line == doc.source_line_map["group:g"] == 5
+        assert exc.group is doc.platform.groups[1]
+        assert (exc.label, exc.ratio, exc.nearest) == ("g", 3.3333333333333335, 3)
+        assert str(exc) == f"line 5: {self.MESSAGE}"
+        # The line is kept outside the group's fields.
+        built = DofGroup("g", 2, Continuous(0.0, 1.0, 0.3))
+        assert exc.group == built and hash(exc.group) == hash(built)
+        assert repr(exc.group) == repr(built)
+
+    def test_a_group_built_in_code_has_no_line(self):
+        group = DofGroup("g", 2, Continuous(0, 1, 0.3))
+        with pytest.raises(NonIntegralSpan) as info:
+            analyze(Platform("p", "artificial", (group,)))
+        assert (info.value.line, info.value.group) == (0, group)
+        assert info.value.group is group
+        assert str(info.value) == self.MESSAGE
+        with pytest.raises(NonIntegralSpan, match=f"^{re.escape(self.MESSAGE)}$"):
+            resolve_levels(group)
 
 
 class TestTransistorCounts:
