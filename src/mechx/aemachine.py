@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import namedtuple
 from collections.abc import Sequence
 from enum import Enum
 from itertools import accumulate, islice
 from operator import eq
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Mapping, Optional, Union
 
 from . import _BLANKS, _Factory, _LineError, _Record, _lines, _require_int
 
@@ -146,12 +147,7 @@ class MachineConfig(_Record):
         object.__setattr__(self, "cells", cells)
 
 
-class TraceStep(NamedTuple):
-    state: str
-    head: int
-    read: str
-    written: str
-    move: int
+TraceStep = namedtuple("TraceStep", "state head read written move")
 
 
 class Outcome(str, Enum):

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import _Record
 from .model import Platform, ProcessorSpec, mechanical_groups, resolve_levels
@@ -103,13 +104,23 @@ def _leading(n: int, d: int, k: int) -> str:
 def _render(pairs, d: int) -> str:
     """The d digits of prod(r ** m) over ``pairs`` in ``decimal`` arithmetic,
     where none rounds (a shortfall raises ``decimal.Inexact``) and, unlike
-    in str(), no digit limit applies."""
+    in str(), no digit limit applies.
+
+    One square-and-multiply chain runs over every factor at once (Straus,
+    1964): from the top bit of the largest m down, x is squared, then
+    multiplied by each r whose m has that bit.  No power is formed apart,
+    so no product pairs a long number with a middling one, which is slow;
+    every intermediate divides the count, so none can round."""
     from decimal import MAX_EMAX, Context, Decimal, Inexact, Overflow
 
     ctx = Context(prec=d + 2, Emax=MAX_EMAX, traps=[Inexact, Overflow])
+    bases = [(Decimal(r), m) for r, m in pairs]
     x = Decimal(1)
-    for r, m in pairs:
-        x = ctx.multiply(x, ctx.power(Decimal(r), m))
+    for bit in reversed(range(max((m for _, m in bases), default=0).bit_length())):
+        x = ctx.multiply(x, x)
+        for r, m in bases:
+            if m >> bit & 1:
+                x = ctx.multiply(x, r)
     return format(x, "f")
 
 
@@ -419,12 +430,10 @@ def count_configurations(
     return _fold(_factors(groups, exact), exact)
 
 
-class ComputationalCapacity(NamedTuple):
-    """Processor capacity: ``bits`` equals the transistor count, and the
-    2**bits configuration count has ``config_digits`` decimal digits."""
-
-    bits: float
-    config_digits: int
+ComputationalCapacity = namedtuple("ComputationalCapacity", "bits config_digits")
+ComputationalCapacity.__doc__ = """Processor capacity: ``bits`` (a float)
+equals the transistor count, and the 2**bits configuration count has
+``config_digits`` decimal digits."""
 
 
 def computational_capacity(processor) -> ComputationalCapacity:

@@ -70,20 +70,38 @@ def _guarded(write) -> None:
             os.dup2(null.fileno(), sys.stdout.fileno())
 
 
-def _emit(lines, payload: Optional[dict] = None) -> int:
-    """Write ``lines``, or a ``payload`` as one sorted-key JSON line, to
-    stdout in 64 KiB pieces: an exact count can run to a million digits,
-    and a single write would encode a second copy of all of them at once."""
+def _emit(lines, payload: dict | None = None) -> int:
+    """Write ``lines``, or a ``payload`` as the line
+    ``json.dumps(payload, sort_keys=True)`` gives, to stdout in 64 KiB
+    pieces: an exact count can run to a million digits, and a single write
+    would encode a second copy of all of them at once.  The JSON line is
+    written part by part, never joined, and without importing ``json``."""
     if payload is None:
-        text = "\n".join(lines)
+        parts = ["\n".join(lines)]
     else:
-        import json
+        # Strings are escaped by the C function json.dumps itself calls, so
+        # the bytes are json's.  The commands' values are str, int, finite
+        # float and None only; ints and floats print as their repr, as in
+        # json.
+        from _json import encode_basestring_ascii as quote
 
-        text = json.dumps(payload, sort_keys=True)
+        parts = []
+        for key in sorted(payload):
+            value = payload[key]
+            if isinstance(value, str):
+                value = quote(value)
+            elif value is None:
+                value = "null"
+            else:
+                value = repr(value)
+            parts += (", ", quote(key), ": ", value)
+        parts[:1] = ["{"]
+        parts.append("}")
 
     def write():
-        for i in range(0, len(text), 1 << 16):
-            sys.stdout.write(text[i : i + (1 << 16)])
+        for text in parts:
+            for i in range(0, len(text), 1 << 16):
+                sys.stdout.write(text[i : i + (1 << 16)])
         sys.stdout.write("\n")
 
     _guarded(write)
@@ -437,6 +455,19 @@ def main(argv: list[str] | None = None) -> int:
             return int(exc.code or 0)
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
+            return EXIT_USAGE
+        # argparse (CPython 3.11's at least) fills a positional with []
+        # when "--" is given twice, as in "compare @nao -- --".
+        missing = [
+            name
+            for name in _COMMANDS[args.command]["positionals"]
+            if not isinstance(getattr(args, name), str)
+        ]
+        if missing:
+            print(
+                f"usage error: the following arguments are required: {', '.join(missing)}",
+                file=sys.stderr,
+            )
             return EXIT_USAGE
     try:
         return args.func(args)

@@ -20,7 +20,8 @@ import io
 import itertools
 import math
 import warnings
-from typing import Callable, Iterable, NamedTuple, Optional
+from collections import namedtuple
+from typing import Iterable, Optional
 
 from . import _Record
 from .capacity import count_configurations
@@ -97,14 +98,9 @@ def _skip(diagnostics: Optional[list], name: str, why: str):
         )
 
 
-class _Source(NamedTuple):
-    """One coordinate of a figure: ``value`` is defined only for platforms
-    that pass ``has``; the others are skipped with reason ``missing``."""
-
-    missing: str
-    has: Callable[[Platform], bool]
-    value: Callable[[Platform], float]
-    is_log10: bool = False
+# One coordinate of a figure: ``value(p)`` is defined only for platforms
+# that pass ``has(p)``; the others are skipped with reason ``missing``.
+_Source = namedtuple("_Source", "missing has value is_log10", defaults=(False,))
 
 
 _YEAR = _Source("no year", lambda p: p.year is not None, lambda p: float(p.year))
@@ -131,16 +127,10 @@ _MECH_BITS = _Source(
 )
 
 
-class _Figure(NamedTuple):
-    """Artificial platforms are plotted at (x, y), the natural models in
-    ``roster`` at (neuron count, y).  A ``square`` figure gets a square
-    plot area."""
-
-    axis_spec: AxisSpec
-    x: _Source
-    y: _Source
-    roster: tuple[str, ...] = ()
-    square: bool = False
+# Artificial platforms are plotted at (x, y), both ``_Source``s, and the
+# natural models named in ``roster`` at (neuron count, y).  A ``square``
+# figure gets a square plot area.
+_Figure = namedtuple("_Figure", "axis_spec x y roster square", defaults=((), False))
 
 
 _WORMS = ("C. elegans (anatomy)", "C. elegans (agar behavior)")

@@ -91,9 +91,11 @@ class PlatformDocument(_Record):
 # document's source_line_map.
 _SINGLETONS = ("platform", "kind", "year", "processor")
 
-_NUM_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?\Z")
+# The characters of a number.  On them float() reads exactly the numbers
+# of the format: a sign, digits with at most one point, an exponent; no
+# "inf", "nan", "_" or non-ASCII digit can be spelled with them.
+_NUMERIC = frozenset("0123456789+-.eE")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
-_ESCAPE_RE = re.compile(r"\\(.)")
 # The writer's side of _ESCAPES: each character they yield, to its escape.
 _ESCAPED = str.maketrans({char: f"\\{e}" for e, char in _ESCAPES.items()})
 
@@ -127,7 +129,7 @@ def _tokenize(line: str, lineno: int) -> list[_Token]:
                 raise ParseError(lineno, "dangling backslash in string")
             raise ParseError(lineno, f"unknown escape sequence '\\{line[pos + 1]}'")
         if "\\" in body:
-            body = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], body)
+            body = re.sub(r"\\(.)", lambda e: _ESCAPES[e[1]], body)
         tokens.append(("string", body))
     return tokens
 
@@ -190,11 +192,12 @@ class _Cursor:
 
     def number(self, what: str) -> tuple[float, str]:
         kind, text = self._next(what)
-        if kind != "word" or not _NUM_RE.match(text):
-            raise ParseError(
-                self.lineno, f"expected {what} (a number), found {text!r}"
-            )
-        return float(text), text
+        if kind == "word" and _NUMERIC.issuperset(text):
+            try:
+                return float(text), text
+            except ValueError:
+                pass
+        raise ParseError(self.lineno, f"expected {what} (a number), found {text!r}")
 
     def peek(self, kind: str) -> Optional[str]:
         """Text of the next token if it is of ``kind`` ("word" or "string")."""

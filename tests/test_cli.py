@@ -17,7 +17,7 @@ from decimal import Context, Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mechx import cli, specfile
+from mechx import MAX_INT_DIGITS, cli, specfile
 from mechx.aemachine import INCREMENTER, serialize_machine
 from mechx.capacity import EXACT_DIGITS_LIMIT, analyze
 
@@ -996,6 +996,18 @@ def test_matcher_leaves_other_spellings_to_argparse(argv):
     assert cli._match(argv) is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["compare", "@nao", "--", "--"], ["compare", "--", "--", "--"], ["compare", "--", "@nao", "--"]],
+    ids=" ".join,
+)
+def test_a_positional_lost_to_a_repeated_double_dash_is_a_usage_error(argv, capsys):
+    # argparse hands the right-hand platform over as [] here.
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "usage error: the following arguments are required: right\n")
+
+
 @pytest.mark.parametrize("workload", ["catalog", "bigcount", "tape"])
 def test_matcher_takes_every_benchmark_command(bench, workload):
     # The benchmark times the path that well-formed argv takes.
@@ -1129,3 +1141,38 @@ def test_script_and_python_m_share_one_entry_function():
         if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
     ]
     assert [[ast.unparse(s) for s in body] for body in blocks] == [[f"sys.exit({name}())"]]
+
+
+# The values the commands put in a payload: str, int, finite float, None.
+_JSON_VALUES = st.one_of(
+    st.text(),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),  # lone surrogates
+    st.integers(-(10**MAX_INT_DIGITS - 1), 10**MAX_INT_DIGITS - 1),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, None, '"\\\x00\x1f\U0001f600']),
+)
+
+
+@given(st.dictionaries(st.text(), _JSON_VALUES, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_json_line_is_what_json_dumps_writes(payload):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli._emit([], payload) == cli.EXIT_OK
+    assert out.getvalue() == json.dumps(payload, sort_keys=True) + "\n"
+
+
+def test_json_line_is_written_in_parts_of_at_most_64_kib():
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    out = Recorder()
+    payload = {"b": "7" * 200_000, "a": 1.5, "c": None}
+    with contextlib.redirect_stdout(out):
+        cli._emit([], payload)
+    assert out.getvalue() == json.dumps(payload, sort_keys=True) + "\n"
+    assert max(writes) == 1 << 16 and sum(writes) == len(out.getvalue())

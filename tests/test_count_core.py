@@ -242,6 +242,63 @@ def test_decimal_of_a_count_made_from_an_int_or_in_log_space():
         BigCount(log10=2.0).decimal()
 
 
+# 1 to 6 factors: small levels, a huge level to the power 1 (the one
+# factor of a count made from an int), and bases that repeat.
+_RENDER_PAIRS = st.lists(
+    st.one_of(
+        st.tuples(st.integers(2, 3600), st.integers(1, 3000)),
+        st.tuples(st.integers(2, 10**600), st.just(1)),
+        st.tuples(st.sampled_from([2, 3, 10, 3600]), st.integers(0, 5000)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(_RENDER_PAIRS)
+@settings(max_examples=150, deadline=None)
+@example([(3**20_000, 1)])
+@example([(6, 100), (6, 100), (6, 1)])
+@example([(7, 1)])
+def test_render_gives_every_digit_of_the_product(pairs):
+    n = capacity._product(pairs)
+    assert capacity._render(pairs, capacity.ndigits(n)) == _str(n)
+
+
+def test_render_is_one_square_and_multiply_chain(monkeypatch):
+    # bit_length(max m) squares, then one product for each set bit of each
+    # m, whatever the order of the groups; no power is formed apart.
+    products = []
+
+    class Counting(decimal.Context):
+        def multiply(self, a, b):
+            products.append(a is b)
+            return super().multiply(a, b)
+
+        def power(self, *args):
+            raise AssertionError("power called")
+
+    monkeypatch.setattr(decimal, "Context", Counting)
+    pairs = [(3, 1000), (7, 37), (3601, 1), (13, 0b101101), (2, 0)]
+    n = capacity._product(pairs)
+    squares = max(m for _, m in pairs).bit_length()
+    for order in (pairs, pairs[::-1], pairs[2:] + pairs[:2]):
+        products.clear()
+        assert capacity._render(order, capacity.ndigits(n)) == _str(n)
+        assert products.count(True) == squares
+        assert products.count(False) == sum(bin(m).count("1") for _, m in pairs)
+    products.clear()
+    assert capacity._render([], 1) == "1" and products == []
+
+
+def test_render_raises_rather_than_round():
+    pairs = [(3, 30_000), (7, 5), (11, 1)]
+    n = capacity._product(pairs)
+    assert n % 10 and capacity._render(pairs, capacity.ndigits(n)) == _str(n)
+    with pytest.raises(decimal.Inexact):
+        capacity._render(pairs, capacity.ndigits(n) - 3)
+
+
 def test_decimal_raises_rather_than_drop_a_digit():
     c = BigCount._from_factors([(3, 30_000)])
     short = BigCount._trusted(**{**vars(c), "_digit_count": c.digit_count - 3})

@@ -3,11 +3,12 @@
 import random
 import re
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from mechx import MAX_INT_DIGITS
+from mechx import MAX_INT_DIGITS, specfile
 from mechx.capacity import analyze
 from mechx.model import (
     KINDS,
@@ -633,3 +634,61 @@ def test_group_names_the_token_after_count(after, found):
     with pytest.raises(ParseError) as info:
         parse_platform(f'platform "p"\ngroup "g" count 1 {after}\n')
     assert str(info.value) == f"line 2: expected 'states' or 'range', found {found}"
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_each_group_keeps_the_line_the_map_records(seed):
+    # A parsed group's line lives on the group and in source_line_map.
+    doc = parse_platform(random_document(random.Random(seed)))
+    groups = doc.platform.groups
+    assert [g.__dict__["_line"] for g in groups] == [
+        doc.source_line_map[f"group:{g.label}"] for g in groups
+    ]
+
+
+# The number format as a regular expression, which the reader once used.
+_NUM_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?\Z")
+
+
+def _number_by_regex(self, what):
+    kind, text = self._next(what)
+    if kind != "word" or not _NUM_RE.match(text):
+        raise ParseError(self.lineno, f"expected {what} (a number), found {text!r}")
+    return float(text), text
+
+
+def _outcome(text):
+    try:
+        return parse_platform(text).platform
+    except ParseError as exc:
+        return str(exc)
+
+
+@given(st.text("0123456789+-.eE_in٣", min_size=1, max_size=12))
+@settings(max_examples=400, deadline=None)
+@example("inf")
+@example("nan")
+@example("1_0")
+@example(".")
+@example("e5")
+@example("1e")
+@example("+.5")
+@example("5.")
+@example("-.5e-3")
+@example("1.5E+3")
+@example("1e999")
+@example("1.2.3")
+@example("1e5e5")
+@example("--1")
+def test_numbers_are_read_as_the_regex_read_them(word):
+    statements = [
+        f'group "g" count 1 range {word} 1e300 resolution 1e299',
+        f'group "g" count 1 range -1 1 resolution {word}',
+        f"processor transistors {word}",
+    ]
+    for statement in statements:
+        text = f'platform "p"\n{statement}\n'
+        with mock.patch.object(specfile._Cursor, "number", _number_by_regex):
+            expected = _outcome(text)
+        assert _outcome(text) == expected
