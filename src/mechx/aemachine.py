@@ -34,11 +34,10 @@ from __future__ import annotations
 import re
 import sys
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from enum import Enum
 from itertools import accumulate, islice
 from operator import eq
-from typing import Mapping, Optional, Union
 
 from . import _BLANKS, _Factory, _LineError, _Record, _lines, _require_int
 
@@ -329,7 +328,7 @@ class Trace(Sequence):
                 q, s, w, m = rules[r]
                 yield TraceStep(q, h, s, w, m)
 
-    def index(self, value, start: int = 0, stop: Optional[int] = None) -> int:
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
         start, stop, _ = slice(start, stop).indices(len(self))
         for i, step in enumerate(islice(self, start, stop), start):
             if step == value:
@@ -380,7 +379,7 @@ class RunResult(_Record):
 
     outcome: Outcome
     final: MachineConfig
-    trace: Optional[Trace] = None
+    trace: Trace | None = None
 
     def __post_init__(self):
         # format_run and traces_isomorphic read the trace's columns.
@@ -414,13 +413,13 @@ class RunResult(_Record):
 
 def _kernel(
     tables: _Tables,
-    tape: Union[bytearray, list[int]],
+    tape: bytearray | list[int],
     head: int,
     base: int,
     lo: int,
     hi: int,
     limit: int,
-    trace: Optional[Trace],
+    trace: Trace | None,
 ) -> tuple[bool, int, int, int]:
     """The transition loop behind step() and run(): takes up to ``limit``
     transitions on ``tape``, symbol codes indexed by cell (index 0
@@ -448,7 +447,7 @@ def _kernel(
     return False, head, base, limit
 
 
-def step(machine: Machine, config: MachineConfig) -> Union[MachineConfig, Outcome]:
+def step(machine: Machine, config: MachineConfig) -> MachineConfig | Outcome:
     """One transition.  Returns the successor configuration, or HALTED
     when the table has no entry for (state, read symbol)."""
     tables = machine._tables
@@ -623,7 +622,7 @@ def relabel(
     machine: Machine,
     symbol_map: Mapping[str, str],
     state_map: Mapping[str, str],
-    flavor: Optional[str] = None,
+    flavor: str | None = None,
 ) -> Machine:
     """Rename every state and symbol through total bijections; structure
     is otherwise untouched."""
@@ -646,7 +645,7 @@ def to_mechanization(
     machine: Machine,
     symbol_map: Mapping[str, str],
     state_map: Mapping[str, str],
-    new_blank: Optional[str] = None,
+    new_blank: str | None = None,
 ) -> Machine:
     """Invert a computation machine into its mechanization twin.
 
@@ -693,7 +692,7 @@ _LINES_PER_WRITE = 1000
 _TAIL_STEPS = 1 << 14
 
 
-def _marked_chunks(codes: Union[bytearray, list[int]]):
+def _marked_chunks(codes: bytearray | list[int]):
     """(first index, codes) for each _LINES_PER_WRITE dense cells the
     kernel left, skipping those that are all blank: a count in C finds
     them, so a long blank stretch costs no loop in Python."""
@@ -711,7 +710,7 @@ def _cell_chunks(symbols: tuple, codes, far: list[tuple[int, int]]):
     yield [f"{i}:{symbols[c]}" for i, c in reversed(far)]
 
 
-def format_run(result: RunResult, out=None) -> Optional[str]:
+def format_run(result: RunResult, out=None) -> str | None:
     """Canonical text form of a RunResult: outcome line, final summary,
     then one 'step state head read write move' line per traced step.
 
@@ -943,7 +942,7 @@ def parse_machine(text: str) -> MachineFile:
     return MachineFile(machine=machine, tape=tape)
 
 
-def serialize_machine(machine: Machine, tape: Optional[Mapping[int, str]] = None) -> str:
+def serialize_machine(machine: Machine, tape: Mapping[int, str] | None = None) -> str:
     """Canonical ".aem" text: declarations with the blank as the first
     symbol, rules in that declaration order of (state, symbol), then tape
     cells in index order."""

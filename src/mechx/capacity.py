@@ -17,7 +17,6 @@ import sys
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
 
 from . import _Record
 from .model import Platform, ProcessorSpec, mechanical_groups, resolve_levels
@@ -114,7 +113,16 @@ def _render(pairs, d: int) -> str:
     from decimal import MAX_EMAX, Context, Decimal, Inexact, Overflow
 
     ctx = Context(prec=d + 2, Emax=MAX_EMAX, traps=[Inexact, Overflow])
-    bases = [(Decimal(r), m) for r, m in pairs]
+
+    def exact(n: int) -> Decimal:
+        # Decimal(n) takes time quadratic in n's length, so a long n goes
+        # by halves, hi * 2**k + lo; no value exceeds n, so none rounds.
+        if n.bit_length() <= _SPLIT_BITS:
+            return Decimal(n)
+        k = n.bit_length() // 2
+        return ctx.fma(exact(n >> k), ctx.power(2, k), exact(n & ((1 << k) - 1)))
+
+    bases = [(exact(r), m) for r, m in pairs]
     x = Decimal(1)
     for bit in reversed(range(max((m for _, m in bases), default=0).bit_length())):
         x = ctx.multiply(x, x)
@@ -151,6 +159,8 @@ _LEAD_DIGITS = 20
 # Significant digits a float carries, and so the most leading(k) can
 # give of a log-space count.
 _FLOAT_DIGITS = 17
+# _render converts an int of more than this many bits to Decimal by halves.
+_SPLIT_BITS = 4096
 
 
 def _lead_bits(k: int) -> int:
@@ -231,7 +241,7 @@ def _exact_summary(pairs, k: int) -> tuple:
     return ilog10(n), d, _leading(n, d, k)
 
 
-def _log_summary(pairs, bits: int, prec: int, k: int) -> Optional[tuple]:
+def _log_summary(pairs, bits: int, prec: int, k: int) -> tuple | None:
     """(log10, digit count, first k digits) from fixed-point logarithms, or
     None when a value lies within the margin of a rounding boundary that
     no exact identity settles.  The count must have more than k digits.
@@ -247,7 +257,7 @@ def _log_summary(pairs, bits: int, prec: int, k: int) -> Optional[tuple]:
     def near(frac: int) -> bool:  # is frac, in [0, 1), next to 0 or 1?
         return frac < margin or one - frac < margin
 
-    def first(base: int, width: int) -> Optional[tuple]:
+    def first(base: int, width: int) -> tuple | None:
         # (whole, lead) with log_base C = whole + frac and lead =
         # floor(base**(width + frac)), the first width + 1 digits in base.
         # Near a boundary it stands only if C == lead * base**(whole - width).
@@ -302,7 +312,7 @@ class BigCount(_Record):
     """
 
     log10: float
-    exact: Optional[int] = None
+    exact: int | None = None
 
     def __post_init__(self):
         if self.exact is not None and self.exact < 1:
@@ -455,7 +465,7 @@ class CapacityReport(_Record):
     name: str
     count_all: BigCount
     count_mechanical: BigCount
-    computational: Optional[ComputationalCapacity] = None
+    computational: ComputationalCapacity | None = None
 
     @property
     def bits_all(self) -> float:

@@ -21,7 +21,7 @@ import itertools
 import math
 import warnings
 from collections import namedtuple
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from . import _Record
 from .capacity import count_configurations
@@ -91,7 +91,7 @@ class FigureBundle(_Record):
     axis_spec: AxisSpec
 
 
-def _skip(diagnostics: Optional[list], name: str, why: str):
+def _skip(diagnostics: list | None, name: str, why: str):
     if diagnostics is not None:
         diagnostics.append(
             Diagnostic(Severity.WARNING, 0, f"skipped {name!r}: {why}")
@@ -175,7 +175,7 @@ FIGURE_IDS = tuple(_FIGURES)
 def trend_table(
     dataset: Iterable[Platform],
     figure_id: str,
-    diagnostics: Optional[list] = None,
+    diagnostics: list | None = None,
 ) -> list[TrendPoint]:
     """Points for one figure.  Platforms missing a needed field (year,
     processor, computable groups) are skipped; pass ``diagnostics`` to
@@ -442,7 +442,7 @@ def build_figure(
     figure_id: str,
     width: float = 640,
     height: float = 480,
-    diagnostics: Optional[list] = None,
+    diagnostics: list | None = None,
 ) -> FigureBundle:
     """Assemble points, CSV, and SVG for one figure id.
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Optional, Union
 
 from . import _LineError, _Record, _require_int
 
@@ -82,7 +81,7 @@ class Continuous(_Record):
         return (self.maximum - self.minimum) / self.resolution
 
 
-LevelsSpec = Union[DiscreteStates, Continuous]
+LevelsSpec = DiscreteStates | Continuous
 
 
 class DofGroup(_Record):
@@ -147,8 +146,8 @@ class Platform(_Record):
     name: str
     kind: str
     groups: tuple[DofGroup, ...] = ()
-    year: Optional[int] = None
-    processor: Optional[ProcessorSpec] = None
+    year: int | None = None
+    processor: ProcessorSpec | None = None
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):

@@ -17,12 +17,11 @@ round-trip numbers) that is a parse fixpoint.
 
 from __future__ import annotations
 
+import _thread
 import os
 import re
 import sys
-import threading
 from enum import Enum
-from typing import Optional
 
 from . import _BLANKS, DatasetCorrupt, _Factory, _LineError, _Record, _lines
 from .model import (
@@ -199,7 +198,7 @@ class _Cursor:
                 pass
         raise ParseError(self.lineno, f"expected {what} (a number), found {text!r}")
 
-    def peek(self, kind: str) -> Optional[str]:
+    def peek(self, kind: str) -> str | None:
         """Text of the next token if it is of ``kind`` ("word" or "string")."""
         if self.done():
             return None
@@ -377,9 +376,10 @@ def is_computable(platform: Platform) -> bool:
 
 
 def validate(doc: PlatformDocument) -> list[Diagnostic]:
-    """Lint a parsed document.  Errors mean downstream analysis will fail;
-    warnings are advisory (informational notices are issued at warning
-    severity, prefixed "informational:")."""
+    """Lint a parsed document.  Every diagnostic is an advisory warning
+    (informational notices are prefixed "informational:"); the reader
+    raises every error.  A non-integral group is named by the line
+    NonIntegralSpan gives, as ``compute`` names it."""
     out: list[Diagnostic] = []
     p = doc.platform
     lm = doc.source_line_map
@@ -391,7 +391,7 @@ def validate(doc: PlatformDocument) -> list[Diagnostic]:
             out.append(
                 Diagnostic(
                     Severity.WARNING,
-                    lm.get(f"group:{g.label}", 0),
+                    exc.line,
                     f"group {g.label!r}: span/resolution = {exc.ratio!r} is not "
                     f"integral; strict analysis will reject this document",
                 )
@@ -469,7 +469,7 @@ DATASET_MANIFEST = (
     "simon",
 )
 
-_dataset_lock = threading.Lock()
+_dataset_lock = _thread.allocate_lock()
 # Bundled documents by file stem, each parsed when it is first asked for.
 _documents: dict[str, PlatformDocument] = {}
 

@@ -826,8 +826,9 @@ def _argv(command):
 def test_a_range_that_does_not_divide_is_named_by_its_line(tmp_path):
     # One group whose range does not divide, sometimes non-mechanical, at a
     # random place in a random document whose other groups all divide.
-    # Every command that counts it names its line; one that counts only
-    # mechanical groups never resolves it when it is non-mechanical.
+    # Every command that counts it names its line, and validate names the
+    # same line; one that counts only mechanical groups never resolves it
+    # when it is non-mechanical.
     clean, odd = tmp_path / "clean.mechx", tmp_path / "odd.mechx"
     clean.write_text(SIMPLE_ROBOT, encoding="utf-8")
 
@@ -858,6 +859,9 @@ def test_a_range_that_does_not_divide_is_named_by_its_line(tmp_path):
             "deviates from 3 by more than 1e-09 (relative)\n",
         )
         assert outcome("compute", str(odd)) == failed
+        code, out, _ = outcome("validate", str(odd))
+        warning = f"warning: line {line}: group {label!r}: span/resolution = 3.3333333333333335 "
+        assert code == 0 and any(row.startswith(warning) for row in out.split("\n"))
         for argv in (
             ("compute", str(odd), "--mechanical-only"),
             ("compare", str(odd), str(clean)),

@@ -291,6 +291,24 @@ def test_render_is_one_square_and_multiply_chain(monkeypatch):
     assert capacity._render([], 1) == "1" and products == []
 
 
+def test_render_converts_a_long_int_by_halves(monkeypatch):
+    # Decimal(n) takes time quadratic in n's length, so no int of more
+    # than 4,096 bits (the README's bound) reaches it, and the digits
+    # still come out whole.
+    widths = []
+
+    class Recording(decimal.Decimal):
+        def __new__(cls, value="0", context=None):
+            if isinstance(value, int):
+                widths.append(value.bit_length())
+            return super().__new__(cls, value, context)
+
+    monkeypatch.setattr(decimal, "Decimal", Recording)
+    digits = BigCount.from_exact(7**200_000).decimal()
+    assert 0 < max(widths) <= 4096
+    assert digits == BigCount._from_factors([(7, 200_000)]).decimal()
+
+
 def test_render_raises_rather_than_round():
     pairs = [(3, 30_000), (7, 5), (11, 1)]
     n = capacity._product(pairs)

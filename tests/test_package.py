@@ -47,6 +47,21 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_imports_neither_typing_nor_threading():
+    # Annotations are written "X | None" over collections.abc, and the
+    # dataset lock comes from _thread, so no command loads either module.
+    src = pathlib.Path(mechx.__file__).parent
+    unused = {"typing", "threading"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and unused & {alias.name for alias in node.names}
+        or isinstance(node, ast.ImportFrom) and node.module in unused
+    ]
+    assert found == []
+
+
 def test_every_annotation_resolves():
     # Annotations are strings (from __future__ import annotations), so a
     # name missing from its module shows only when something reads them.
@@ -255,8 +270,11 @@ def test_cli_leaves_figures_and_tape_machine_unloaded(tmp_path):
 
 
 # argparse, and the gettext and locale it brings, serve help and usage
-# errors only.
-HEAVY = ("argparse", "dataclasses", "gettext", "inspect", "decimal", "json", "locale")
+# errors only; typing and threading serve no command.
+HEAVY = (
+    "argparse", "dataclasses", "gettext", "inspect", "decimal", "json", "locale",
+    "typing", "threading",
+)
 
 
 def test_everyday_commands_leave_heavy_modules_unloaded(tmp_path):
@@ -278,6 +296,7 @@ def test_everyday_commands_leave_heavy_modules_unloaded(tmp_path):
         "main('validate', 'p.mechx')\n"
         "main('dataset-list')\n"
         "main('aem-run', 'm.aem', '--max-steps', '10', '--trace')\n"
+        "main('plot', '--figure', '3', '--out-csv', 'f.csv', '--out-svg', 'f.svg')\n"
         "main('compute', '@nao', '--json')\n"
         "main('compute', '@nao', '--exact', '--json')\n",
         "-X",
@@ -285,9 +304,10 @@ def test_everyday_commands_leave_heavy_modules_unloaded(tmp_path):
     )
     # --json writes its line without the json package; only --exact
     # renders digits, in decimal.
-    assert proc.stdout.splitlines() == ["[]"] * 6 + ["['decimal']"]
+    assert proc.stdout.splitlines() == ["[]"] * 7 + ["['decimal']"]
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
     assert "json" not in imported
+    assert "typing" not in imported and "threading" not in imported
     assert "dataclasses" not in imported and "inspect" not in imported
 
 
