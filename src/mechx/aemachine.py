@@ -36,7 +36,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from enum import Enum
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from operator import eq
 
 from . import _BLANKS, _Factory, _LineError, _Record, _lines, _require_int
@@ -257,51 +257,29 @@ class Trace(Sequence):
             self._replayed += n * reps
 
     def _runs(self):
-        """(first step, rule ids, reference) for each piece of the trace in
-        step order: the literal ids up to each reference (and then to the
-        end), at most _LINES_PER_WRITE at a time with reference None, then
-        each repeat of the reference in pieces of at most _LINES_PER_WRITE
-        ids, each with reference (offset, length), its ids' place in
-        ``_literal``."""
-        ids, refs, w = self._literal, self._replays, _LINES_PER_WRITE
-        done = step = 0  # the literal ids and the steps before the next piece
+        """(offset, length, replayed) for each piece of the trace in step
+        order, its rule ids being ``_literal[offset : offset + length]``:
+        the literal ids up to each reference (and then to the end), then
+        each repeat of the reference, replayed, all in pieces of at most
+        _LINES_PER_WRITE ids."""
+        end, refs, w = len(self._literal), self._replays, _LINES_PER_WRITE
+        done = 0  # the literal ids before the next piece
         for i in range(0, len(refs) + 1, 4):
-            at, source, n, reps = refs[i : i + 4] if i < len(refs) else (len(ids), 0, 0, 0)
+            at, source, n, reps = refs[i : i + 4] if i < len(refs) else (end, 0, 0, 0)
             for a in range(done, at, w):
-                yield step + a - done, ids[a : min(a + w, at)], None
-            step += at - done
+                yield a, min(w, at - a), False
             done = at
             for _ in range(reps):
                 for a in range(source, source + n, w):
-                    part = ids[a : min(a + w, source + n)]
-                    yield step, part, (a, len(part))
-                    step += len(part)
-
-    def _id_chunks(self):
-        """The rule ids of each _LINES_PER_WRITE steps, the last perhaps
-        fewer.  A piece of at most that many ids ends at most one chunk."""
-        w, chunk = _LINES_PER_WRITE, self._literal[:0]
-        for _, ids, _ in self._runs():
-            chunk += ids
-            if len(chunk) >= w:
-                yield chunk[:w]
-                chunk = chunk[w:]
-        if chunk:
-            yield chunk
-
-    def _chunks(self):
-        """(rule ids, heads) for each run of _LINES_PER_WRITE steps, from
-        the first; ``heads`` as _heads gives them."""
-        moves, head = self._tables.moves, 1
-        for ids in self._id_chunks():
-            heads = _heads(moves, ids, head)
-            head = heads[-1]
-            yield ids, heads
+                    yield a, min(w, source + n - a), True
 
     def _steps(self):
-        rules = self._tables.rules
-        for ids, heads in self._chunks():
-            for r, h in zip(ids, heads):
+        rules, moves, ids, head = self._tables.rules, self._tables.moves, self._literal, 1
+        for offset, length, _ in self._runs():
+            piece = ids[offset : offset + length]
+            heads = _heads(moves, piece, head)
+            head = heads[-1]
+            for r, h in zip(piece, heads):
                 q, s, w, m = rules[r]
                 yield TraceStep(q, h, s, w, m)
 
@@ -318,13 +296,17 @@ class Trace(Sequence):
         return self._steps()
 
     def __reversed__(self):
-        # One walk keeps each chunk's ids, an id a step, and the head it
-        # starts at; then the chunks are listed from the last.
-        rules, moves = self._tables.rules, self._tables.moves
-        firsts = [(ids, heads[0]) for ids, heads in self._chunks()]
-        for ids, head in reversed(firsts):
-            heads = _heads(moves, ids, head)
-            for r, h in zip(reversed(ids), heads[-2::-1]):
+        # One walk keeps each piece's place and the head it starts at;
+        # then the pieces are listed from the last.
+        rules, moves, ids, head = self._tables.rules, self._tables.moves, self._literal, 1
+        pieces = []
+        for offset, length, _ in self._runs():
+            pieces.append((offset, length, head))
+            head = _heads(moves, ids[offset : offset + length], head)[-1]
+        for offset, length, head in reversed(pieces):
+            piece = ids[offset : offset + length]
+            heads = _heads(moves, piece, head)
+            for r, h in zip(reversed(piece), heads[-2::-1]):
                 q, s, w, m = rules[r]
                 yield TraceStep(q, h, s, w, m)
 
@@ -345,17 +327,19 @@ class Trace(Sequence):
         if len(self) != len(other):
             return False
         # Each of this trace's rules becomes other's id for it, or -1.
-        ids = {rule: i for i, rule in enumerate(other._tables.rules)}
-        to_other = [ids.get(rule, -1) for rule in rules]
-        same = to_other == list(range(len(ids)))
+        number = {rule: i for i, rule in enumerate(other._tables.rules)}
+        to_other = [number.get(rule, -1) for rule in rules]
+        same = to_other == list(range(len(number)))
         if same and (self._literal, self._replays) == (other._literal, other._replays):
             return True
-        # A chunk at a time, so no list as long as the trace is made.
-        pairs = zip(self._id_chunks(), other._id_chunks())
-        if same:
-            return all(mine == theirs for mine, theirs in pairs)
+        # This trace's pieces, mapped, against as many of other's ids at a
+        # time, so no list as long as the trace is made.
+        ids, other_ids = self._literal, other._literal
+        theirs = chain.from_iterable(other_ids[o : o + n] for o, n, _ in other._runs())
         return all(
-            list(map(to_other.__getitem__, mine)) == theirs.tolist() for mine, theirs in pairs
+            list(map(to_other.__getitem__, ids[offset : offset + length]))
+            == list(islice(theirs, length))
+            for offset, length, _ in self._runs()
         )
 
     def __eq__(self, other):
@@ -754,7 +738,7 @@ def _write_steps(trace: Trace, write) -> None:
     parts of its number and its tail go to the join as they are.  Literal
     steps are written in one pass, a line at a time.  The kept pieces are
     counted by their steps, and at _TAIL_STEPS all are forgotten."""
-    tables = trace._tables
+    tables, literal = trace._tables, trace._literal
     before, after, moves = tables.before, tables.after, tables.moves
     w = _LINES_PER_WRITE
     kept: dict = {}  # (offset, length, start head) -> (tails, head after)
@@ -768,15 +752,16 @@ def _write_steps(trace: Trace, write) -> None:
     lines: list[str] = []
 
     def put(ids, heads, tails) -> None:
-        """Add the lines of the steps of ``ids``, from their ``heads`` in one
-        pass, or from their kept ``tails``; write each thousand when full."""
+        """Add the lines of the next steps, from their ``ids`` and ``heads``
+        in one pass, or from their kept ``tails``; write each thousand when
+        full."""
         nonlocal thousand, prefix, off, lines
         if tails is None:
             low = min(heads)
             text = [str(h) for h in range(low, max(heads) + 1)]
-        a = 0
-        while a < len(ids):  # up to the end of the steps or of the thousand
-            b = min(len(ids), a + w - off)
+        end, a = len(ids if tails is None else tails), 0
+        while a < end:  # up to the end of the steps or of the thousand
+            b = min(end, a + w - off)
             nums = numbers if b - a == w else numbers[off : off + b - a]
             if tails is None:  # zip stops at the last of nums
                 lines += [
@@ -799,22 +784,24 @@ def _write_steps(trace: Trace, write) -> None:
                 prefix, off = str(thousand), 0
 
     head = 1
-    for _, ids, ref in trace._runs():
-        if ref is not None:
-            key = (*ref, head)
+    for offset, length, replayed in trace._runs():
+        if replayed:
+            key = (offset, length, head)
             entry = kept.get(key)
             if entry is None:
                 if steps_kept >= _TAIL_STEPS:
                     kept.clear()
                     shared.clear()
                     steps_kept = 0
+                ids = literal[offset : offset + length]
                 heads = _heads(moves, ids, head)
                 tails = [f"{before[r]}{h}{after[r]}" for r, h in zip(ids, heads)]
                 entry = kept[key] = list(map(shared.setdefault, tails, tails)), heads[-1]
-                steps_kept += len(ids)
+                steps_kept += length
             tails, head = entry
-            put(ids, None, tails)
+            put(None, None, tails)
         else:
+            ids = literal[offset : offset + length]
             heads = _heads(moves, ids, head)
             head = heads.pop()
             put(ids, heads, None)

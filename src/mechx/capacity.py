@@ -113,6 +113,7 @@ def _render(pairs, d: int) -> str:
     from decimal import MAX_EMAX, Context, Decimal, Inexact, Overflow
 
     ctx = Context(prec=d + 2, Emax=MAX_EMAX, traps=[Inexact, Overflow])
+    powers: dict = {}  # k -> 2**k, each made once
 
     def exact(n: int) -> Decimal:
         # Decimal(n) takes time quadratic in n's length, so a long n goes
@@ -120,7 +121,9 @@ def _render(pairs, d: int) -> str:
         if n.bit_length() <= _SPLIT_BITS:
             return Decimal(n)
         k = n.bit_length() // 2
-        return ctx.fma(exact(n >> k), ctx.power(2, k), exact(n & ((1 << k) - 1)))
+        if k not in powers:
+            powers[k] = ctx.power(2, k)
+        return ctx.fma(exact(n >> k), powers[k], exact(n & ((1 << k) - 1)))
 
     bases = [(exact(r), m) for r, m in pairs]
     x = Decimal(1)
@@ -400,27 +403,24 @@ class BigCount(_Record):
         return _render(pairs, self.digit_count)
 
 
-def _factors(groups, exact: bool) -> list:
-    """Each group resolved once into its factor: ``(R, M)`` when ``exact``,
-    ``M * log10(R)`` in log space."""
+def _factors(groups) -> list:
+    """Each group resolved once into its factor ``(R, M)``."""
     levels = [resolve_levels(g) for g in groups]
     # Past this bound log2 C, which is at least half of it, leaves float range.
     if sum(g.multiplicity * r.bit_length() for g, r in zip(groups, levels) if r > 1) >> 1022:
         raise ValueError("configuration count too large: K is 2**1021 bits or more")
-    if exact:
-        return [(r, g.multiplicity) for g, r in zip(groups, levels)]
-    return [g.multiplicity * math.log10(r) for g, r in zip(groups, levels)]
+    return [(r, g.multiplicity) for g, r in zip(groups, levels)]
 
 
 def _fold(factors: list, exact: bool) -> BigCount:
-    """The count of a list of group factors, folded in group order."""
+    """The count of a list of group factors ``(R, M)``, folded in group order."""
     if exact:
         return BigCount._from_factors(factors)
     # A plain left-to-right loop: sum() compensates float rounding from
     # Python 3.12 on, which would change the bits between versions.
     log10 = 0.0
-    for term in factors:
-        log10 += term
+    for r, m in factors:
+        log10 += m * math.log10(r)
     return BigCount(log10=log10)
 
 
@@ -437,7 +437,7 @@ def count_configurations(
     """
     exact = CountMode(mode) is not CountMode.LOG_SPACE
     groups = mechanical_groups(platform) if mechanical_only else platform.groups
-    return _fold(_factors(groups, exact), exact)
+    return _fold(_factors(groups), exact)
 
 
 ComputationalCapacity = namedtuple("ComputationalCapacity", "bits config_digits")
@@ -492,7 +492,7 @@ def analyze(platform: Platform, *, mode: CountMode = CountMode.BOTH) -> Capacity
     mechanical the two counts are one object.
     """
     exact = CountMode(mode) is not CountMode.LOG_SPACE
-    factors = _factors(platform.groups, exact)
+    factors = _factors(platform.groups)
     mechanical = [f for g, f in zip(platform.groups, factors) if g.is_mechanical]
     count_all = _fold(factors, exact)
     return CapacityReport(

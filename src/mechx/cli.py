@@ -134,7 +134,9 @@ def cmd_compute(args) -> int:
     )
 
     platform = _load_document(args.platform).platform
-    mode = CountMode(args.mode)
+    mode = (
+        CountMode.EXACT if args.exact else CountMode.LOG_SPACE if args.log_space else CountMode.BOTH
+    )
     if args.mechanical_only:
         # Non-mechanical groups stay unresolved, so a non-integral range
         # on one of them cannot stop the count that is printed.
@@ -282,30 +284,21 @@ _REF = ".mechx file path or @dataset-name"
 # The subcommands, described once.  Each has its handler, its help, its
 # positionals as name -> help, and its options as flag -> the keywords
 # of argparse's add_argument(), in the order argparse adds them: an
-# option is a flag (store_true or store_const) or takes one value.
-# "exclusive" names the options of a mutually exclusive group, and
-# "defaults" is what set_defaults() is given.  build_parser() makes
-# argparse from this table; _match() reads the argv it can settle alone.
+# option is a store_true flag or takes one value.  "exclusive" names the
+# options of a mutually exclusive group.  build_parser() makes argparse
+# from this table; _match() reads the argv it can settle alone.
 _COMMANDS = {
     "compute": {
         "func": cmd_compute,
         "help": "capacity report for one platform",
         "positionals": {"platform": _REF},
         "options": {
-            "--exact": {
-                "dest": "mode", "action": "store_const", "const": "exact",
-                "help": "exact big-int arithmetic only",
-            },
-            "--log-space": {
-                "dest": "mode", "action": "store_const", "const": "log_space",
-                "help": "log-space arithmetic only",
-            },
+            "--exact": {"action": "store_true", "help": "exact big-int arithmetic only"},
+            "--log-space": {"action": "store_true", "help": "log-space arithmetic only"},
             "--mechanical-only": {"action": "store_true"},
             "--json": {"action": "store_true", "help": "one-line JSON output"},
         },
         "exclusive": ("--exact", "--log-space"),
-        # CountMode values, so that reading argv imports no counting code.
-        "defaults": {"mode": "both"},
     },
     "compare": {
         "func": cmd_compare,
@@ -353,11 +346,6 @@ _COMMANDS = {
 }
 
 
-def _dest(flag: str, kw: dict) -> str:
-    # The attribute argparse stores an option in.
-    return kw.get("dest", flag[2:].replace("-", "_"))
-
-
 def _match(argv: list[str]) -> SimpleNamespace | None:
     """What argparse would make of ``argv``, when that is plain to see, and
     otherwise None.  It is plain when the command is named in full, each
@@ -374,8 +362,7 @@ def _match(argv: list[str]) -> SimpleNamespace | None:
     values = {"command": argv[0], "func": spec["func"]}
     for flag, kw in options.items():
         default = False if kw.get("action") == "store_true" else kw.get("default")
-        values[_dest(flag, kw)] = default
-    values.update(spec.get("defaults", {}))
+        values[flag[2:].replace("-", "_")] = default
     given, positionals = set(), []
     words = iter(argv[1:])
     for word in words:
@@ -386,11 +373,8 @@ def _match(argv: list[str]) -> SimpleNamespace | None:
         if kw is None or word in given:
             return None
         given.add(word)
-        action = kw.get("action")
-        if action == "store_true":
+        if kw.get("action") == "store_true":
             value = True
-        elif action == "store_const":
-            value = kw["const"]
         else:
             text = next(words, "-")
             if text.startswith("-"):
@@ -401,7 +385,7 @@ def _match(argv: list[str]) -> SimpleNamespace | None:
                 return None
             if "choices" in kw and value not in kw["choices"]:
                 return None
-        values[_dest(word, kw)] = value
+        values[word[2:].replace("-", "_")] = value
     if len(positionals) != len(spec["positionals"]):
         return None
     if len(given.intersection(spec.get("exclusive", ()))) > 1:
@@ -437,7 +421,7 @@ def build_parser():
         group = p.add_mutually_exclusive_group() if exclusive else None
         for flag, kw in spec["options"].items():
             (group if flag in exclusive else p).add_argument(flag, **kw)
-        p.set_defaults(func=spec["func"], **spec.get("defaults", {}))
+        p.set_defaults(func=spec["func"])
     return parser
 
 

@@ -329,15 +329,15 @@ def _linear_ticks(lo: float, hi: float, axis_name: str) -> list[tuple[float, str
         t += step
     ticks = [round(t, 12) for t in unrounded]
     place = math.floor(math.log10(step))
-    labels = [_tick_label(t) for t in ticks]
+    labels = [_fmt_num(t, 6) for t in ticks]
     for i, t in enumerate(ticks):
         if float(labels[i]) != t:  # as 100000 for 100000.5; never at 0
-            labels[i] = _tick_label(t, min(17, math.floor(math.log10(abs(t))) - place + 1))
+            labels[i] = _fmt_num(t, min(17, math.floor(math.log10(abs(t))) - place + 1))
     if len(set(labels)) < len(labels):
         place = math.floor(math.log10(mag))
         ticks = [round(t, max(12, -place)) for t in unrounded]
         top = math.floor(math.log10(max(map(abs, ticks))))
-        labels = [_tick_label(t, top - place + 1) for t in ticks]
+        labels = [_fmt_num(t, top - place + 1) for t in ticks]
     return list(zip(ticks, labels))
 
 
@@ -345,12 +345,6 @@ def _log_ticks(lo: float, hi: float) -> list[tuple[float, str]]:
     # Integer powers of 10 inside the (log10-space) range, or else its ends.
     powers = range(math.ceil(lo - 1e-12), math.floor(hi + 1e-12) + 1)
     return [(float(e), f"1e{e}") for e in powers] or [(t, f"{10 ** t:.3g}") for t in (lo, hi)]
-
-
-def _tick_label(coord: float, digits: int = 6) -> str:
-    if coord == int(coord) and abs(coord) < 1e16:
-        return str(int(coord))
-    return f"{coord:.{digits}g}"
 
 
 def emit_svg_scatter(

@@ -139,11 +139,12 @@ def _escape(s: str) -> str:
     return f'"{s.translate(_ESCAPED)}"'
 
 
-def _fmt_num(x: float) -> str:
-    # Shortest round-trip decimal; integral values drop the fraction.
+def _fmt_num(x: float, digits: int | None = None) -> str:
+    # Integral values drop the fraction; others are the shortest round-trip
+    # decimal, or ``digits`` significant digits.
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
-    return repr(x)
+    return repr(x) if digits is None else f"{x:.{digits}g}"
 
 
 class _Cursor:

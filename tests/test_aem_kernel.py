@@ -14,6 +14,7 @@ import pickle
 import random
 import sys
 import tracemalloc
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -137,11 +138,12 @@ def plain_run(machine, tape, max_steps):
 def replayed_pieces(trace, steps):
     """(reference, start head, TraceSteps) of each replayed piece of
     ``trace``, whose steps are ``steps``."""
-    return [
-        (ref, steps[at].head, steps[at : at + len(ids)])
-        for at, ids, ref in trace._runs()
-        if ref is not None
-    ]
+    pieces, at = [], 0  # at: the steps before the piece
+    for offset, length, replayed in trace._runs():
+        if replayed:
+            pieces.append(((offset, length), steps[at].head, steps[at : at + length]))
+        at += length
+    return pieces
 
 
 def wide_machine(rng, n_states, n_symbols, moves=(-1, 0, 1), fill=0.8):
@@ -642,6 +644,22 @@ def test_traces_of_a_round_tripped_machine_compare_without_steps(monkeypatch):
     assert a != other and other != a
 
 
+def test_traces_stored_apart_compare_by_their_steps():
+    # The same run with macro steps and without: one trace holds replays by
+    # reference and the other every id, so the id streams are compared,
+    # under one numbering of the rules and under the numbering a machine
+    # read back from its .aem text has.  One changed id makes them differ.
+    m = parse_machine(COUNTER).machine
+    twin = parse_machine(serialize_machine(m)).machine
+    a = run(m, {1: "m"}, 20_000, trace=True).trace
+    assert a._replays
+    for x in (m, twin):
+        b = plain_run(x, {1: "m"}, 20_000).trace
+        assert a == b and b == a
+        b._literal[12_345] = (b._literal[12_345] + 1) % len(x.transitions)
+        assert a != b and b != a
+
+
 def test_trace_equality_agrees_with_tuples():
     rng = random.Random(6464)
     verdicts = set()
@@ -848,7 +866,12 @@ def test_counters_in_macro_steps_match_reference(kernel_calls):
         for m in both_tapes(mf.machine):
             assert_agrees(m, mf.tape, 30_000)
         trace = run(mf.machine, mf.tape, 30_000, trace=True).trace
-        assert any(at // 1000 < (at + len(ids) - 1) // 1000 for at, ids, ref in trace._runs() if ref)
+        starts = accumulate((length for _, length, _ in trace._runs()), initial=0)
+        assert any(
+            at // 1000 < (at + length - 1) // 1000
+            for at, (_, length, replayed) in zip(starts, trace._runs())
+            if replayed
+        )
     # The binary counter's 10^5 steps take a few hundred loop calls.
     mf = counter(2)
     for m in both_tapes(mf.machine):
@@ -1218,8 +1241,8 @@ def test_listing_forgets_kept_text(monkeypatch):
     result.trace._literal.extend([1] + [0, 1] * 19)
     result.trace._replay(0, 40, 1)
     result.trace._replay(0, 40, 3)
-    pieces = [(len(ids), ref) for _, ids, ref in result.trace._runs() if ref]
-    assert pieces == [(40, (0, 40))] * 4
+    pieces = [piece for piece in result.trace._runs() if piece[2]]
+    assert pieces == [(0, 40, True)] * 4
     assert format_run(result) == reference_format(result.outcome, result.final, result.trace)
     # A head of n cells or fewer may clamp within n steps.
     assert aemachine._heads([1, -1], [1, 1, 1], 3) == [3, 2, 1, 1]
@@ -1241,6 +1264,24 @@ def test_reversed_walks_the_pieces_once(monkeypatch):
     monkeypatch.setattr(aemachine.Trace, "_runs", counting)
     assert tuple(reversed(trace)) == want
     assert len(calls) == 1
+
+
+def test_reversed_holds_less_than_a_byte_a_step():
+    # The benchmark's traced binary counter of 10^6 steps.  Keeping the
+    # rule ids of every thousand steps held 1,084 KB before the first step;
+    # each piece's place and start head take a fraction of that.
+    mf = counter(2)
+    trace = run(mf.machine, mf.tape, 10**6, trace=True).trace
+    next(reversed(trace))
+    tracemalloc.start()
+    try:
+        steps = reversed(trace)
+        first = next(steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == trace[-1]
+    assert peak < len(trace)
 
 
 # (least n, most n, least reps, most reps) of the references built below;

@@ -969,6 +969,20 @@ def test_matcher_agrees_with_argparse():
     assert taken == set(cli._COMMANDS)
 
 
+def test_every_option_is_a_flag_or_takes_one_value():
+    # The two kinds of option _match reads; another kind (a dest, a const,
+    # nargs) it would misread before the agreement test above drew it.
+    for command, spec in cli._COMMANDS.items():
+        for flag, kw in spec["options"].items():
+            if "action" in kw:
+                assert kw["action"] == "store_true", (command, flag)
+                assert set(kw) <= {"action", "help"}, (command, flag)
+            else:
+                takes = {"type", "choices", "required", "default", "help"}
+                assert set(kw) <= takes, (command, flag)
+        assert set(spec.get("exclusive", ())) <= set(spec["options"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1102,6 +1116,40 @@ def test_run_returns_mains_code_and_freezes(reader_files, argv, code):
     )
     assert proc.returncode == code
     assert proc.stderr.splitlines()[-1] == f"{code} 0 True"
+
+
+def test_run_in_process_returns_mains_code():
+    # The collector is thawed again, so later tests find it as it was.
+    try:
+        assert cli.run(["frobnicate"]) == cli.EXIT_USAGE
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+def test_a_broken_pipe_points_stdout_at_the_null_device(monkeypatch):
+    # In process: the first failed write ends the output quietly, and the
+    # descriptor behind stdout is the null device from then on.
+    read_end, write_end = os.pipe()
+
+    class Gone:
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return write_end
+
+    monkeypatch.setattr(sys, "stdout", Gone())
+    try:
+        assert not os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        assert cli._emit(["x"]) == cli.EXIT_OK
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 def test_unexpected_error_in_a_handler_prints_its_traceback_and_exits_1():

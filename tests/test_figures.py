@@ -470,7 +470,7 @@ def test_tick_step_below_the_float_spacing_ends_in_process():
 
 
 def _frozen_linear_ticks(lo, hi):
-    # _linear_ticks and _tick_label as they were before a tick step that
+    # _linear_ticks and its labels as they were before a tick step that
     # the labels could not show got labels of its own: the reference the
     # labels must still match wherever its labels are distinct.
     raw = (hi - lo) / 5
