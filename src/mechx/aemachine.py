@@ -329,16 +329,18 @@ class Trace(Sequence):
         # Each of this trace's rules becomes other's id for it, or -1.
         number = {rule: i for i, rule in enumerate(other._tables.rules)}
         to_other = [number.get(rule, -1) for rule in rules]
-        same = to_other == list(range(len(number)))
-        if same and (self._literal, self._replays) == (other._literal, other._replays):
+        ids, theirs = self._literal, other._literal
+        if to_other != list(range(len(to_other))):  # put ids in other's numbering
+            try:  # a rule other lacks maps to -1, which no "B" or "H" id holds
+                ids = type(theirs)(theirs.typecode, map(to_other.__getitem__, ids))
+            except OverflowError:
+                return False
+        if (ids, self._replays) == (theirs, other._replays):
             return True
-        # This trace's pieces, mapped, against as many of other's ids at a
-        # time, so no list as long as the trace is made.
-        ids, other_ids = self._literal, other._literal
-        theirs = chain.from_iterable(other_ids[o : o + n] for o, n, _ in other._runs())
+        # This trace's pieces against as many of other's ids at a time.
+        stream = chain.from_iterable(theirs[o : o + n] for o, n, _ in other._runs())
         return all(
-            list(map(to_other.__getitem__, ids[offset : offset + length]))
-            == list(islice(theirs, length))
+            ids[offset : offset + length].tolist() == list(islice(stream, length))
             for offset, length, _ in self._runs()
         )
 
@@ -463,8 +465,6 @@ def step(machine: Machine, config: MachineConfig) -> MachineConfig | Outcome:
     return MachineConfig._trusted(cells=cells, head=head + shift, state=state, step_count=steps)
 
 
-# Cells the dense tape of a run starts with; it doubles as the head moves on.
-_DENSE_CELLS = 256
 # Cells per block of a macro step: block k is cells 1 + kB to (k + 1)B.
 _BLOCK = 8
 # What a cache hit costs, in plain steps; a miss costs twice as much.
@@ -515,24 +515,21 @@ def run(
     if tables.nsym <= 256:
         # A cache key holds a block's codes as hex text: quicker to make
         # and to hash than a tuple of them.
-        tape, codes_of = bytearray(_DENSE_CELLS), bytearray.hex
+        tape, codes_of = bytearray(_BLOCK), bytearray.hex
     else:
-        tape, codes_of = [0] * _DENSE_CELLS, tuple
-    far = []
+        tape, codes_of = [0] * _BLOCK, tuple
+    far = []  # the starting cells the tape has not reached, last first
     for idx, sym in initial_cells.items():
         if not isinstance(idx, int) or idx < 1:
             raise ValueError(f"cell index must be an integer >= 1, got {idx!r}")
         code = tables.code.get(sym)
         if code is None:
             raise UndeclaredSymbolInTape(f"cell {idx} holds undeclared symbol {sym!r}")
-        if idx < _DENSE_CELLS:
-            tape[idx] = code
-        elif code:
+        if code:
             far.append((idx, code))
     far.sort(reverse=True)
 
     log = Trace(tables) if trace else None
-    ids = log._literal if trace else None
     head, base, steps, halted = 1, tables.base[machine.initial_state], 0, False
     cache: dict = {}
     credit = _PROBE_CREDIT
@@ -541,9 +538,9 @@ def run(
         if head + _BLOCK > size:  # grow so the head's block fits
             tape += bytes(size)
             size += size
-            while far and far[-1][0] < size:
-                idx, code = far.pop()
-                tape[idx] = code
+        while far and far[-1][0] < size:  # starting cells the tape now reaches
+            idx, code = far.pop()
+            tape[idx] = code
         left = max_steps - steps
         if credit < 0:  # macro steps do not pay for now: a plain stretch
             limit = min(left, _PLAIN_STEPS)
@@ -557,34 +554,32 @@ def run(
             if hit is not None and hit[3] <= left:
                 exit_offset, base, tape[lo:hi], n, first = hit
                 head = lo + exit_offset
-                steps += n
                 if log is not None:  # the rule ids the first visit logged
                     log._replay(first, n, 1)
                 credit += n - _LOOKUP_STEPS
-                continue
-            # A miss: the visit runs until the head leaves the block.
-            limit = min(left, _CYCLE_STEPS)
-            halted, head, base, n = _kernel(tables, tape, head, base, lo, hi, limit, log)
-            m, start = n, key
-            while not halted and n < left and lo <= head < hi:
-                end = (base, head - lo, lo == 1, codes_of(tape[lo:hi]))
-                if end == start:  # back where the last call started: a cycle
-                    reps = (left - n) // m
-                    n += reps * m
-                    if log is not None:
-                        log._replay(len(ids) - m, m, reps)
-                start = end
-                limit = min(left - n, _CYCLE_STEPS)
-                halted, head, base, m = _kernel(tables, tape, head, base, lo, hi, limit, log)
-                n += m
-            # Cache a whole macro step if it is longer than a lookup; a shorter
-            # one would save nothing when replayed.
-            if n > _LOOKUP_STEPS and not lo <= head < hi:
-                if len(cache) >= _CACHE_ENTRIES:
-                    cache.clear()
-                first = len(ids) - n if ids is not None else 0  # where it was logged
-                cache[key] = (head - lo, base, tape[lo:hi], n, first)
-            credit -= 2 * _LOOKUP_STEPS
+            else:  # a miss: the visit runs until the head leaves the block
+                n, start = 0, key
+                while True:
+                    limit = min(left - n, _CYCLE_STEPS)
+                    halted, head, base, m = _kernel(tables, tape, head, base, lo, hi, limit, log)
+                    n += m
+                    if halted or n == left or not lo <= head < hi:
+                        break
+                    end = (base, head - lo, lo == 1, codes_of(tape[lo:hi]))
+                    if end == start:  # back where the last call started: a cycle
+                        reps = (left - n) // m
+                        n += reps * m
+                        if log is not None:
+                            log._replay(len(log._literal) - m, m, reps)
+                    start = end
+                # Cache a whole macro step if it is longer than a lookup; a
+                # shorter one would save nothing when replayed.
+                if n > _LOOKUP_STEPS and not lo <= head < hi:
+                    if len(cache) >= _CACHE_ENTRIES:
+                        cache.clear()
+                    first = len(log._literal) - n if log is not None else 0  # where it was logged
+                    cache[key] = (head - lo, base, tape[lo:hi], n, first)
+                credit -= 2 * _LOOKUP_STEPS
         steps += n
         if halted:
             break

@@ -52,17 +52,6 @@ NEURON_COUNTS = {
     "Human (breath)": 86_000_000_000,
 }
 
-# Which natural models count anatomy (structural DOFs / muscles) versus
-# measured behavior.
-_NATURAL_SERIES = {
-    "C. elegans (anatomy)": SERIES_NATURAL_ANATOMY,
-    "Drosophila": SERIES_NATURAL_ANATOMY,
-    "Cat": SERIES_NATURAL_ANATOMY,
-    "C. elegans (agar behavior)": SERIES_NATURAL_BEHAVIOR,
-    "Human (mocap)": SERIES_NATURAL_BEHAVIOR,
-    "Human (breath)": SERIES_NATURAL_BEHAVIOR,
-}
-
 
 class TrendPoint(_Record):
     label: str
@@ -128,12 +117,16 @@ _MECH_BITS = _Source(
 
 
 # Artificial platforms are plotted at (x, y), both ``_Source``s, and the
-# natural models named in ``roster`` at (neuron count, y).  A ``square``
-# figure gets a square plot area.
+# natural models of ``roster``, (name, series) pairs, at (neuron count, y);
+# a series of anatomy counts structural DOFs or muscles, one of behavior
+# measured motion.  A ``square`` figure gets a square plot area.
 _Figure = namedtuple("_Figure", "axis_spec x y roster square", defaults=((), False))
 
 
-_WORMS = ("C. elegans (anatomy)", "C. elegans (agar behavior)")
+_WORMS = (
+    ("C. elegans (anatomy)", SERIES_NATURAL_ANATOMY),
+    ("C. elegans (agar behavior)", SERIES_NATURAL_BEHAVIOR),
+)
 _NEURONS_VS_BITS = AxisSpec(
     "year (artificial) or neurons (natural)",
     "mechanical capacity (bits)",
@@ -166,7 +159,12 @@ _FIGURES = {
         _NEURONS_VS_BITS,
         _YEAR,
         _MECH_BITS,
-        roster=_WORMS + ("Drosophila", "Cat", "Human (mocap)", "Human (breath)"),
+        roster=_WORMS + (
+            ("Drosophila", SERIES_NATURAL_ANATOMY),
+            ("Cat", SERIES_NATURAL_ANATOMY),
+            ("Human (mocap)", SERIES_NATURAL_BEHAVIOR),
+            ("Human (breath)", SERIES_NATURAL_BEHAVIOR),
+        ),
     ),
 }
 FIGURE_IDS = tuple(_FIGURES)
@@ -204,15 +202,16 @@ def trend_table(
     for p in platforms:
         if p.kind == ARTIFICIAL:
             add(p, fig.x, SERIES_ARTIFICIAL)
-    if fig.roster:
+    roster = dict(fig.roster)
+    if roster:
         by_name = {p.name: p for p in platforms}
-        for name in fig.roster:
+        for name, series in roster.items():
             if name in by_name:
-                add(by_name[name], _NEURONS, _NATURAL_SERIES[name])
+                add(by_name[name], _NEURONS, series)
         # Naturals that could never be plotted (no computable groups) get
         # a note even when the roster does not mention them.
         for p in platforms:
-            if p.kind == NATURAL and p.name not in fig.roster and not fig.y.has(p):
+            if p.kind == NATURAL and p.name not in roster and not fig.y.has(p):
                 _skip(diagnostics, p.name, fig.y.missing)
     return points
 

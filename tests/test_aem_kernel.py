@@ -660,6 +660,75 @@ def test_traces_stored_apart_compare_by_their_steps():
         assert a != b and b != a
 
 
+def test_a_read_back_twin_compares_without_walking_pieces(monkeypatch):
+    # The traced 10^6-step binary counter and the same run of its machine
+    # read back from .aem text store the same pieces under other rule
+    # numbers: one renumbering of the literal ids settles the comparison.
+    mf = counter(2, (0,))
+    twin = parse_machine(serialize_machine(mf.machine)).machine
+    a, b = (run(x, mf.tape, 10**6, trace=True) for x in (mf.machine, twin))
+    assert a.trace._replays and a.trace._tables.rules != b.trace._tables.rules
+    walks = []
+    real = aemachine.Trace._runs
+
+    def counted(self):
+        walks.append(self)
+        return real(self)
+
+    monkeypatch.setattr(aemachine.Trace, "_runs", counted)
+    same_names = ({s: s for s in twin.symbols}, {q: q for q in twin.states})
+    assert a.trace == b.trace and b.trace == a.trace
+    assert traces_isomorphic(a, b, *same_names) and traces_isomorphic(b, a, *same_names)
+    assert walks == []
+
+
+def two_byte_rules(machine):
+    """``machine`` widened, with a rule for each pad symbol from its initial
+    state, none of them reached: more than 256 rules, so its traces hold
+    two-byte ids."""
+    wide = widened(machine)
+    q = wide.initial_state
+    pads = {(q, s): (q, s, 0) for s in wide.symbols[len(machine.symbols) :]}
+    return Machine(
+        flavor=wide.flavor,
+        states=wide.states,
+        symbols=wide.symbols,
+        blank=wide.blank,
+        transitions={**wide.transitions, **pads},
+        initial_state=q,
+    )
+
+
+@pytest.mark.parametrize(
+    "typecode, make", [("B", lambda m: m), ("H", two_byte_rules)], ids=("B", "H")
+)
+def test_a_rule_the_other_lacks_makes_traces_differ(typecode, make):
+    # Both runners log the same ids, but each writes its own symbol: a's
+    # rule has no id among b's rules.
+    runner = "flavor computation\nstates r\nsymbols blank b x y\ninit r\nrule r b -> r {} R\n"
+    a, b = (make(parse_machine(runner.format(w)).machine) for w in "xy")
+    ta, tb = (run(x, {}, 100, trace=True).trace for x in (a, b))
+    assert ta._literal.typecode == tb._literal.typecode == typecode
+    assert ta._literal == tb._literal
+    assert ta != tb and tb != ta
+    assert tuple(ta) != tuple(tb)
+
+
+def test_renumbered_ids_that_differ_in_one_step_compare_unequal():
+    # b's rules are numbered apart from a's; a's ids, renumbered, fit b's
+    # typecode, and one step of b is changed to another rule.
+    m = parse_machine(COUNTER).machine
+    twin = parse_machine(serialize_machine(m)).machine
+    a = run(m, {1: "m"}, 20_000, trace=True).trace
+    b = run(twin, {1: "m"}, 20_000, trace=True).trace
+    assert a._tables.rules != b._tables.rules and a._replays == b._replays
+    assert a == b
+    last = len(b._literal) - 1
+    b._literal[last] = (b._literal[last] + 1) % len(twin.transitions)
+    assert tuple(a)[:-1] == tuple(b)[:-1] and tuple(a)[-1] != tuple(b)[-1]
+    assert a != b and b != a
+
+
 def test_trace_equality_agrees_with_tuples():
     rng = random.Random(6464)
     verdicts = set()
@@ -966,10 +1035,12 @@ def test_block_zero_clamps_where_a_later_block_leaves(kernel_calls):
 
 def test_far_cells_pulled_in_at_block_edges(kernel_calls):
     # A runner that stays four steps on each cell takes 32-step macro
-    # steps.  Cells that start beyond the dense tape sit at and next to
-    # the block edges where it doubles; each must be read where it was.
+    # steps.  Starting cells wait until the tape reaches them; these sit
+    # at and next to the edges where it doubles, and each must be read
+    # where it was.
     rng = random.Random(1024)
     edges = {c + d for c in (256, 512, 1024, 2048) for d in (-8, -1, 0, 1, 8)}
+    edges |= {c + d for c in (8, 16, 32, 64, 128) for d in (-1, 0, 1)}
     tape = {c: rng.choice("xy") for c in edges | {10**12}}
     budget = 4 * 2060
     for m in both_tapes(dwelling_runner(("b", "x", "y"), 4)):
@@ -977,8 +1048,11 @@ def test_far_cells_pulled_in_at_block_edges(kernel_calls):
         _, trace = assert_agrees(m, tape, budget)
         read = {t.head: t.read for t in trace if t.read != "b"}
         assert {c: read[c] for c in edges} == {c: tape[c] for c in edges}
-        # Every step was taken in a macro step: no plain stretch ran.
-        assert all(hi - lo == 8 for lo, hi, _ in kernel_calls)
+        # Every step past cell 64 was taken in a macro step.  Before it
+        # nearly every block holds other codes, so misses used up the
+        # credit and the traced and the untraced run each ran one plain
+        # stretch to the end of the tape.
+        assert [c for c in kernel_calls if c[1] - c[0] != 8] == [(1, 64, 1024)] * 2
 
 
 def test_three_hundred_symbols_in_macro_steps():

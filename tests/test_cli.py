@@ -983,6 +983,15 @@ def test_every_option_is_a_flag_or_takes_one_value():
         assert set(spec.get("exclusive", ())) <= set(spec["options"])
 
 
+def test_plot_offers_one_choice_per_figure():
+    # The one figure count the command line keeps apart, so that start-up
+    # never imports figures.
+    from mechx import figures
+
+    choices = cli._COMMANDS["plot"]["options"]["--figure"]["choices"]
+    assert choices == tuple(range(1, len(figures.FIGURE_IDS) + 1))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
