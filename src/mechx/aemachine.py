@@ -31,6 +31,7 @@ from the kernel's tape only when it is read.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from collections import namedtuple
@@ -124,6 +125,16 @@ class Machine(_Record):
         self.__dict__["_tables"] = _Tables(self)
 
 
+def _check_cells(cells: Mapping[int, str], code: Mapping[str, int] | None = None) -> None:
+    # The tape-cell rule of MachineConfig, run(), step() and serialize_machine:
+    # an int index >= 1, no bool, and a declared symbol when ``code`` is given.
+    for idx, sym in cells.items():
+        if not isinstance(idx, int) or isinstance(idx, bool) or idx < 1:
+            raise ValueError(f"cell index must be an integer >= 1, got {idx!r}")
+        if code is not None and sym not in code:
+            raise UndeclaredSymbolInTape(f"cell {idx} holds undeclared symbol {sym!r}")
+
+
 class MachineConfig(_Record):
     """A point-in-time machine configuration (tape, head, state)."""
 
@@ -134,9 +145,7 @@ class MachineConfig(_Record):
 
     def __post_init__(self):
         cells = dict(self.cells)
-        for idx in cells:
-            if not isinstance(idx, int) or idx < 1:
-                raise ValueError(f"cell index must be an integer >= 1, got {idx!r}")
+        _check_cells(cells)
         _require_int(self, "head")
         _require_int(self, "step_count")
         if self.head < 1:
@@ -440,10 +449,7 @@ def step(machine: Machine, config: MachineConfig) -> MachineConfig | Outcome:
     if config.state not in tables.base:
         raise ValueError(f"state {config.state!r} not declared by the machine")
     read = config.cells.get(config.head, machine.blank)
-    if read not in tables.code:
-        raise UndeclaredSymbolInTape(
-            f"cell {config.head} holds undeclared symbol {read!r}"
-        )
+    _check_cells({config.head: read}, tables.code)  # only the cell it reads
     # One step touches only the cell under the head.  Run it on a window
     # whose cell 1 is the real cell 1 when the head is there, so a left
     # move clamps, and otherwise the cell left of the head.
@@ -469,17 +475,16 @@ def step(machine: Machine, config: MachineConfig) -> MachineConfig | Outcome:
 _BLOCK = 8
 # What a cache hit costs, in plain steps; a miss costs twice as much.
 _LOOKUP_STEPS = 12
-# Steps of plain loop over the whole tape while macro steps do not pay.
+# Steps a plain stretch over the whole tape takes at most; see run().
 _PLAIN_STEPS = 1024
 # The credit macro steps start from, and try again with after a plain
 # stretch: room for two misses, then one more lookup.
 _PROBE_CREDIT = 4 * _LOOKUP_STEPS
 # Macro steps cached at most; a full cache is cleared.
 _CACHE_ENTRIES = 1024
-# Steps a kernel call inside a block takes at most: the least common
-# multiple of 1 to 8, so a cycle of up to 8 steps in a block brings each
-# call back to where it started.
-_CYCLE_STEPS = 840
+# Steps a kernel call inside a block takes at most: the lcm of 1 to _BLOCK,
+# 840, so a cycle of up to _BLOCK steps brings each call back to its start.
+_CYCLE_STEPS = math.lcm(*range(1, _BLOCK + 1))
 
 
 def run(
@@ -498,11 +503,12 @@ def run(
     replayed on the next visit.  A credit tracks whether that pays: each
     hit earns the steps it saves, its length less _LOOKUP_STEPS, and each
     miss costs twice _LOOKUP_STEPS.  When the credit is negative the plain
-    loop runs over the whole tape for _PLAIN_STEPS steps, and then macro
-    steps are tried again.  Inside a block the loop runs at most
-    _CYCLE_STEPS steps a call; a call that stays in the block and ends in
-    the state, head and codes it started from has gone round a cycle, and
-    the run jumps as many more such calls as the budget holds.
+    loop runs over the whole tape for _PLAIN_STEPS steps or until the head
+    reaches the end of the tape, and then macro steps are tried again.
+    Inside a block the loop runs at most _CYCLE_STEPS steps a call; a call
+    that stays in the block and ends in the state, head and codes it
+    started from has gone round a cycle, and the run jumps as many more
+    such calls as the budget holds.
 
     The tape holds a byte a cell when the machine has at most 256
     symbols, and a list entry a cell otherwise.  A traced run takes at
@@ -518,16 +524,10 @@ def run(
         tape, codes_of = bytearray(_BLOCK), bytearray.hex
     else:
         tape, codes_of = [0] * _BLOCK, tuple
-    far = []  # the starting cells the tape has not reached, last first
-    for idx, sym in initial_cells.items():
-        if not isinstance(idx, int) or idx < 1:
-            raise ValueError(f"cell index must be an integer >= 1, got {idx!r}")
-        code = tables.code.get(sym)
-        if code is None:
-            raise UndeclaredSymbolInTape(f"cell {idx} holds undeclared symbol {sym!r}")
-        if code:
-            far.append((idx, code))
-    far.sort(reverse=True)
+    _check_cells(initial_cells, tables.code)
+    far = sorted(  # the starting cells the tape has not reached, last first
+        ((idx, c) for idx, sym in initial_cells.items() if (c := tables.code[sym])), reverse=True
+    )
 
     log = Trace(tables) if trace else None
     head, base, steps, halted = 1, tables.base[machine.initial_state], 0, False
@@ -927,8 +927,9 @@ def parse_machine(text: str) -> MachineFile:
 def serialize_machine(machine: Machine, tape: Mapping[int, str] | None = None) -> str:
     """Canonical ".aem" text: declarations with the blank as the first
     symbol, rules in that declaration order of (state, symbol), then tape
-    cells in index order."""
-    tables = machine._tables
+    cells in index order.  A cell parse_machine would refuse raises ValueError."""
+    tables, tape = machine._tables, tape or {}
+    _check_cells(tape, tables.code)
     lines = [
         f"flavor {machine.flavor}",
         "states " + " ".join(machine.states),
@@ -940,9 +941,8 @@ def serialize_machine(machine: Machine, tape: Mapping[int, str] | None = None) -
             q, s, w, move = tables.rules[entry[3]]
             q2 = tables.state_of(entry[0])
             lines.append(f"rule {q} {s} -> {q2} {w} {_LETTER_OF_MOVE[move]}")
-    if tape:
-        for idx in sorted(tape):
-            lines.append(f"tape {idx} {tape[idx]}")
+    for idx in sorted(tape):
+        lines.append(f"tape {idx} {tape[idx]}")
     return "\n".join(lines) + "\n"
 
 

@@ -34,20 +34,18 @@ EXACT_DIGITS_LIMIT = 1_000_000
 class CountMode(str, Enum):
     """How a count is carried.
 
-    EXACT and BOTH count identically.  Each keeps the group factors and
-    takes log10, the digit count and the leading digits from a
-    fixed-point logarithm of the product, with log10 bit for bit what
-    ``ilog10`` of the exact product gives; small counts, and values
-    within the error margin of a rounding boundary, are read off the
-    exact product instead.  The exact int itself is formed on demand,
-    when ``BigCount.exact`` is read.  The two modes differ only in what
-    the command line prints.  LOG_SPACE forms no big int: log10 is the
-    sum of ``M * log10(R)`` over the groups, added in group order.
+    EXACT keeps the group factors and takes log10, the digit count and
+    the leading digits from a fixed-point logarithm of the product, with
+    log10 bit for bit what ``ilog10`` of the exact product gives; small
+    counts, and values within the error margin of a rounding boundary,
+    are read off the exact product instead.  The exact int itself is
+    formed on demand, when ``BigCount.exact`` is read.  LOG_SPACE forms
+    no big int: log10 is the sum of ``M * log10(R)`` over the groups,
+    added in group order.
     """
 
     EXACT = "exact"
     LOG_SPACE = "log_space"
-    BOTH = "both"
 
 
 def ilog10(n: int) -> float:
@@ -425,14 +423,14 @@ def _fold(factors: list, exact: bool) -> BigCount:
 
 
 def count_configurations(
-    platform: Platform, *, mechanical_only: bool = False, mode: CountMode = CountMode.BOTH
+    platform: Platform, *, mechanical_only: bool = False, mode: CountMode = CountMode.EXACT
 ) -> BigCount:
     """Product over groups of levels ** multiplicity as a BigCount.
 
     ``mechanical_only`` drops groups tagged non-mechanical first, without
     resolving them.  In LOG_SPACE mode no big int is ever formed; in
-    EXACT and BOTH modes the count keeps its factors and forms the exact
-    product when ``exact`` is read.  A counted range that does not divide
+    EXACT mode the count keeps its factors and forms the exact product
+    when ``exact`` is read.  A counted range that does not divide
     raises ``NonIntegralSpan``.
     """
     exact = CountMode(mode) is not CountMode.LOG_SPACE
@@ -484,7 +482,7 @@ class CapacityReport(_Record):
         return round(self.bits_mechanical)
 
 
-def analyze(platform: Platform, *, mode: CountMode = CountMode.BOTH) -> CapacityReport:
+def analyze(platform: Platform, *, mode: CountMode = CountMode.EXACT) -> CapacityReport:
     """Count configurations both ways and summarize the processor, if any.
 
     Each group is resolved once; the mechanical count folds the

@@ -134,9 +134,7 @@ def cmd_compute(args) -> int:
     )
 
     platform = _load_document(args.platform).platform
-    mode = (
-        CountMode.EXACT if args.exact else CountMode.LOG_SPACE if args.log_space else CountMode.BOTH
-    )
+    mode = CountMode.LOG_SPACE if args.log_space else CountMode.EXACT
     if args.mechanical_only:
         # Non-mechanical groups stay unresolved, so a non-integral range
         # on one of them cannot stop the count that is printed.
@@ -148,7 +146,7 @@ def cmd_compute(args) -> int:
         report = analyze(platform, mode=mode)
         counts = [("all", report.count_all), ("mechanical", report.count_mechanical)]
         computational = report.computational
-    if mode is CountMode.EXACT:
+    if args.exact:
         # The digit count comes from the count's logarithm, so a count
         # too large to form is refused before any product is built.
         for _, c in counts:
@@ -159,7 +157,8 @@ def cmd_compute(args) -> int:
                 )
     rendered: dict = {}  # id(count) -> decimal string; a shared count renders once
 
-    payload = {"platform": platform.name, "kind": platform.kind, "mode": mode.value}
+    named = mode.value if args.exact or args.log_space else "both"  # the default's JSON name
+    payload = {"platform": platform.name, "kind": platform.kind, "mode": named}
     dof = sum(g.multiplicity for g in platform.groups)
     lines = [
         f"platform: {_one_line(platform.name)}",
@@ -173,7 +172,7 @@ def cmd_compute(args) -> int:
             payload[f"k_bits_{label}_rounded"] = round(bits)
             payload[f"log10_c_{label}"] = c.log10
             payload[f"c_digits_{label}"] = c.digit_count
-            if mode is CountMode.EXACT:
+            if args.exact:
                 if id(c) not in rendered:
                     rendered[id(c)] = c.decimal()
                 payload[f"c_exact_{label}"] = rendered[id(c)]

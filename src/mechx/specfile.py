@@ -74,10 +74,11 @@ class Diagnostic(_Record):
 class PlatformDocument(_Record):
     """A parsed platform plus bookkeeping about where items came from.
 
-    ``source_line_map`` keys: "platform", "kind", "year", "processor",
-    "note[<i>]", and "group:<label>".  ``scientific_transistors`` records
-    whether the transistor count was written in scientific or fractional
-    notation (it is stored rounded to an int either way).
+    ``source_line_map`` keys: "platform", "kind", "year", "processor" and
+    "note[<i>]"; each group keeps its own line as ``_line``.
+    ``scientific_transistors`` records whether the transistor count was
+    written in scientific or fractional notation (it is stored rounded to
+    an int either way).
     """
 
     platform: Platform
@@ -243,7 +244,7 @@ def parse_platform(text: str) -> PlatformDocument:
     """
     values: dict[str, object] = dict.fromkeys(_SINGLETONS)  # None until read
     notes: list[str] = []
-    groups: list[DofGroup] = []
+    groups: dict[str, DofGroup] = {}  # by label
     line_map: dict[str, int] = {}
     scientific = False
 
@@ -299,14 +300,12 @@ def parse_platform(text: str) -> PlatformDocument:
                 raise
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from exc
-            key = f"group:{group.label}"
-            if key in line_map:
+            if group.label in groups:
                 raise DuplicateGroupLabel(
                     lineno, f"duplicate group label {group.label!r}"
                 )
             group.__dict__["_line"] = lineno  # outside the record fields
-            groups.append(group)
-            line_map[key] = lineno
+            groups[group.label] = group
         else:
             raise ParseError(lineno, f"unknown keyword {head!r}")
         cur.end()
@@ -318,7 +317,7 @@ def parse_platform(text: str) -> PlatformDocument:
     platform = Platform(
         name=name,
         kind=kind if kind is not None else ARTIFICIAL,
-        groups=tuple(groups),
+        groups=tuple(groups.values()),
         year=year,
         processor=processor,
         notes=tuple(notes),

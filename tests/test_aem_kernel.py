@@ -1055,6 +1055,39 @@ def test_far_cells_pulled_in_at_block_edges(kernel_calls):
         assert [c for c in kernel_calls if c[1] - c[0] != 8] == [(1, 64, 1024)] * 2
 
 
+def test_a_plain_stretch_ends_where_the_tape_does(monkeypatch):
+    # A plain stretch runs over the whole tape for at most _PLAIN_STEPS
+    # steps.  When the head reaches the end of the tape first, the stretch
+    # ends there without halting, the tape grows, and the next call is a
+    # macro step's again, from the head's block.
+    calls = []
+    real = aemachine._kernel
+
+    def recording(tables, tape, head, base, lo, hi, limit, trace):
+        halted, head, base, n = real(tables, tape, head, base, lo, hi, limit, trace)
+        calls.append((lo, hi, limit, halted, head, n))
+        return halted, head, base, n
+
+    monkeypatch.setattr(aemachine, "_kernel", recording)
+    rng = random.Random(1024)
+    tape = {c: rng.choice("xy") for c in range(1, 600)}
+    for m in both_tapes(dwelling_runner(("b", "x", "y"), 4)):
+        del calls[:]
+        assert run(m, tape, 4 * 2060).outcome is Outcome.BUDGET_EXHAUSTED
+        stretches = [i for i, c in enumerate(calls) if c[1] - c[0] != 8]
+        early = 0
+        for i in stretches:
+            lo, hi, limit, halted, head, n = calls[i]
+            assert lo == 1 and limit == aemachine._PLAIN_STEPS and not halted
+            if n < limit:
+                assert head == hi  # the head left the tape
+                early += 1
+            after = calls[i + 1]
+            assert after[:2] == (head - (head - 1) % 8, head - (head - 1) % 8 + 8)
+        # Cells 64 to 512 each ended a stretch early; the last ran in full.
+        assert early == 4 and len(stretches) == 5
+
+
 def test_three_hundred_symbols_in_macro_steps():
     # Codes past one byte in the cached blocks; rule ids past one byte in
     # the replayed trace.  Every block of the first 400 cells holds the

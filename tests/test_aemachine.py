@@ -106,6 +106,27 @@ class TestStep:
         with pytest.raises(ValueError):
             run(m, {0: "1"}, max_steps=1)
 
+    @pytest.mark.parametrize(
+        "use",
+        [
+            lambda cells: MachineConfig(cells=cells, head=1, state="q0"),
+            lambda cells: run(mk({}), cells, max_steps=1),
+            lambda cells: serialize_machine(mk({}), cells),
+        ],
+        ids=["MachineConfig", "run", "serialize_machine"],
+    )
+    @pytest.mark.parametrize("idx", [True, False, 0, -1, 1.0, "1"])
+    def test_one_rule_for_a_cell_index(self, use, idx):
+        # A bool is no cell index: .aem text would write it as "True".
+        with pytest.raises(ValueError) as info:
+            use({idx: "1"})
+        assert str(info.value) == f"cell index must be an integer >= 1, got {idx!r}"
+
+    def test_serialize_refuses_an_undeclared_symbol(self):
+        with pytest.raises(UndeclaredSymbolInTape) as info:
+            serialize_machine(mk({}), {1: "1", 2: "zz"})
+        assert str(info.value) == "cell 2 holds undeclared symbol 'zz'"
+
     def test_blank_cells_in_input_dropped(self):
         m = mk({})
         result = run(m, {1: "e", 2: "1"}, max_steps=1)
@@ -390,6 +411,33 @@ class TestFormat:
         doc = parse_machine(text)
         assert doc.machine == machine
         assert doc.tape == tape
+        assert serialize_machine(doc.machine, doc.tape) == text
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_tapes_round_trip_or_are_refused(self, data):
+        # A tape of any keys and values: serialize_machine either writes
+        # text that reads back as the same tape, or refuses it with the
+        # ValueError run() gives for the same cells.
+        m = INCREMENTER.machine
+        index = st.one_of(
+            st.integers(-2, 10**30),
+            st.booleans(),
+            st.floats(allow_nan=False),
+            st.text("1x", max_size=2),
+        )
+        symbol = st.one_of(st.sampled_from(m.symbols), st.text("1ez", max_size=2))
+        tape = data.draw(st.dictionaries(index, symbol, max_size=5))
+        try:
+            text = serialize_machine(m, tape)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as ran:
+                run(m, tape, 1)
+            assert str(ran.value) == str(exc)
+            return
+        doc = parse_machine(text)
+        assert doc.tape == tape
+        assert all(type(idx) is int for idx in tape)
         assert serialize_machine(doc.machine, doc.tape) == text
 
     @pytest.mark.parametrize(

@@ -177,6 +177,14 @@ class TestCounting:
         assert c.exact is None
         assert c.log10 == pytest.approx(3 * math.log10(7), rel=1e-12)
 
+    def test_two_modes_and_exact_is_the_default(self):
+        assert [m.value for m in CountMode] == ["exact", "log_space"]
+        with pytest.raises(ValueError):
+            CountMode("both")  # the command line's default names no mode of its own
+        p = platform_of([DofGroup("a", 3, DiscreteStates(7))])
+        assert count_configurations(p).exact == analyze(p).count_all.exact == 7**3
+
+
 def _random_tagged_platform(rng):
     """Up to six groups, about a third non-mechanical, with ranges whose
     span is a whole number of resolutions."""

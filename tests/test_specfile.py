@@ -69,9 +69,9 @@ class TestParseReference:
         lm = doc.source_line_map
         assert lm["platform"] == 1
         assert lm["kind"] == 2
-        assert lm["group:gripper"] == 3
-        assert lm["group:servo"] == 4
-        assert lm["group:led"] == 5
+        # A group's line is kept on the group, not in the map.
+        assert [g.__dict__["_line"] for g in doc.platform.groups] == [3, 4, 5]
+        assert not any(key.startswith("group:") for key in lm)
 
     def test_full_statement_set(self):
         text = (
@@ -524,7 +524,7 @@ class TestCountErrorsNameTheirLine:
         with pytest.raises(NonIntegralSpan) as info:
             analyze(doc.platform)
         exc = info.value
-        assert exc.line == doc.source_line_map["group:g"] == 5
+        assert exc.line == 5
         assert exc.group is doc.platform.groups[1]
         assert (exc.label, exc.ratio, exc.nearest) == ("g", 3.3333333333333335, 3)
         assert str(exc) == f"line 5: {self.MESSAGE}"
@@ -638,13 +638,15 @@ def test_group_names_the_token_after_count(after, found):
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_each_group_keeps_the_line_the_map_records(seed):
-    # A parsed group's line lives on the group and in source_line_map.
-    doc = parse_platform(random_document(random.Random(seed)))
-    groups = doc.platform.groups
-    assert [g.__dict__["_line"] for g in groups] == [
-        doc.source_line_map[f"group:{g.label}"] for g in groups
+def test_each_group_keeps_the_line_of_its_statement(seed):
+    # A parsed group's line lives on the group only.
+    text = random_document(random.Random(seed))
+    doc = parse_platform(text)
+    statements = [
+        n for n, line in enumerate(text.split("\n"), start=1) if line.startswith("group ")
     ]
+    assert [g.__dict__["_line"] for g in doc.platform.groups] == statements
+    assert not any(key.startswith("group:") for key in doc.source_line_map)
 
 
 # The number format as a regular expression, which the reader once used.
