@@ -202,11 +202,16 @@ def _require_int(record: _Record, field: str) -> None:
         raise ValueError(
             f"{type(record).__name__}.{field} must be an int, got {value!r}"
         )
-    # Below 2**(3 * MAX_INT_DIGITS) an int has at most MAX_INT_DIGITS digits.
-    if value.bit_length() > 3 * MAX_INT_DIGITS and abs(value) >= 10**MAX_INT_DIGITS:
+    if _over_digit_limit(value):
         raise ValueError(
             f"{type(record).__name__}.{field} has more than {MAX_INT_DIGITS} digits"
         )
+
+
+def _over_digit_limit(value: int) -> bool:
+    """Whether the int ``value`` has more than MAX_INT_DIGITS digits."""
+    # Below 2**(3 * MAX_INT_DIGITS) an int has at most MAX_INT_DIGITS digits.
+    return value.bit_length() > 3 * MAX_INT_DIGITS and abs(value) >= 10**MAX_INT_DIGITS
 
 
 # The public names, by the submodule that defines them.  Importing the
@@ -225,9 +230,9 @@ _EXPORTS = {
     ),
     "specfile": (
         "DatasetCorrupt", "Diagnostic", "DuplicateGroupLabel",
-        "MissingPlatformName", "ParseError", "PlatformDocument", "Severity",
-        "SpecFileError", "dataset_lookup", "load_dataset", "parse_platform",
-        "serialize_platform", "validate",
+        "MissingPlatformName", "ParseError", "PlatformDocument", "SpecFileError",
+        "dataset_lookup", "load_dataset", "parse_platform", "serialize_platform",
+        "validate",
     ),
     "aemachine": (
         "HALTED", "Machine", "MachineConfig", "MachineFile", "Outcome",

@@ -40,7 +40,10 @@ from enum import Enum
 from itertools import accumulate, chain, islice
 from operator import eq
 
-from . import _BLANKS, _Factory, _LineError, _Record, _lines, _require_int
+from . import (
+    _BLANKS, MAX_INT_DIGITS, _Factory, _LineError, _Record, _lines, _over_digit_limit,
+    _require_int,
+)
 
 COMPUTATION = "computation"
 MECHANIZATION = "mechanization"
@@ -82,6 +85,9 @@ class _FieldError(ValueError):
 
 Transition = tuple[str, str, int]  # (next state, written symbol, move)
 
+# A name .aem can write: a word with no line end and no "#" to start a comment.
+_NAME_RE = re.compile(f"[^{_BLANKS}\n#]+")
+
 
 class Machine(_Record):
     """Immutable machine definition.
@@ -89,7 +95,9 @@ class Machine(_Record):
     ``transitions`` maps (state, read symbol) to (next state, written
     symbol, move); pairs with no entry halt the machine.  ``symbols`` is
     stored with the blank first, as .aem files list it, and the others in
-    the given order, so a machine equals its own round trip.
+    the given order, so a machine equals its own round trip.  A state
+    or symbol name is one .aem word: a name that is not a str, is empty
+    or holds a space, tab, CR, LF or "#" raises ValueError.
     """
 
     flavor: str
@@ -111,6 +119,14 @@ class Machine(_Record):
             raise _FieldError("states", "duplicate state names")
         if len(symbols) != len(self.symbols):
             raise _FieldError("symbols", "duplicate symbol names")
+        for field, names in (("states", self.states), ("symbols", self.symbols)):
+            for name in names:
+                if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+                    raise _FieldError(
+                        field,
+                        f"{field[:-1]} name {name!r} is not one .aem word: a "
+                        "non-empty str with no blank, line end or '#'",
+                    )
         if self.blank not in symbols:
             raise ValueError(f"blank {self.blank!r} is not a declared symbol")
         blank_first = (self.blank, *(s for s in self.symbols if s != self.blank))
@@ -127,10 +143,13 @@ class Machine(_Record):
 
 def _check_cells(cells: Mapping[int, str], code: Mapping[str, int] | None = None) -> None:
     # The tape-cell rule of MachineConfig, run(), step() and serialize_machine:
-    # an int index >= 1, no bool, and a declared symbol when ``code`` is given.
+    # an int index >= 1 of at most MAX_INT_DIGITS digits, no bool, and a
+    # declared symbol when ``code`` is given.
     for idx, sym in cells.items():
         if not isinstance(idx, int) or isinstance(idx, bool) or idx < 1:
             raise ValueError(f"cell index must be an integer >= 1, got {idx!r}")
+        if _over_digit_limit(idx):
+            raise ValueError(f"cell index has more than {MAX_INT_DIGITS} digits")
         if code is not None and sym not in code:
             raise UndeclaredSymbolInTape(f"cell {idx} holds undeclared symbol {sym!r}")
 

@@ -410,9 +410,9 @@ def _factors(groups) -> list:
     return [(r, g.multiplicity) for g, r in zip(groups, levels)]
 
 
-def _fold(factors: list, exact: bool) -> BigCount:
+def _fold(factors: list, mode: CountMode) -> BigCount:
     """The count of a list of group factors ``(R, M)``, folded in group order."""
-    if exact:
+    if CountMode(mode) is CountMode.EXACT:
         return BigCount._from_factors(factors)
     # A plain left-to-right loop: sum() compensates float rounding from
     # Python 3.12 on, which would change the bits between versions.
@@ -433,9 +433,8 @@ def count_configurations(
     when ``exact`` is read.  A counted range that does not divide
     raises ``NonIntegralSpan``.
     """
-    exact = CountMode(mode) is not CountMode.LOG_SPACE
     groups = mechanical_groups(platform) if mechanical_only else platform.groups
-    return _fold(_factors(groups), exact)
+    return _fold(_factors(groups), mode)
 
 
 ComputationalCapacity = namedtuple("ComputationalCapacity", "bits config_digits")
@@ -489,15 +488,14 @@ def analyze(platform: Platform, *, mode: CountMode = CountMode.EXACT) -> Capacit
     mechanical groups' factors in their own order.  When every group is
     mechanical the two counts are one object.
     """
-    exact = CountMode(mode) is not CountMode.LOG_SPACE
     factors = _factors(platform.groups)
     mechanical = [f for g, f in zip(platform.groups, factors) if g.is_mechanical]
-    count_all = _fold(factors, exact)
+    count_all = _fold(factors, mode)
     return CapacityReport(
         name=platform.name,
         count_all=count_all,
         count_mechanical=(
-            count_all if len(mechanical) == len(factors) else _fold(mechanical, exact)
+            count_all if len(mechanical) == len(factors) else _fold(mechanical, mode)
         ),
         computational=(
             computational_capacity(platform.processor)

@@ -26,7 +26,7 @@ from collections.abc import Iterable
 from . import _Record
 from .capacity import count_configurations
 from .model import ARTIFICIAL, NATURAL, Platform
-from .specfile import Diagnostic, Severity, _fmt_num, is_computable
+from .specfile import Diagnostic, _fmt_num, is_computable
 
 
 class UnknownFigureId(ValueError):
@@ -41,15 +41,17 @@ SERIES_ARTIFICIAL = "artificial"
 SERIES_NATURAL_ANATOMY = "natural-anatomy"
 SERIES_NATURAL_BEHAVIOR = "natural-behavior"
 
-# x positions for the natural models; the worm count is exact, the rest
-# are estimates.
-NEURON_COUNTS = {
-    "C. elegans (anatomy)": 302,
-    "C. elegans (agar behavior)": 302,
-    "Drosophila": 100_000,
-    "Cat": 760_000_000,
-    "Human (mocap)": 86_000_000_000,
-    "Human (breath)": 86_000_000_000,
+# The natural models, in the order figures plot them, each with its neuron
+# count (its x) and its series: a series of anatomy counts structural DOFs
+# or muscles, one of behavior measured motion.  The worm count is exact,
+# the rest are estimates.
+NATURAL_MODELS = {
+    "C. elegans (anatomy)": (302, SERIES_NATURAL_ANATOMY),
+    "C. elegans (agar behavior)": (302, SERIES_NATURAL_BEHAVIOR),
+    "Drosophila": (100_000, SERIES_NATURAL_ANATOMY),
+    "Cat": (760_000_000, SERIES_NATURAL_ANATOMY),
+    "Human (mocap)": (86_000_000_000, SERIES_NATURAL_BEHAVIOR),
+    "Human (breath)": (86_000_000_000, SERIES_NATURAL_BEHAVIOR),
 }
 
 
@@ -58,7 +60,6 @@ class TrendPoint(_Record):
     x: float
     y: float
     series: str
-    y_is_log10: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
@@ -82,14 +83,12 @@ class FigureBundle(_Record):
 
 def _skip(diagnostics: list | None, name: str, why: str):
     if diagnostics is not None:
-        diagnostics.append(
-            Diagnostic(Severity.WARNING, 0, f"skipped {name!r}: {why}")
-        )
+        diagnostics.append(Diagnostic(0, f"skipped {name!r}: {why}"))
 
 
 # One coordinate of a figure: ``value(p)`` is defined only for platforms
 # that pass ``has(p)``; the others are skipped with reason ``missing``.
-_Source = namedtuple("_Source", "missing has value is_log10", defaults=(False,))
+_Source = namedtuple("_Source", "missing has value")
 
 
 _YEAR = _Source("no year", lambda p: p.year is not None, lambda p: float(p.year))
@@ -100,14 +99,13 @@ _TRANSISTORS = _Source(
 )
 _NEURONS = _Source(
     "no neuron count",
-    lambda p: p.name in NEURON_COUNTS,
-    lambda p: float(NEURON_COUNTS[p.name]),
+    lambda p: p.name in NATURAL_MODELS,
+    lambda p: float(NATURAL_MODELS[p.name][0]),
 )
 _MECH_LOG10 = _Source(
     "capacity is not computable",
     is_computable,
     lambda p: count_configurations(p, mechanical_only=True).log10,
-    is_log10=True,
 )
 _MECH_BITS = _Source(
     "capacity is not computable",
@@ -117,16 +115,11 @@ _MECH_BITS = _Source(
 
 
 # Artificial platforms are plotted at (x, y), both ``_Source``s, and the
-# natural models of ``roster``, (name, series) pairs, at (neuron count, y);
-# a series of anatomy counts structural DOFs or muscles, one of behavior
-# measured motion.  A ``square`` figure gets a square plot area.
-_Figure = namedtuple("_Figure", "axis_spec x y roster square", defaults=((), False))
+# first ``naturals`` of NATURAL_MODELS at (neuron count, y).  A ``square``
+# figure gets a square plot area.
+_Figure = namedtuple("_Figure", "axis_spec x y naturals square", defaults=(0, False))
 
 
-_WORMS = (
-    ("C. elegans (anatomy)", SERIES_NATURAL_ANATOMY),
-    ("C. elegans (agar behavior)", SERIES_NATURAL_BEHAVIOR),
-)
 _NEURONS_VS_BITS = AxisSpec(
     "year (artificial) or neurons (natural)",
     "mechanical capacity (bits)",
@@ -154,17 +147,9 @@ _FIGURES = {
         _MECH_BITS,
         square=True,
     ),
-    "fig4_celegans": _Figure(_NEURONS_VS_BITS, _YEAR, _MECH_BITS, roster=_WORMS),
+    "fig4_celegans": _Figure(_NEURONS_VS_BITS, _YEAR, _MECH_BITS, naturals=2),
     "fig5_animals": _Figure(
-        _NEURONS_VS_BITS,
-        _YEAR,
-        _MECH_BITS,
-        roster=_WORMS + (
-            ("Drosophila", SERIES_NATURAL_ANATOMY),
-            ("Cat", SERIES_NATURAL_ANATOMY),
-            ("Human (mocap)", SERIES_NATURAL_BEHAVIOR),
-            ("Human (breath)", SERIES_NATURAL_BEHAVIOR),
-        ),
+        _NEURONS_VS_BITS, _YEAR, _MECH_BITS, naturals=len(NATURAL_MODELS)
     ),
 }
 FIGURE_IDS = tuple(_FIGURES)
@@ -190,24 +175,18 @@ def trend_table(
                 _skip(diagnostics, p.name, source.missing)
                 return
         points.append(
-            TrendPoint(
-                label=p.name,
-                x=x.value(p),
-                y=fig.y.value(p),
-                series=series,
-                y_is_log10=fig.y.is_log10,
-            )
+            TrendPoint(label=p.name, x=x.value(p), y=fig.y.value(p), series=series)
         )
 
     for p in platforms:
         if p.kind == ARTIFICIAL:
             add(p, fig.x, SERIES_ARTIFICIAL)
-    roster = dict(fig.roster)
+    roster = list(NATURAL_MODELS)[: fig.naturals]
     if roster:
         by_name = {p.name: p for p in platforms}
-        for name, series in roster.items():
+        for name in roster:
             if name in by_name:
-                add(by_name[name], _NEURONS, series)
+                add(by_name[name], _NEURONS, NATURAL_MODELS[name][1])
         # Naturals that could never be plotted (no computable groups) get
         # a note even when the roster does not mention them.
         for p in platforms:
@@ -232,7 +211,7 @@ def emit_csv(points: Iterable[TrendPoint]) -> str:
 
 
 def parse_csv(text: str) -> list[TrendPoint]:
-    """Inverse of emit_csv (y_is_log10 is not carried by the format)."""
+    """Inverse of emit_csv."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != ["label", "series", "x", "y"]:
         raise ValueError("missing or malformed header row")
@@ -253,8 +232,9 @@ _PALETTE = {
 }
 _FALLBACK_COLORS = ("#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
 LABEL_SUPPRESS_PX = 12.0
-# The largest width or height, in px: squared distances between markers
-# then stay far inside float range.
+# The default width and height of a figure, in px, and the largest: squared
+# distances between markers then stay far inside float range.
+WIDTH_PX, HEIGHT_PX = 640, 480
 MAX_SIZE_PX = 1_000_000
 
 
@@ -349,8 +329,8 @@ def _log_ticks(lo: float, hi: float) -> list[tuple[float, str]]:
 def emit_svg_scatter(
     points: Iterable[TrendPoint],
     axis_spec: AxisSpec,
-    width: float = 640,
-    height: float = 480,
+    width: float = WIDTH_PX,
+    height: float = HEIGHT_PX,
 ) -> str:
     """Self-contained SVG 1.1 scatter plot.
 
@@ -433,8 +413,8 @@ def emit_svg_scatter(
 def build_figure(
     dataset: Iterable[Platform],
     figure_id: str,
-    width: float = 640,
-    height: float = 480,
+    width: float = WIDTH_PX,
+    height: float = HEIGHT_PX,
     diagnostics: list | None = None,
 ) -> FigureBundle:
     """Assemble points, CSV, and SVG for one figure id.

@@ -21,7 +21,6 @@ import _thread
 import os
 import re
 import sys
-from enum import Enum
 
 from . import _BLANKS, DatasetCorrupt, _Factory, _LineError, _Record, _lines
 from .model import (
@@ -57,18 +56,14 @@ class MissingPlatformName(ParseError):
         self.args = (line,)
 
 
-class Severity(str, Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-
 class Diagnostic(_Record):
-    severity: Severity
+    """A lint warning: the reader raises every error."""
+
     line: int
     message: str
 
     def __str__(self):
-        return f"{self.severity.value}: line {self.line}: {self.message}"
+        return f"warning: line {self.line}: {self.message}"
 
 
 class PlatformDocument(_Record):
@@ -390,7 +385,6 @@ def validate(doc: PlatformDocument) -> list[Diagnostic]:
         except NonIntegralSpan as exc:
             out.append(
                 Diagnostic(
-                    Severity.WARNING,
                     exc.line,
                     f"group {g.label!r}: span/resolution = {exc.ratio!r} is not "
                     f"integral; strict analysis will reject this document",
@@ -426,7 +420,7 @@ def validate(doc: PlatformDocument) -> list[Diagnostic]:
         ),
     )
     out.extend(
-        Diagnostic(Severity.WARNING, lm.get(key, 0), message)
+        Diagnostic(lm.get(key, 0), message)
         for condition, key, message in notices
         if condition
     )

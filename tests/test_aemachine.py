@@ -1,11 +1,13 @@
 """Abstract machine semantics, relabeling twins, and the .aem format."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mechx
+from mechx import MAX_INT_DIGITS
 from mechx.aemachine import (
     COMPUTATION,
     FLAVORS,
@@ -412,6 +414,64 @@ class TestFormat:
         assert doc.machine == machine
         assert doc.tape == tape
         assert serialize_machine(doc.machine, doc.tape) == text
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_machines_with_any_names_round_trip_or_are_refused(self, data):
+        # Names may also be empty, hold a blank, a line end or "#", or not be
+        # a str, which .aem cannot write: Machine refuses exactly those, and
+        # every machine it accepts reads back unchanged.
+        name = st.text(st.sampled_from("ab_ \t\r\n#\xa0"), max_size=3) | st.just(7)
+        states = data.draw(st.lists(name, min_size=1, max_size=3, unique=True))
+        symbols = data.draw(st.lists(name, min_size=1, max_size=3, unique=True))
+        state, symbol = st.sampled_from(states), st.sampled_from(symbols)
+        rule = st.tuples(state, symbol, st.sampled_from((-1, 0, 1)))
+        keys = data.draw(st.lists(st.tuples(state, symbol), max_size=3, unique=True))
+
+        def build():
+            return Machine(
+                flavor=COMPUTATION,
+                states=states,
+                symbols=symbols,
+                blank=data.draw(symbol),
+                transitions={key: data.draw(rule) for key in keys},
+                initial_state=data.draw(state),
+            )
+
+        def writable(n):
+            return isinstance(n, str) and n and not set(n) & set(" \t\r\n#")
+
+        if not all(map(writable, states + symbols)):
+            with pytest.raises(ValueError, match="is not one .aem word"):
+                build()
+            return
+        machine = build()
+        assert parse_machine(serialize_machine(machine)).machine == machine
+
+    @pytest.mark.parametrize("limit", [MAX_INT_DIGITS, 0], ids=["limit-on", "limit-off"])
+    def test_cell_index_digits_bounded_as_in_files(self, limit):
+        # A cell index of MAX_INT_DIGITS digits is taken and round-trips; one
+        # more digit is refused with one text by all three, whether or not
+        # the interpreter itself could convert the index.
+        m = INCREMENTER.machine
+        widest, over = {10**MAX_INT_DIGITS - 1: "1"}, {10**MAX_INT_DIGITS: "1"}
+        makers = (
+            lambda cells: MachineConfig(cells, 1, m.initial_state),
+            lambda cells: run(m, cells, 1),
+            lambda cells: serialize_machine(m, cells),
+        )
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            for make in makers:
+                make(widest)
+            assert parse_machine(serialize_machine(m, widest)).tape == widest
+            for make in makers:
+                with pytest.raises(ValueError) as exc:
+                    make(over)
+                assert str(exc.value) == f"cell index has more than {MAX_INT_DIGITS} digits"
+        finally:
+            sys.set_int_max_str_digits(default)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

@@ -992,6 +992,16 @@ def test_plot_offers_one_choice_per_figure():
     assert choices == tuple(range(1, len(figures.FIGURE_IDS) + 1))
 
 
+def test_plot_size_defaults_are_figures_default_size():
+    # The command line's copy of the one default size, kept apart for the
+    # same reason.
+    from mechx import figures
+
+    options = cli._COMMANDS["plot"]["options"]
+    defaults = (options["--width"]["default"], options["--height"]["default"])
+    assert defaults == (figures.WIDTH_PX, figures.HEIGHT_PX)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -15,7 +15,7 @@ import pytest
 from mechx import figures
 from mechx.figures import (
     FIGURE_IDS,
-    NEURON_COUNTS,
+    NATURAL_MODELS,
     AxisSpec,
     DegenerateAxisWarning,
     TrendPoint,
@@ -68,7 +68,8 @@ class TestTrendTables:
 
     def test_fig2_is_year_vs_log10_configs(self):
         points = trend_table(DATASET, "fig2_mech_configs")
-        assert all(p.y_is_log10 for p in points)
+        axis_spec = build_figure(DATASET, "fig2_mech_configs").axis_spec
+        assert axis_spec.y_label == "log10 mechanical configurations"
         p = by_label(points, "NAO")
         assert p.x == 2008
         assert p.y == pytest.approx(71.62, abs=0.05)
@@ -100,8 +101,8 @@ class TestTrendTables:
         cat = by_label(points, "Cat")
         mocap = by_label(points, "Human (mocap)")
         breath = by_label(points, "Human (breath)")
-        assert fly.x == NEURON_COUNTS["Drosophila"] == 100_000
-        assert cat.x == NEURON_COUNTS["Cat"] == 760_000_000
+        assert fly.x == NATURAL_MODELS["Drosophila"][0] == 100_000
+        assert cat.x == NATURAL_MODELS["Cat"][0] == 760_000_000
         assert mocap.x == breath.x == 86_000_000_000
         assert fly.y == pytest.approx(2072.7, abs=1)
         assert cat.y == pytest.approx(3434.9, abs=1)

@@ -161,7 +161,7 @@ PUBLIC_NAMES = [
     "computational_capacity", "count_configurations", "digits_of_pow2", "ilog10",
     "ndigits", "DatasetCorrupt", "Diagnostic",
     "DuplicateGroupLabel", "MissingPlatformName", "ParseError", "PlatformDocument",
-    "Severity", "SpecFileError", "dataset_lookup", "load_dataset", "parse_platform",
+    "SpecFileError", "dataset_lookup", "load_dataset", "parse_platform",
     "serialize_platform", "validate", "HALTED", "Machine", "MachineConfig",
     "MachineFile", "Outcome", "RunResult", "TraceStep",
     "parse_machine", "run", "serialize_machine", "step", "to_mechanization",

@@ -44,7 +44,6 @@ from mechx.specfile import (
     Diagnostic,
     MissingPlatformName,
     PlatformDocument,
-    Severity,
     SpecFileError,
     parse_platform,
     serialize_platform,
@@ -126,9 +125,9 @@ RECORDS = {
         "bits_difference=4.754887502163468, log10_ratio=1.4313637641589874, bits_ratio=inf)",
     ),
     "Diagnostic": (
-        lambda: Diagnostic(Severity.WARNING, 3, "msg"),
-        lambda: Diagnostic(Severity.ERROR, 3, "msg"),
-        "Diagnostic(severity=<Severity.WARNING: 'warning'>, line=3, message='msg')",
+        lambda: Diagnostic(3, "msg"),
+        lambda: Diagnostic(4, "msg"),
+        "Diagnostic(line=3, message='msg')",
     ),
     "PlatformDocument": (
         lambda: PlatformDocument(_platform(), {"platform": 1}, True, False),
@@ -139,7 +138,7 @@ RECORDS = {
     "TrendPoint": (
         _point,
         lambda: _point(48.0),
-        "TrendPoint(label='rig', x=2001.0, y=47.0, series='artificial', y_is_log10=False)",
+        "TrendPoint(label='rig', x=2001.0, y=47.0, series='artificial')",
     ),
     "AxisSpec": (
         _axes,
@@ -150,7 +149,7 @@ RECORDS = {
         lambda: FigureBundle("fig1", (_point(),), "a,b\n", "<svg/>", _axes()),
         lambda: FigureBundle("fig2", (_point(),), "a,b\n", "<svg/>", _axes()),
         "FigureBundle(figure_id='fig1', points=(TrendPoint(label='rig', x=2001.0, y=47.0, "
-        "series='artificial', y_is_log10=False),), csv='a,b\\n', svg='<svg/>', "
+        "series='artificial'),), csv='a,b\\n', svg='<svg/>', "
         "axis_spec=AxisSpec(x_label='year', y_label='transistors', x_log=False, y_log=True))",
     ),
     "Machine": (

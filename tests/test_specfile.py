@@ -26,7 +26,6 @@ from mechx.specfile import (
     DuplicateGroupLabel,
     MissingPlatformName,
     ParseError,
-    Severity,
     SpecFileError,
     dataset_lookup,
     is_computable,
@@ -430,7 +429,6 @@ def test_random_documents_mutation_rejected():
 class TestValidate:
     def test_clean_document(self):
         diags = validate(parse_platform(SIMPLE_ROBOT))
-        assert all(d.severity is Severity.WARNING for d in diags)
         # The only expected entry is the informational missing-processor one.
         assert all(d.message.startswith("informational:") for d in diags)
 
@@ -439,7 +437,6 @@ class TestValidate:
         diags = validate(parse_platform(text))
         hits = [d for d in diags if "span" in d.message]
         assert len(hits) == 1
-        assert hits[0].severity is Severity.WARNING
         assert hits[0].line == 2
 
     def test_natural_with_processor(self):
@@ -475,7 +472,7 @@ class TestValidate:
         assert lines == sorted(lines)
 
     def test_diagnostic_str(self):
-        d = Diagnostic(Severity.WARNING, 3, "uh oh")
+        d = Diagnostic(3, "uh oh")
         assert str(d) == "warning: line 3: uh oh"
 
 
