@@ -17,8 +17,8 @@ memoized macro steps over blocks of 8 cells: the steps from a block's
 state, head offset and codes until the head leaves it are cached and
 replayed on later visits, while a credit of steps saved against lookups
 made falls back to the plain loop when they do not pay.  A visit that
-comes back to where it started inside its block is a cycle, and the
-run jumps its whole periods.  A trace keeps the rule id of each step,
+comes back to where it was inside its block is a cycle, and the run
+jumps its whole periods.  A trace keeps the rule id of each step,
 and holds the steps a replay or a jump repeats by reference; the heads
 follow from the rules' moves.  A run's final configuration is built
 from the kernel's tape only when it is read.
@@ -31,7 +31,6 @@ from the kernel's tape only when it is read.
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 from collections import namedtuple
@@ -501,9 +500,6 @@ _PLAIN_STEPS = 1024
 _PROBE_CREDIT = 4 * _LOOKUP_STEPS
 # Macro steps cached at most; a full cache is cleared.
 _CACHE_ENTRIES = 1024
-# Steps a kernel call inside a block takes at most: the lcm of 1 to _BLOCK,
-# 840, so a cycle of up to _BLOCK steps brings each call back to its start.
-_CYCLE_STEPS = math.lcm(*range(1, _BLOCK + 1))
 
 
 def run(
@@ -524,14 +520,18 @@ def run(
     miss costs twice _LOOKUP_STEPS.  When the credit is negative the plain
     loop runs over the whole tape for _PLAIN_STEPS steps or until the head
     reaches the end of the tape, and then macro steps are tried again.
-    Inside a block the loop runs at most _CYCLE_STEPS steps a call; a call
-    that stays in the block and ends in the state, head and codes it
-    started from has gone round a cycle, and the run jumps as many more
-    such calls as the budget holds.
+    Inside a block the loop also takes at most _PLAIN_STEPS steps a call.
+    Brent's cycle check compares the state, head and codes after each
+    call with a mark, first the visit's start, moved to the call's end
+    whenever the visit's steps reach twice the mark's.  An end equal to
+    the mark closes a cycle, and the run jumps as many whole periods as
+    the budget holds, so every cycle that stays in one block is jumped.
 
     The tape holds a byte a cell when the machine has at most 256
     symbols, and a list entry a cell otherwise.  A traced run takes at
     most ``sys.maxsize`` steps, the longest sequence Python can index."""
+    if not isinstance(max_steps, int) or isinstance(max_steps, bool):
+        raise ValueError(f"max_steps must be an int, got {max_steps!r}")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if trace and max_steps > sys.maxsize:  # a trace's length is a Python index
@@ -577,20 +577,22 @@ def run(
                     log._replay(first, n, 1)
                 credit += n - _LOOKUP_STEPS
             else:  # a miss: the visit runs until the head leaves the block
-                n, start = 0, key
+                n, mark, at = 0, key, 0  # the mark, the end after ``at`` steps
                 while True:
-                    limit = min(left - n, _CYCLE_STEPS)
+                    limit = min(left - n, _PLAIN_STEPS)
                     halted, head, base, m = _kernel(tables, tape, head, base, lo, hi, limit, log)
                     n += m
                     if halted or n == left or not lo <= head < hi:
                         break
                     end = (base, head - lo, lo == 1, codes_of(tape[lo:hi]))
-                    if end == start:  # back where the last call started: a cycle
-                        reps = (left - n) // m
-                        n += reps * m
+                    if end == mark:  # a cycle, its steps all logged as literals
+                        period = n - at
+                        reps = (left - n) // period
+                        n += reps * period
                         if log is not None:
-                            log._replay(len(log._literal) - m, m, reps)
-                    start = end
+                            log._replay(len(log._literal) - period, period, reps)
+                    elif n >= 2 * at:
+                        mark, at = end, n
                 # Cache a whole macro step if it is longer than a lookup; a
                 # shorter one would save nothing when replayed.
                 if n > _LOOKUP_STEPS and not lo <= head < hi:

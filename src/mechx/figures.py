@@ -211,10 +211,13 @@ def emit_csv(points: Iterable[TrendPoint]) -> str:
 
 
 def parse_csv(text: str) -> list[TrendPoint]:
-    """Inverse of emit_csv."""
+    """Inverse of emit_csv; a row of other than four fields raises ValueError."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != ["label", "series", "x", "y"]:
         raise ValueError("missing or malformed header row")
+    for n, r in enumerate(rows[1:], start=2):
+        if len(r) != 4:
+            raise ValueError(f"row {n} has {len(r)} fields, not 4: {r!r}")
     return [
         TrendPoint(label=r[0], series=r[1], x=float(r[2]), y=float(r[3]))
         for r in rows[1:]
@@ -326,6 +329,13 @@ def _log_ticks(lo: float, hi: float) -> list[tuple[float, str]]:
     return [(float(e), f"1e{e}") for e in powers] or [(t, f"{10 ** t:.3g}") for t in (lo, hi)]
 
 
+def _check_size(width: float, height: float) -> None:
+    if not (width > 0 and height > 0):  # NaN fails this too
+        raise ValueError("width and height must be positive")
+    if width > MAX_SIZE_PX or height > MAX_SIZE_PX:
+        raise ValueError(f"width and height must be at most {MAX_SIZE_PX} px")
+
+
 def emit_svg_scatter(
     points: Iterable[TrendPoint],
     axis_spec: AxisSpec,
@@ -339,10 +349,7 @@ def emit_svg_scatter(
     marker.  An axis whose padded span is zero, infinite or too small for
     a tick step raises ValueError.  Output is a pure function of the inputs.
     """
-    if not (width > 0 and height > 0):  # NaN fails this too
-        raise ValueError("width and height must be positive")
-    if width > MAX_SIZE_PX or height > MAX_SIZE_PX:
-        raise ValueError(f"width and height must be at most {MAX_SIZE_PX} px")
+    _check_size(width, height)
     pts = sort_points(points)
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -420,11 +427,13 @@ def build_figure(
     """Assemble points, CSV, and SVG for one figure id.
 
     fig3 is rendered with a square plot area; its height argument is
-    overridden so plot width equals plot height.
+    checked as emit_svg_scatter checks it, then overridden so plot width
+    equals plot height.
     """
     points = tuple(sort_points(trend_table(dataset, figure_id, diagnostics)))
     fig = _FIGURES[figure_id]
     if fig.square:
+        _check_size(width, height)
         height = width - (_MARGIN_LEFT + _MARGIN_RIGHT) + (_MARGIN_TOP + _MARGIN_BOTTOM)
     return FigureBundle(
         figure_id=figure_id,

@@ -10,8 +10,10 @@ import contextlib
 import copy
 import hashlib
 import io
+import os
 import pickle
 import random
+import subprocess
 import sys
 import tracemalloc
 from itertools import accumulate
@@ -1193,8 +1195,8 @@ def test_macro_step_cache_stays_bounded():
 
 # Loopers: machines that stay inside one block for ever.  At cell 1, where
 # each left move clamps, with period 1; between cells 20 and 21 of block 2
-# with period 2; and on one cell through nine states, a period that does
-# not divide the steps of a loop call, so the run is not jumped.
+# with period 2; and on one cell through five or nine states, periods that
+# do not divide the steps of a loop call.
 CLAMP_LOOPER = parse_machine(
     "flavor computation\nstates a\nsymbols blank e\ninit a\nrule a e -> a e L\n"
 )
@@ -1212,12 +1214,19 @@ rule c w -> b w R
 tape 20 w
 """
 )
-PERIOD_NINE = parse_machine(
-    "flavor computation\nstates "
-    + " ".join(f"q{i}" for i in range(9))
-    + "\nsymbols blank e\ninit q0\n"
-    + "".join(f"rule q{i} e -> q{(i + 1) % 9} e S\n" for i in range(9))
-)
+
+
+def spinner(period):
+    """A looper that stays on cell 1 and goes round ``period`` states."""
+    return parse_machine(
+        "flavor computation\nstates "
+        + " ".join(f"q{i}" for i in range(period))
+        + "\nsymbols blank e\ninit q0\n"
+        + "".join(f"rule q{i} e -> q{(i + 1) % period} e S\n" for i in range(period))
+    )
+
+
+PERIOD_FIVE, PERIOD_NINE = spinner(5), spinner(9)
 
 
 def _jumps(trace):
@@ -1229,12 +1238,14 @@ def _jumps(trace):
 
 @pytest.mark.parametrize("wide", [False, True], ids=["byte-tape", "list-tape"])
 def test_in_block_cycles_match_reference(wide):
-    budgets = (1, 839, 840, 841, 1_681, 5_000, 20_000)
+    # Loop calls take 1,024 steps.  Each looper is jumped once, the
+    # period-nine one 25 calls in.
+    budgets = (1, 1_023, 1_024, 1_025, 2_049, 5_000, 20_000)
     for mf in (CLAMP_LOOPER, PERIOD_TWO, PERIOD_NINE):
         m = widened(mf.machine) if wide else mf.machine
         for budget in budgets:
             assert_agrees(m, mf.tape, budget)
-        assert _jumps(run(m, mf.tape, budgets[-1], trace=True).trace) == (mf is not PERIOD_NINE)
+        assert _jumps(run(m, mf.tape, 10**6, trace=True).trace) == 1
     # Random machines that never halt: many end in a cycle inside a block,
     # some after wandering over several.
     rng = random.Random(840)
@@ -1259,7 +1270,7 @@ def test_loopers_jump_whole_cycles(kernel_calls):
         result = run(mf.machine, mf.tape, 10**6, trace=True)
         assert len(kernel_calls) <= 10
         assert result.final.step_count == len(result.trace) == 10**6
-        assert len(result.trace._literal) <= 3 * aemachine._CYCLE_STEPS
+        assert len(result.trace._literal) <= 3 * aemachine._PLAIN_STEPS
         jumped = run(mf.machine, mf.tape, steps, trace=True)
         plain = plain_run(mf.machine, mf.tape, steps)
         assert len(plain.trace._literal) == steps
@@ -1270,6 +1281,74 @@ def test_loopers_jump_whole_cycles(kernel_calls):
         format_run(jumped, listings[0])
         format_run(plain, listings[1])
         assert listings[0].sha.digest() == listings[1].sha.digest()
+
+
+def _first_jump(trace):
+    """(step, period) of the first cycle ``trace`` jumped: the step its
+    repeats start at and the steps a repeat takes."""
+    refs, replayed = trace._replays, 0
+    for i in range(0, len(refs), 4):
+        at, _, n, reps = refs[i : i + 4]
+        if reps > 1:
+            return at + replayed, n
+        replayed += n * reps
+    raise AssertionError("no cycle was jumped")
+
+
+@pytest.mark.parametrize(
+    "block, mf",
+    [
+        pytest.param(block, mf, id=f"block-{block}-{name}")
+        for block in (4, 8, 16, 64)
+        for name, mf in (
+            ("clamp", CLAMP_LOOPER), ("period-2", PERIOD_TWO),
+            ("period-5", PERIOD_FIVE), ("period-9", PERIOD_NINE),
+        )
+        # Blocks of 4 part cells 20 and 21: a cycle across blocks.
+        if (block, mf) != (4, PERIOD_TWO)
+    ],
+)
+def test_every_in_block_cycle_is_jumped(monkeypatch, kernel_calls, block, mf):
+    # Brent's mark finds a cycle inside a block whatever its period and
+    # the block size, a few dozen loop calls in, and the run jumps it.
+    monkeypatch.setattr(aemachine, "_BLOCK", block)
+    m, tape = mf.machine, mf.tape
+    del kernel_calls[:]
+    at, period = _first_jump(run(m, tape, 10**6, trace=True).trace)
+    assert len(kernel_calls) <= 40
+    # One step short of a whole period past the mark's match, a whole
+    # period, and one step more.
+    for budget in (at + period - 1, at + period, at + period + 1):
+        assert_agrees(m, tape, budget)
+    for traced in (False, True):
+        del kernel_calls[:]
+        result = run(m, tape, 10**12, trace=traced)
+        assert len(kernel_calls) <= 40
+        # The same configuration as as many steps into the cycle.
+        _, want, _ = reference_run(m, tape, at + (10**12 - at) % period)
+        assert result.final == MachineConfig(want.cells, want.head, want.state, 10**12)
+        assert not traced or len(result.trace) == 10**12
+
+
+def test_aem_run_jumps_the_period_nine_looper_end_to_end(tmp_path):
+    # 10^12 steps through the command line, in a child with a deadline: a
+    # cycle rule that missed this looper would run for days, and so fails
+    # here instead of hanging the suite.
+    path = tmp_path / "nine.aem"
+    path.write_text(serialize_machine(PERIOD_NINE.machine))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mechx.cli", "aem-run", str(path), "--max-steps", str(10**12)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # 10^12 is 1 modulo 9.
+    assert proc.stdout == (
+        "outcome budget_exhausted\nfinal state=q1 head=1 steps=1000000000000 cells=[]\n"
+    )
 
 
 def test_traced_ceiling_counter_keeps_replays_by_reference():

@@ -138,6 +138,16 @@ class TestStep:
         with pytest.raises(ValueError):
             run(mk({}), {}, max_steps=0)
 
+    @pytest.mark.parametrize(
+        "budget", [True, 2.5, float("nan"), float("inf"), "5"], ids=repr
+    )
+    def test_max_steps_must_be_an_int(self, budget):
+        # Else a float stops deep in the kernel or never, and True runs a step.
+        looper = mk({("q0", "e"): ("q0", "e", MOVE_STAY)})
+        with pytest.raises(ValueError) as info:
+            run(looper, {}, max_steps=budget)
+        assert str(info.value) == f"max_steps must be an int, got {budget!r}"
+
 
 class TestRun:
     def test_writer_fills_three_cells(self):

@@ -465,7 +465,11 @@ class TestPlot:
         assert err.splitlines()[-1].startswith(f"error: cannot write {paths[bad]!r}: [Errno 2] ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("option", ["--width", "--height"])
+    @pytest.mark.parametrize(
+        "figure, option",
+        [("1", "--width"), ("1", "--height"), ("3", "--width"), ("3", "--height")],
+        ids=["--width", "--height", "fig3---width", "fig3---height"],
+    )
     @pytest.mark.parametrize(
         "size, message",
         [
@@ -476,10 +480,13 @@ class TestPlot:
         ],
         ids=["nan", "-1", "inf", "1e308"],
     )
-    def test_size_out_of_range_is_data_error(self, capsys, tmp_path, option, size, message):
+    def test_size_out_of_range_is_data_error(
+        self, capsys, tmp_path, figure, option, size, message
+    ):
+        # Figure 3 derives its height from its width, after checking both.
         out_csv, out_svg = tmp_path / "x.csv", tmp_path / "x.svg"
         code, out, err = run_cli(
-            capsys, "plot", "--figure", "1", "--out-csv", str(out_csv),
+            capsys, "plot", "--figure", figure, "--out-csv", str(out_csv),
             "--out-svg", str(out_svg), option, size,
         )
         assert (code, out) == (2, "")

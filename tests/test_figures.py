@@ -177,6 +177,17 @@ class TestCsv:
         with pytest.raises(ValueError):
             parse_csv("")
 
+    @pytest.mark.parametrize(
+        "row, fields",
+        [("a,b", ["a", "b"]), ("a,b,1,2,3", ["a", "b", "1", "2", "3"])],
+        ids=["short", "long"],
+    )
+    def test_row_of_other_than_four_fields_rejected(self, row, fields):
+        # Short rows once raised IndexError; long ones lost their tail.
+        with pytest.raises(ValueError) as info:
+            parse_csv(f"label,series,x,y\np,s,1,2\n{row}\n")
+        assert str(info.value) == f"row 3 has {len(fields)} fields, not 4: {fields!r}"
+
     def test_deterministic(self):
         a = build_figure(DATASET, "fig2_mech_configs")
         b = build_figure(DATASET, "fig2_mech_configs")
