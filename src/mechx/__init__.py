@@ -192,13 +192,18 @@ class _Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int and not a bool.  Counts, years, heads,
+    moves and step numbers must be exact ints: a float, NaN included,
+    would pass the range checks and then fail deep inside a count or a
+    tape lookup, and a bool would be written as "True"."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_int(record: _Record, field: str) -> None:
-    # Counts, years, heads and step numbers must be exact ints: a float,
-    # NaN included, would pass the range checks and then fail deep inside
-    # a count or a tape lookup, and a bool would be written as "True".  An
-    # int of more than MAX_INT_DIGITS digits could not be written as text.
+    # An int of more than MAX_INT_DIGITS digits could not be written as text.
     value = getattr(record, field)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ValueError(
             f"{type(record).__name__}.{field} must be an int, got {value!r}"
         )

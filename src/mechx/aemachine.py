@@ -40,8 +40,8 @@ from itertools import accumulate, chain, islice
 from operator import eq
 
 from . import (
-    _BLANKS, MAX_INT_DIGITS, _Factory, _LineError, _Record, _lines, _over_digit_limit,
-    _require_int,
+    _BLANKS, MAX_INT_DIGITS, _Factory, _LineError, _Record, _is_int, _lines,
+    _over_digit_limit, _require_int,
 )
 
 COMPUTATION = "computation"
@@ -84,7 +84,7 @@ class _FieldError(ValueError):
 
 Transition = tuple[str, str, int]  # (next state, written symbol, move)
 
-# A name .aem can write: a word with no line end and no "#" to start a comment.
+# A name .aem can write, and a word of a reader line: no blank, line end or "#".
 _NAME_RE = re.compile(f"[^{_BLANKS}\n#]+")
 
 
@@ -145,7 +145,7 @@ def _check_cells(cells: Mapping[int, str], code: Mapping[str, int] | None = None
     # an int index >= 1 of at most MAX_INT_DIGITS digits, no bool, and a
     # declared symbol when ``code`` is given.
     for idx, sym in cells.items():
-        if not isinstance(idx, int) or isinstance(idx, bool) or idx < 1:
+        if not _is_int(idx) or idx < 1:
             raise ValueError(f"cell index must be an integer >= 1, got {idx!r}")
         if _over_digit_limit(idx):
             raise ValueError(f"cell index has more than {MAX_INT_DIGITS} digits")
@@ -194,14 +194,10 @@ class _Tables:
     the kernel carries a state as that slot base.  ``table[base + read]``
     is None (halt) or (next base, written code, move, rule id), and
     ``rules[rule id]`` is (state, read, written, move) by name and
-    ``moves[rule id]`` its move.  A trace line is its step number,
-    ``before[rule id]``, its head and ``after[rule id]``.
+    ``moves[rule id]`` its move.
     """
 
-    __slots__ = (
-        "symbols", "code", "nsym", "states", "base", "table", "rules", "moves",
-        "before", "after",
-    )
+    __slots__ = ("symbols", "code", "nsym", "states", "base", "table", "rules", "moves")
 
     def __init__(self, machine: Machine):
         self.symbols = machine.symbols
@@ -216,14 +212,12 @@ class _Tables:
                 raise _FieldError((q, s), f"transition ({q!r},{s!r}) references unknown state")
             if s not in self.code or w not in self.code:
                 raise _FieldError((q, s), f"transition ({q!r},{s!r}) references unknown symbol")
-            if move not in (-1, 0, 1):
+            if not _is_int(move) or move not in (-1, 0, 1):
                 raise ValueError(f"move must be -1, 0, or +1, got {move!r}")
             slot = self.base[q] + self.code[s]
             self.table[slot] = (self.base[q2], self.code[w], move, len(self.rules))
             self.rules.append((q, s, w, move))
         self.moves = [m for _, _, _, m in self.rules]
-        self.before = [f" {q} " for q, _, _, _ in self.rules]
-        self.after = [f" {s} {w} {_LETTER_OF_MOVE[m]}\n" for _, s, w, m in self.rules]
 
     def state_of(self, base: int) -> str:
         return self.states[base // self.nsym]
@@ -300,7 +294,7 @@ class Trace(Sequence):
                 for a in range(source, source + n, w):
                     yield a, min(w, source + n - a), True
 
-    def _steps(self):
+    def __iter__(self):
         rules, moves, ids, head = self._tables.rules, self._tables.moves, self._literal, 1
         for offset, length, _ in self._runs():
             piece = ids[offset : offset + length]
@@ -318,9 +312,6 @@ class Trace(Sequence):
         up = wanted if wanted.step > 0 else wanted[::-1]
         steps = tuple(islice(self, up.start, up.stop, up.step))
         return steps if wanted.step > 0 else steps[::-1]
-
-    def __iter__(self):
-        return self._steps()
 
     def __reversed__(self):
         # One walk keeps each piece's place and the head it starts at;
@@ -530,7 +521,7 @@ def run(
     The tape holds a byte a cell when the machine has at most 256
     symbols, and a list entry a cell otherwise.  A traced run takes at
     most ``sys.maxsize`` steps, the longest sequence Python can index."""
-    if not isinstance(max_steps, int) or isinstance(max_steps, bool):
+    if not _is_int(max_steps):
         raise ValueError(f"max_steps must be an int, got {max_steps!r}")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -754,8 +745,10 @@ def _write_steps(trace: Trace, write) -> None:
     parts of its number and its tail go to the join as they are.  Literal
     steps are written in one pass, a line at a time.  The kept pieces are
     counted by their steps, and at _TAIL_STEPS all are forgotten."""
-    tables, literal = trace._tables, trace._literal
-    before, after, moves = tables.before, tables.after, tables.moves
+    rules, moves, literal = trace._tables.rules, trace._tables.moves, trace._literal
+    # A rule's line is its step number, before[rule id], its head, after[rule id].
+    before = [f" {q} " for q, _, _, _ in rules]
+    after = [f" {s} {w} {_LETTER_OF_MOVE[m]}\n" for _, s, w, m in rules]
     w = _LINES_PER_WRITE
     kept: dict = {}  # (offset, length, start head) -> (tails, head after)
     shared: dict = {}  # each tail kept, as itself
@@ -828,9 +821,6 @@ def _write_steps(trace: Trace, write) -> None:
 # Description files (".aem") -------------------------------------------------
 
 
-# A word runs up to a blank, the blanks being those of .mechx files.
-_WORD_RE = re.compile(f"[^{_BLANKS}]+")
-
 # Statements that appear exactly once, in the order a missing one is reported.
 _SINGLETONS = ("flavor", "states", "symbols", "init")
 
@@ -865,7 +855,7 @@ def parse_machine(text: str) -> MachineFile:
     lines: dict = {}
 
     for lineno, raw in enumerate(_lines(text), start=1):
-        tok = _WORD_RE.findall(raw.split("#", 1)[0])
+        tok = _NAME_RE.findall(raw.split("#", 1)[0])
         if not tok:
             continue
         kw = tok[0]

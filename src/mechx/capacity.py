@@ -18,7 +18,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
-from . import _Record
+from . import _Record, _is_int
 from .model import Platform, ProcessorSpec, mechanical_groups, resolve_levels
 
 # log10(2) correctly rounded to a double, written out rather than taken
@@ -356,9 +356,12 @@ class BigCount(_Record):
         return d
 
     def leading(self, k: int = 3) -> str:
-        """First ``k`` significant decimal digits, for ``k >= 1``; a count
-        made from factors does not form ``exact`` for them.  A log-space
-        count gives at most 17, the significant digits of a float."""
+        """First ``k`` significant decimal digits, for an int ``k >= 1``
+        (not a bool); a count made from factors does not form ``exact``
+        for them.  A log-space count gives at most 17, the significant
+        digits of a float."""
+        if not _is_int(k):
+            raise ValueError(f"leading digits need an int k, got {k!r}")
         if k < 1:
             raise ValueError(f"leading digits need k >= 1, got {k}")
         lead = vars(self).get("_lead")

@@ -171,11 +171,13 @@ class _Cursor:
 
     def keyword(self, *words: str) -> str:
         """Consume one of ``words`` and return it."""
+        text = self.peek("word")
+        if text in words:
+            self.pos += 1
+            return text
         expected = " or ".join(f"'{w}'" for w in words)
-        kind, text = self._next(expected)
-        if kind != "word" or text not in words:
-            raise ParseError(self.lineno, f"expected {expected}, found {text!r}")
-        return text
+        _, text = self._next(expected)
+        raise ParseError(self.lineno, f"expected {expected}, found {text!r}")
 
     def integer(self, what: str) -> int:
         kind, text = self._next(what)

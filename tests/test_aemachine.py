@@ -148,6 +148,13 @@ class TestStep:
             run(looper, {}, max_steps=budget)
         assert str(info.value) == f"max_steps must be an int, got {budget!r}"
 
+    @pytest.mark.parametrize("move", [1.0, -1.0, 0.0, True], ids=repr)
+    def test_move_must_be_an_int(self, move):
+        # Else 1.0 passes as +1 and run() fails indexing the tape with a float.
+        with pytest.raises(ValueError) as info:
+            mk({("q0", "e"): ("q0", "e", move)})
+        assert str(info.value) == f"move must be -1, 0, or +1, got {move!r}"
+
 
 class TestRun:
     def test_writer_fills_three_cells(self):

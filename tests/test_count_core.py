@@ -363,6 +363,22 @@ def test_leading_refuses_fewer_than_one_digit(k):
     assert "exact" not in vars(counts[0])
 
 
+@pytest.mark.parametrize("k", [True, 2.5, math.nan, math.inf, "3"], ids=repr)
+def test_leading_refuses_a_k_that_is_not_an_int(k):
+    # Else NaN reads every digit, True one and 2.5 fails in a slice.
+    counts = (
+        BigCount._from_factors([(3, 30_000)]),
+        BigCount.from_exact(3**30),
+        BigCount(log10=3.2),
+    )
+    for c in counts:
+        for call in (c.leading, c.sci):
+            with pytest.raises(ValueError) as info:
+                call(k)
+            assert str(info.value) == f"leading digits need an int k, got {k!r}"
+    assert "exact" not in vars(counts[0])
+
+
 @pytest.mark.parametrize("k", [18, 309, 400])
 def test_log_space_leading_refuses_more_digits_than_a_float_holds(k):
     c = BigCount(log10=1234 + math.log10(3.7))
